@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -36,7 +36,8 @@ from .phantom import (
     save_dataset,
 )
 from .ingest import SeriesKind
-from .pipeline import PipelineParams, process_subject, result_to_report
+from .ensemble import INTERP_MODES
+from .pipeline import GATES, UNITS, PipelineParams, process_subject, result_to_report
 from .reporting import (
     sha256_of,
     write_curves_csv,
@@ -63,23 +64,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plethysmo", help="plethysmograph .csv")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON config; entries override flags")
-    p.add_argument("--gate", choices=["flow", "plethysmo"], default="flow")
-    p.add_argument("--min-rr", type=float, default=300.0, help="shortest cycle, ms")
-    p.add_argument("--max-rr", type=float, default=2000.0, help="longest cycle, ms")
-    p.add_argument("--smoothing-window", type=float, default=500.0,
-                   help="belt smoothing window, ms")
-    p.add_argument("--hysteresis", type=float, default=0.05,
-                   help="belt trigger band, fraction of range")
-    p.add_argument("--interp", choices=["spline", "linear"], default="spline")
-    p.add_argument("--sv-convention", choices=["lobe-mean", "flush-lobe"],
-                   default="lobe-mean")
-    p.add_argument("--unit", choices=["auto", "mL", "uL"], default="auto")
+    # defaults and allowed values come from PipelineParams, which checks
+    # flags and --config entries alike
+    p.add_argument("--gate", choices=GATES)
+    p.add_argument("--min-rr", type=float, help="shortest cycle, ms")
+    p.add_argument("--max-rr", type=float, help="longest cycle, ms")
+    p.add_argument("--smoothing-window", type=float, help="belt smoothing window, ms")
+    p.add_argument("--hysteresis", type=float, help="belt trigger band, fraction of range")
+    p.add_argument("--interp", choices=INTERP_MODES)
+    p.add_argument("--sv-convention", choices=[c.value for c in SvConvention])
+    p.add_argument("--unit", choices=UNITS)
     p.add_argument("--flip-sign", action="store_true",
                    help="flip the craniocaudal sign convention")
-    p.add_argument("--anchor", type=int, default=0,
-                   help="frame trusted as unaliased for unwrapping")
-    p.add_argument("--refine-threshold", type=float, default=None,
+    p.add_argument("--anchor", type=int, help="frame trusted as unaliased for unwrapping")
+    p.add_argument("--refine-threshold", type=float,
                    help="grow the ROI by temporal correlation at this threshold")
+    p.set_defaults(**asdict(PipelineParams()))
 
     c = sub.add_parser("cohort", help="paired statistics over processed subjects")
     c.add_argument("--pairs", required=True,
@@ -125,33 +125,13 @@ def _apply_config(args: argparse.Namespace) -> None:
         setattr(args, attr, value)
 
 
-def _params_from_args(args: argparse.Namespace) -> PipelineParams:
-    try:
-        return PipelineParams(
-            min_rr=float(args.min_rr),
-            max_rr=float(args.max_rr),
-            smoothing_window=float(args.smoothing_window),
-            hysteresis=float(args.hysteresis),
-            interp=str(args.interp),
-            sv_convention=SvConvention(args.sv_convention),
-            unit=str(args.unit),
-            flip_sign=bool(args.flip_sign),
-            anchor=int(args.anchor),
-            refine_threshold=None if args.refine_threshold is None
-            else float(args.refine_threshold),
-            gate=str(args.gate),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"bad parameter value: {exc}") from exc
-
-
 def _hash_entry(path: str) -> dict:
     return {"path": str(path), "sha256": sha256_of(path)}
 
 
 def cmd_process(args: argparse.Namespace) -> int:
     _apply_config(args)
-    params = _params_from_args(args)
+    params = PipelineParams(**{f.name: getattr(args, f.name) for f in fields(PipelineParams)})
     series = read_series(args.series)
     roi = read_mask(args.roi)
     static = read_mask(args.static, RoiLabel.STATIC_TISSUE) if args.static else None

@@ -1,7 +1,7 @@
 """Resample labeled cycles onto a 32-point normalized cardiac grid and
 average them into global, inspiration, and expiration mean curves.
 
-Averaging is compensated (Kahan) and runs in source_cycle_id order, so
+Averaging stacks the cycles in source_cycle_id order before reducing, so
 the result is bit-identical under any permutation of the input list.
 """
 
@@ -100,21 +100,6 @@ def resample_cycle(cycle: LabeledCycle, mode: str = "spline") -> CanonicalCycle:
     )
 
 
-def _kahan_mean(rows: list[np.ndarray]) -> np.ndarray:
-    total = np.zeros_like(rows[0])
-    comp = np.zeros_like(rows[0])
-    for row in rows:
-        y = row - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total / len(rows)
-
-
-def _kahan_mean_scalar(values: list[float]) -> float:
-    return float(_kahan_mean([np.asarray([v], dtype=np.float64) for v in values])[0])
-
-
 def build_ensembles(cycles: list[CanonicalCycle]) -> EnsembleCurves:
     """Pointwise mean and standard deviation per breathing state.
 
@@ -129,11 +114,8 @@ def build_ensembles(cycles: list[CanonicalCycle]) -> EnsembleCurves:
     ordered = sorted(cycles, key=lambda c: c.source_cycle_id)
 
     def stats(sel: list[CanonicalCycle]):
-        rows = [c.q32 for c in sel]
-        mean = _kahan_mean(rows)
-        sd = np.sqrt(_kahan_mean([(r - mean) ** 2 for r in rows]))
-        rr = _kahan_mean_scalar([c.rr for c in sel])
-        return mean, sd, rr
+        q = np.stack([c.q32 for c in sel])
+        return q.mean(axis=0), q.std(axis=0), float(np.mean([c.rr for c in sel]))
 
     g_mean, g_sd, g_rr = stats(ordered)
     insp = [c for c in ordered if c.resp_label is RespLabel.INSPIRATION]

@@ -66,7 +66,7 @@ class InvalidThreshold(InputError):
 
 
 class InvalidSpec(InputError):
-    """Phantom parameters are internally inconsistent."""
+    """Phantom or pipeline parameters are inconsistent or out of range."""
 
 
 class ClockMismatch(InputError):

@@ -179,8 +179,8 @@ class VelocitySeries:
         if not np.all(np.isfinite(self.frames)):
             raise ValueOutOfRange("frames contain non-finite values")
         if self.header.encoding is Encoding.PHASE_RADIANS:
-            f64 = self.frames.astype(np.float64)
-            if f64.min() < -math.pi or f64.max() >= math.pi:
+            # float() widens exactly, so the bounds are compared in float64
+            if float(self.frames.min()) < -math.pi or float(self.frames.max()) >= math.pi:
                 raise ValueOutOfRange("phase values must lie in [-pi, pi)")
 
     @property

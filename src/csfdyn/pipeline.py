@@ -5,18 +5,21 @@ failure attributed to its pipeline stage.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .ensemble import (
+    INTERP_MODES,
     CanonicalCycle,
     EnsembleCurves,
     build_ensembles,
     resample_cycle,
 )
-from .errors import CsfdynError, InputError, TooFewSamples
+from .errors import CsfdynError, InputError, InvalidSpec, TooFewSamples
 from .flow import FlowSamples, extract_flow, refine_roi
 from .gating import (
     DEFAULT_MAX_RR,
@@ -38,7 +41,14 @@ from .ingest import (
     SeriesKind,
     VelocitySeries,
 )
-from .metrics import SvConvention, SvReport, VolumeUnit, reversal_check, stroke_volume
+from .metrics import (
+    SvConvention,
+    SvReport,
+    VolumeUnit,
+    reversal_check,
+    stroke_volume,
+    sv_modulation,
+)
 from .velocity import (
     VelocityField,
     as_velocity_field,
@@ -48,10 +58,21 @@ from .velocity import (
 )
 
 
+GATES = ("flow", "plethysmo")
+UNITS = ("auto",) + tuple(u.value for u in VolumeUnit)  # auto: uL for AQUEDUCT, mL otherwise
+
+
+def _real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PipelineParams:
-    """Every knob of the subject pipeline in one place, echoed verbatim
-    into reports."""
+    """Every knob of the subject pipeline in one place: defaults here,
+    allowed values checked once on construction (InvalidSpec), echoed
+    verbatim into reports."""
 
     min_rr: float = DEFAULT_MIN_RR
     max_rr: float = DEFAULT_MAX_RR
@@ -59,26 +80,37 @@ class PipelineParams:
     hysteresis: float = 0.05
     interp: str = "spline"
     sv_convention: SvConvention = SvConvention.LOBE_MEAN
-    unit: str = "auto"  # auto: uL for AQUEDUCT, mL otherwise
+    unit: str = "auto"
     flip_sign: bool = False
     anchor: int = 0
     refine_threshold: float | None = None
-    gate: str = "flow"  # flow | plethysmo
+    gate: str = "flow"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "min_rr": self.min_rr,
-            "max_rr": self.max_rr,
-            "smoothing_window": self.smoothing_window,
-            "hysteresis": self.hysteresis,
-            "interp": self.interp,
-            "sv_convention": self.sv_convention.value,
-            "unit": self.unit,
-            "flip_sign": self.flip_sign,
-            "anchor": self.anchor,
-            "refine_threshold": self.refine_threshold,
-            "gate": self.gate,
-        }
+    def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        for name in ("min_rr", "max_rr", "smoothing_window", "hysteresis"):
+            put(name, _real(name, getattr(self, name)))
+        if self.refine_threshold is not None:
+            put("refine_threshold", _real("refine_threshold", self.refine_threshold))
+        for name, allowed in (("interp", INTERP_MODES), ("unit", UNITS), ("gate", GATES)):
+            if getattr(self, name) not in allowed:
+                raise InvalidSpec(
+                    f"{name} must be one of {', '.join(allowed)}; got {getattr(self, name)!r}"
+                )
+        try:
+            put("sv_convention", SvConvention(self.sv_convention))
+        except ValueError:
+            raise InvalidSpec(
+                f"sv_convention must be one of {', '.join(c.value for c in SvConvention)}; "
+                f"got {self.sv_convention!r}"
+            ) from None
+        if not isinstance(self.flip_sign, bool):
+            raise InvalidSpec(f"flip_sign must be true or false, got {self.flip_sign!r}")
+        if isinstance(self.anchor, bool) or not isinstance(self.anchor, numbers.Integral):
+            raise InvalidSpec(f"anchor must be an integer frame index, got {self.anchor!r}")
+        put("anchor", int(self.anchor))
 
 
 @dataclass
@@ -130,51 +162,13 @@ def prepare_velocity(
     else:
         fld = _staged("velocity", as_velocity_field, series)
     if params.flip_sign:
-        fld = VelocityField(
-            header=fld.header,
-            frames=-fld.frames,
-            unwrapped=fld.unwrapped,
-            background_corrected=fld.background_corrected,
-        )
+        # the converted frames are a fresh copy, so negate them in place
+        np.negative(fld.frames, out=fld.frames)
     fld = _staged("velocity", unwrap_temporal, fld, params.anchor)
     offset = None
     if static is not None:
         fld, offset = _staged("velocity", background_correct, fld, static)
     return fld, offset
-
-
-def _gated_passthrough(
-    flow: FlowSamples, params: PipelineParams, unit: VolumeUnit, offset, roi_label
-) -> SubjectResult:
-    """A GATED_CONV series is already one reconstructed cycle: its 32
-    samples are adopted as the global curve with no gating stage."""
-    rr = flow.timestamps.size * (flow.timestamps[1] - flow.timestamps[0])
-    cyc = CanonicalCycle(
-        q32=flow.q, source_cycle_id=0, resp_label=RespLabel.MIXED, rr=float(rr)
-    )
-    curves = _staged("ensemble", build_ensembles, [cyc])
-    sv = _staged(
-        "metrics", stroke_volume, curves.global_mean, curves.mean_rr_global,
-        unit, params.sv_convention,
-    )
-    return SubjectResult(
-        params=params,
-        roi_label=roi_label,
-        unit=unit,
-        background_offset=offset,
-        flow=flow,
-        boundaries=None,
-        phases=None,
-        cycles=[],
-        canonical=[cyc],
-        curves=curves,
-        sv_global=sv,
-        sv_insp=None,
-        sv_exp=None,
-        modulation=None,
-        reversal={"global": reversal_check(curves.global_mean)},
-        notes=["gated series: cardiac gating already applied at acquisition"],
-    )
 
 
 def process_subject(
@@ -200,56 +194,63 @@ def process_subject(
         roi = _staged("flow", refine_roi, fld, roi, params.refine_threshold)
     flow = _staged("flow", extract_flow, fld, roi)
 
-    if series.header.series_kind is SeriesKind.GATED_CONV:
-        return _gated_passthrough(flow, params, unit, offset, roi.label)
-
-    if belt is None:
-        raise InputError("a respiratory belt trace is required for continuous series",
-                         ).with_stage("gating")
-    if params.gate == "plethysmo":
-        if plethysmo is None:
-            raise InputError("gate=plethysmo needs a plethysmograph trace"
-                             ).with_stage("gating")
-        boundaries = _staged(
-            "gating", detect_cycles_from_plethysmo, plethysmo, params.min_rr, params.max_rr
-        )
-    else:
-        boundaries = _staged(
-            "gating", detect_cycles_from_flow, flow, params.min_rr, params.max_rr
-        )
-    phases = _staged("gating", classify_resp, belt, params.smoothing_window,
-                     params.hysteresis)
-    cycles = _staged("gating", label_cycles, boundaries, phases, flow)
-
-    canonical: list[CanonicalCycle] = []
+    boundaries = phases = None
+    cycles: list[LabeledCycle] = []
     n_skipped = 0
-    for cyc in cycles:
-        try:
-            canonical.append(resample_cycle(cyc, params.interp))
-        except TooFewSamples:
-            n_skipped += 1
-            warnings.warn(
-                f"cycle at {cyc.start:.0f} ms dropped: {cyc.n_samples} samples "
-                f"cannot support resampling",
-                stacklevel=2,
+    notes = []
+    if series.header.series_kind is SeriesKind.GATED_CONV:
+        # already one reconstructed cycle: its 32 samples are adopted as
+        # the global curve with no gating stage
+        rr = flow.timestamps.size * (flow.timestamps[1] - flow.timestamps[0])
+        canonical = [CanonicalCycle(q32=flow.q, source_cycle_id=0,
+                                    resp_label=RespLabel.MIXED, rr=float(rr))]
+        notes.append("gated series: cardiac gating already applied at acquisition")
+    else:
+        if belt is None:
+            raise InputError("a respiratory belt trace is required for continuous series",
+                             ).with_stage("gating")
+        if params.gate == "plethysmo":
+            if plethysmo is None:
+                raise InputError("gate=plethysmo needs a plethysmograph trace"
+                                 ).with_stage("gating")
+            boundaries = _staged(
+                "gating", detect_cycles_from_plethysmo, plethysmo, params.min_rr, params.max_rr
             )
+        else:
+            boundaries = _staged(
+                "gating", detect_cycles_from_flow, flow, params.min_rr, params.max_rr
+            )
+        phases = _staged("gating", classify_resp, belt, params.smoothing_window,
+                         params.hysteresis)
+        cycles = _staged("gating", label_cycles, boundaries, phases, flow)
+
+        canonical = []
+        for cyc in cycles:
+            try:
+                canonical.append(resample_cycle(cyc, params.interp))
+            except TooFewSamples:
+                n_skipped += 1
+                warnings.warn(
+                    f"cycle at {cyc.start:.0f} ms dropped: {cyc.n_samples} samples "
+                    f"cannot support resampling",
+                    stacklevel=2,
+                )
     curves = _staged("ensemble", build_ensembles, canonical)
 
-    def sv_of(curve, rr):
-        return _staged("metrics", stroke_volume, curve, rr, unit, params.sv_convention)
-
-    sv_global = sv_of(curves.global_mean, curves.mean_rr_global)
-    sv_insp = sv_of(curves.insp_mean, curves.mean_rr_insp) if curves.insp_mean is not None else None
-    sv_exp = sv_of(curves.exp_mean, curves.mean_rr_exp) if curves.exp_mean is not None else None
+    sv: dict[str, SvReport] = {}
+    reversal = {}
+    for state, curve, rr in (
+        ("global", curves.global_mean, curves.mean_rr_global),
+        ("inspiration", curves.insp_mean, curves.mean_rr_insp),
+        ("expiration", curves.exp_mean, curves.mean_rr_exp),
+    ):
+        if curve is not None:
+            sv[state] = _staged("metrics", stroke_volume, curve, rr, unit,
+                                params.sv_convention)
+            reversal[state] = reversal_check(curve)
     modulation = None
-    if sv_insp is not None and sv_exp is not None and sv_exp.sv != 0.0:
-        modulation = (sv_insp.sv - sv_exp.sv) / sv_exp.sv
-
-    reversal = {"global": reversal_check(curves.global_mean)}
-    if curves.insp_mean is not None:
-        reversal["inspiration"] = reversal_check(curves.insp_mean)
-    if curves.exp_mean is not None:
-        reversal["expiration"] = reversal_check(curves.exp_mean)
+    if "inspiration" in sv and "expiration" in sv:
+        modulation = _staged("metrics", sv_modulation, sv["inspiration"], sv["expiration"])
 
     return SubjectResult(
         params=params,
@@ -262,12 +263,13 @@ def process_subject(
         cycles=cycles,
         canonical=canonical,
         curves=curves,
-        sv_global=sv_global,
-        sv_insp=sv_insp,
-        sv_exp=sv_exp,
+        sv_global=sv["global"],
+        sv_insp=sv.get("inspiration"),
+        sv_exp=sv.get("expiration"),
         modulation=modulation,
         reversal=reversal,
         n_skipped_cycles=n_skipped,
+        notes=notes,
     )
 
 
@@ -302,7 +304,7 @@ def result_to_report(result: SubjectResult, version: str, inputs: dict) -> dict:
         "kind": "subject",
         "version": version,
         "inputs": inputs,
-        "config": result.params.to_json_dict(),
+        "config": asdict(result.params),
         "roi_label": result.roi_label.value,
         "unit": result.unit.value,
         "interpolation": result.params.interp,

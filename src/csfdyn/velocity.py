@@ -26,16 +26,15 @@ class StaticTissueWarning(UserWarning):
 
 @dataclass
 class VelocityField:
-    """Velocity maps in cm/s with provenance flags.
+    """Velocity maps in cm/s.
 
-    frames are float64, shape (n_frames, height, width). The flags record
-    which corrections have been applied; they gate nothing by themselves.
+    frames are float64, shape (n_frames, height, width), all finite.
+    unwrap_temporal and background_correct each return a new field and
+    leave their input unchanged.
     """
 
     header: SeriesHeader
     frames: np.ndarray
-    unwrapped: bool = False
-    background_corrected: bool = False
 
     def __post_init__(self):
         expected = (self.header.n_frames, self.header.height, self.header.width)
@@ -105,8 +104,7 @@ def unwrap_temporal(field: VelocityField, anchor: int = 0) -> VelocityField:
     venc = field.header.venc
     v = field.frames
     if n == 1:
-        return VelocityField(header=field.header, frames=v.copy(), unwrapped=True,
-                             background_corrected=field.background_corrected)
+        return VelocityField(header=field.header, frames=v.copy())
     d = np.diff(v, axis=0)
     # wrap count per step; 0 whenever |jump| <= venc
     k = np.zeros_like(d)
@@ -116,13 +114,7 @@ def unwrap_temporal(field: VelocityField, anchor: int = 0) -> VelocityField:
     k[down] = -np.ceil((-d[down] - venc) / (2.0 * venc))
     cum = np.concatenate([np.zeros((1,) + v.shape[1:]), np.cumsum(k, axis=0)], axis=0)
     offsets = -2.0 * venc * (cum - cum[anchor])
-    out = v + offsets
-    return VelocityField(
-        header=field.header,
-        frames=out,
-        unwrapped=True,
-        background_corrected=field.background_corrected,
-    )
+    return VelocityField(header=field.header, frames=v + offsets)
 
 
 def background_correct(
@@ -154,12 +146,4 @@ def background_correct(
             StaticTissueWarning,
             stacklevel=2,
         )
-    return (
-        VelocityField(
-            header=field.header,
-            frames=field.frames - offset,
-            unwrapped=field.unwrapped,
-            background_corrected=True,
-        ),
-        offset,
-    )
+    return VelocityField(header=field.header, frames=field.frames - offset), offset

@@ -141,6 +141,26 @@ class TestProcess:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("entry", [
+        {"gate": "pleth"},
+        {"flip_sign": "false"},
+        {"anchor": 1.7},
+        {"unit": "kL"},
+    ], ids=lambda entry: next(iter(entry)))
+    def test_bad_config_value_is_input_error(self, phantom_dir, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        rc = main([
+            "process",
+            "--series", str(phantom_dir / "series.csfd"),
+            "--roi", str(phantom_dir / "lumen.pgm"),
+            "--belt", str(phantom_dir / "belt.csv"),
+            "--config", str(cfg),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert next(iter(entry)) in capsys.readouterr().err
+
     def test_missing_series_is_input_error(self, phantom_dir, tmp_path):
         rc = main([
             "process",

@@ -15,7 +15,7 @@ from csfdyn import (
     process_subject,
     result_to_report,
 )
-from csfdyn.errors import InputError
+from csfdyn.errors import DivisionByZeroSv, InputError, InvalidSpec
 from csfdyn.phantom import AcquisitionSpec, RespSpec
 
 
@@ -55,8 +55,10 @@ class TestProcessSubject:
         # gating just keys on the opposite lobe
         ds = default_dataset
         params = PipelineParams(flip_sign=True)
+        before = ds.series.frames.copy()
         r = process_subject(ds.series, ds.lumen, params=params,
                             static=ds.static, belt=ds.belt)
+        assert np.array_equal(ds.series.frames, before)  # the flip works on a copy
         tru = 1000.0 * ds.truth.spec.cardiac.sv_true
         assert r.sv_global.sv == pytest.approx(tru, rel=0.02)
         assert r.curves.global_mean.min() < 0 < r.curves.global_mean.max()
@@ -104,6 +106,38 @@ class TestProcessSubject:
                             static=ds.static, belt=ds.belt)
         # v_plus is reported in the same unit as sv
         assert r.sv_global.sv == pytest.approx(r.sv_global.v_plus)
+
+    def test_zero_expiration_sv_is_staged_refusal(self, default_dataset, monkeypatch):
+        ds = default_dataset
+        real = csfdyn.pipeline.stroke_volume
+        monkeypatch.setattr(csfdyn.pipeline, "stroke_volume",
+                            lambda *a: replace(real(*a), sv=0.0))
+        with pytest.raises(DivisionByZeroSv) as exc_info:
+            process_subject(ds.series, ds.lumen, static=ds.static, belt=ds.belt)
+        assert exc_info.value.stage == "metrics"
+
+
+class TestPipelineParams:
+    @pytest.mark.parametrize("bad", [
+        {"gate": "pleth"},
+        {"unit": "kL"},
+        {"interp": "cubic"},
+        {"sv_convention": "both"},
+        {"flip_sign": "false"},
+        {"anchor": 1.7},
+        {"min_rr": "300"},
+        {"hysteresis": float("nan")},
+        {"refine_threshold": True},
+    ], ids=lambda bad: next(iter(bad)))
+    def test_rejects_bad_values(self, bad):
+        with pytest.raises(InvalidSpec, match=next(iter(bad))):
+            PipelineParams(**bad)
+
+    def test_coerces_to_declared_types(self):
+        p = PipelineParams(min_rr=400, anchor=np.int64(3), sv_convention="flush-lobe")
+        assert p.min_rr == 400.0 and isinstance(p.min_rr, float)
+        assert p.anchor == 3 and type(p.anchor) is int
+        assert p.sv_convention is SvConvention.FLUSH_LOBE
 
 
 class TestGatedPassthrough:

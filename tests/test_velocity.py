@@ -100,7 +100,6 @@ class TestUnwrap:
         once = unwrap_temporal(field)
         twice = unwrap_temporal(once)
         assert np.array_equal(once.frames, twice.frames)
-        assert twice.unwrapped
 
     def test_no_wraps_is_identity(self):
         rng = np.random.default_rng(3)
@@ -144,7 +143,6 @@ class TestBackgroundCorrect:
         out, off = background_correct(field, self.static())
         assert off == pytest.approx(0.37)
         assert np.allclose(out.frames[:, 4:, :], 0.0, atol=1e-12)
-        assert out.background_corrected
 
     def test_estimate_averages_noise(self):
         field = self.make_field(0.5, noise_sd=0.05, seed=7)
