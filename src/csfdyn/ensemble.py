@@ -20,6 +20,11 @@ PHASE_GRID = np.arange(GATED_FRAMES, dtype=np.float64) / GATED_FRAMES
 
 INTERP_MODES = ("spline", "linear")
 
+#: a last sample closer than this fraction of a sample step to the wrap
+#: knot u[0] + 1 is dropped: it repeats phase u[0] with a different value,
+#: and the interpolant would have to jump between the two
+WRAP_KNOT_TOLERANCE = 0.02
+
 
 @dataclass
 class CanonicalCycle:
@@ -74,8 +79,10 @@ def resample_cycle(cycle: LabeledCycle, mode: str = "spline") -> CanonicalCycle:
     Sample times are normalized to phase u = (t - start) / rr in [0, 1);
     a periodic interpolant (period 1) through the samples is evaluated at
     k/32. The interpolant reproduces the input samples at their own
-    phases exactly. mode "spline" is a periodic cubic spline, "linear"
-    joins the points with straight lines (kept for sensitivity checks).
+    phases exactly, except a last sample lying within
+    WRAP_KNOT_TOLERANCE sample steps of the wrap knot u[0] + 1, which is
+    dropped. mode "spline" is a periodic cubic spline, "linear" joins
+    the points with straight lines (kept for sensitivity checks).
     """
     if mode not in INTERP_MODES:
         raise ValueOutOfRange(f"mode must be one of {INTERP_MODES}, got {mode!r}")
@@ -87,9 +94,12 @@ def resample_cycle(cycle: LabeledCycle, mode: str = "spline") -> CanonicalCycle:
     u = (cycle.t - cycle.start) / rr
     if np.any(np.diff(u) <= 0) or u[0] < 0 or u[-1] >= 1:
         raise ValueOutOfRange("cycle samples must lie strictly ordered within [start, end)")
+    q = cycle.q
+    if u[0] + 1.0 - u[-1] < WRAP_KNOT_TOLERANCE * (u[-1] - u[-2]):
+        u, q = u[:-1], q[:-1]
     # wrap the first sample to u0 + 1 to close the period
     knots = np.concatenate([u, [u[0] + 1.0]])
-    vals = np.concatenate([cycle.q, [cycle.q[0]]])
+    vals = np.concatenate([q, [q[0]]])
     grid = np.where(PHASE_GRID < u[0], PHASE_GRID + 1.0, PHASE_GRID)
     if mode == "spline":
         q32 = CubicSpline(knots, vals, bc_type="periodic")(grid)

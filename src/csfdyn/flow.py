@@ -7,14 +7,13 @@ mm^2 * cm/s to mL/s.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import EmptyMask, InvalidThreshold
-from .ingest import RoiLabel, RoiMask, ensure_same_grid
-from .velocity import VelocityField
+from .ingest import RoiLabel, RoiMask, VelocitySeries, ensure_same_grid
 
 
 @dataclass
@@ -37,19 +36,20 @@ class FlowSamples:
             raise ValueError("timestamps and q must be 1D and the same length")
 
 
-def extract_flow(field: VelocityField, roi: RoiMask) -> FlowSamples:
+def extract_flow(series: VelocitySeries, roi: RoiMask) -> FlowSamples:
     """Integrate velocity over the ROI per frame.
 
     q(t) = sum over ROI pixels of v_i(t) * pixel_area * 0.01  [mL/s]
 
-    The field should be background corrected first; an uncorrected offset
-    turns into a spurious constant flow of n_pixels * area * offset / 100.
+    The velocity maps should be background corrected first; an
+    uncorrected offset turns into a spurious constant flow of
+    n_pixels * area * offset / 100.
     """
-    ensure_same_grid(roi, field.header)
-    area = field.header.pixel_area
-    q = field.frames[:, roi.pixels].sum(axis=1) * (area * 0.01)
+    ensure_same_grid(roi, series.header)
+    area = series.header.pixel_area
+    q = series.frames[:, roi.pixels].sum(axis=1) * (area * 0.01)
     return FlowSamples(
-        timestamps=field.timestamps,
+        timestamps=series.timestamps,
         q=q,
         roi_label=roi.label,
         pixel_area=area,
@@ -57,7 +57,7 @@ def extract_flow(field: VelocityField, roi: RoiMask) -> FlowSamples:
     )
 
 
-def refine_roi(field: VelocityField, seed: RoiMask, threshold: float = 0.7) -> RoiMask:
+def refine_roi(series: VelocitySeries, seed: RoiMask, threshold: float = 0.7) -> RoiMask:
     """Grow the seed into the set of pixels that pulse with it.
 
     Each pixel's velocity-versus-time profile is correlated (Pearson)
@@ -69,8 +69,8 @@ def refine_roi(field: VelocityField, seed: RoiMask, threshold: float = 0.7) -> R
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidThreshold(f"correlation threshold must be in [0, 1], got {threshold}")
-    ensure_same_grid(seed, field.header)
-    v = field.frames
+    ensure_same_grid(seed, series.header)
+    v = series.frames
     n_frames = v.shape[0]
     ref = v[:, seed.pixels].mean(axis=1)
     ref_c = ref - ref.mean()
@@ -84,23 +84,10 @@ def refine_roi(field: VelocityField, seed: RoiMask, threshold: float = 0.7) -> R
         corr = np.tensordot(ref_c, centered, axes=(0, 0)) / (ref_norm * pix_norm)
     eligible = np.nan_to_num(corr, nan=-2.0) >= threshold
 
-    h, w = eligible.shape
-    visited = np.zeros_like(eligible)
-    queue = deque()
-    seed_rows, seed_cols = np.nonzero(seed.pixels & eligible)
-    for r, c in zip(seed_rows.tolist(), seed_cols.tolist()):
-        visited[r, c] = True
-        queue.append((r, c))
-    while queue:
-        r, c = queue.popleft()
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == 0 and dc == 0:
-                    continue
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w and eligible[rr, cc] and not visited[rr, cc]:
-                    visited[rr, cc] = True
-                    queue.append((rr, cc))
-    if not visited.any():
+    # 8-connected components of the eligible pixels; keep those holding
+    # an eligible seed pixel (label 0 is the ineligible background)
+    components, _ = ndimage.label(eligible, structure=np.ones((3, 3), dtype=bool))
+    kept = components[seed.pixels & eligible]
+    if kept.size == 0:
         raise EmptyMask("no pixel met the correlation threshold")
-    return RoiMask(pixels=visited, label=seed.label)
+    return RoiMask(pixels=np.isin(components, kept), label=seed.label)

@@ -36,6 +36,11 @@ DEBOUNCE_MS = 200.0
 #: refuse self-gating above this RR coefficient of variation
 RR_CV_LIMIT = 0.35
 
+#: inspiration fraction at or above which a cycle is INSPIRATION, and at
+#: or below which it is EXPIRATION; anything between is MIXED
+INSPIRATION_MIN_FRACTION = 0.7
+EXPIRATION_MAX_FRACTION = 0.3
+
 
 class GatingMethod(str, Enum):
     FLOW_PEAKS = "FLOW_PEAKS"
@@ -75,9 +80,15 @@ class CycleBoundaries:
         """Number of detected cycle starts."""
         return int(self.onsets.size)
 
-    @property
-    def rr_intervals(self) -> np.ndarray:
-        return np.diff(self.onsets)
+
+def resp_label_for(inspiration_fraction: float) -> RespLabel:
+    """Breathing label of a cycle that spends the given fraction of its
+    time in inspiration."""
+    if inspiration_fraction >= INSPIRATION_MIN_FRACTION:
+        return RespLabel.INSPIRATION
+    if inspiration_fraction <= EXPIRATION_MAX_FRACTION:
+        return RespLabel.EXPIRATION
+    return RespLabel.MIXED
 
 
 @dataclass
@@ -406,10 +417,9 @@ def label_cycles(
     breathing phase.
 
     inspiration_fraction is the fraction of the cycle's flow samples
-    falling on INSPIRATION-labeled physio samples; >= 0.7 makes the cycle
-    INSPIRATION, <= 0.3 EXPIRATION, anything between MIXED. Intervals
-    whose length falls outside [min_rr, max_rr] (dropped beats, double
-    triggers) are skipped.
+    falling on INSPIRATION-labeled physio samples; resp_label_for turns
+    it into the cycle's label. Intervals whose length falls outside
+    [min_rr, max_rr] (dropped beats, double triggers) are skipped.
     """
     onsets = boundaries.onsets
     if not phases.covers(float(onsets[0]), float(onsets[-1])):
@@ -435,12 +445,6 @@ def label_cycles(
             )
         insp = phases.label_at(t[sel])
         frac = float(insp.mean())
-        if frac >= 0.7:
-            label = RespLabel.INSPIRATION
-        elif frac <= 0.3:
-            label = RespLabel.EXPIRATION
-        else:
-            label = RespLabel.MIXED
         cycles.append(
             LabeledCycle(
                 cycle_id=len(cycles),
@@ -448,7 +452,7 @@ def label_cycles(
                 end=float(end),
                 t=t[sel],
                 q=flow.q[sel],
-                resp_label=label,
+                resp_label=resp_label_for(frac),
                 inspiration_fraction=frac,
             )
         )

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpec
-from .gating import RespLabel
+from .gating import resp_label_for
 from .ingest import (
     Encoding,
     PhysioKind,
@@ -235,13 +235,6 @@ def waveform_positive_integral(harmonics: tuple) -> float:
     return float(h * (0.5 * (q[0] + q[-1]) + q[1:-1].sum()))
 
 
-@lru_cache(maxsize=64)
-def waveform_peak(harmonics: tuple) -> float:
-    """max |shape| over one period, dense grid."""
-    u = np.linspace(0.0, 1.0, QUAD_POINTS + 1)
-    return float(np.abs(waveform(u, harmonics)).max())
-
-
 def flow_amplitude(spec: PhantomSpec) -> float:
     """Scale factor amp (mL/s) such that the base waveform amp*shape(u)
     carries sv_true per cycle of rr_mean (lobe-mean convention)."""
@@ -401,12 +394,7 @@ def _make_truth(spec: PhantomSpec) -> GroundTruth:
     fracs = np.array(
         [_insp_time_in(spec, o, o + r) / r for o, r in zip(onsets[:-1], rr)]
     )
-    labels = [
-        RespLabel.INSPIRATION if f >= 0.7
-        else RespLabel.EXPIRATION if f <= 0.3
-        else RespLabel.MIXED
-        for f in fracs
-    ]
+    labels = [resp_label_for(f) for f in fracs]
     # per-cycle volume by dense quadrature of |Q| with the instantaneous
     # modulation (lobe-mean convention: half of total rectified volume)
     u = (np.arange(4096, dtype=np.float64) + 0.5) / 4096

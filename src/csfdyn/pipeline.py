@@ -50,7 +50,6 @@ from .metrics import (
     sv_modulation,
 )
 from .velocity import (
-    VelocityField,
     as_velocity_field,
     background_correct,
     phase_to_velocity,
@@ -155,20 +154,20 @@ def prepare_velocity(
     series: VelocitySeries,
     static: RoiMask | None,
     params: PipelineParams,
-) -> tuple[VelocityField, float | None]:
+) -> tuple[VelocitySeries, float | None]:
     """Stage 1-2: encoding, sign convention, unwrap, background offset."""
     if series.header.encoding is Encoding.PHASE_RADIANS:
-        fld = _staged("velocity", phase_to_velocity, series)
+        vel = _staged("velocity", phase_to_velocity, series)
     else:
-        fld = _staged("velocity", as_velocity_field, series)
+        vel = _staged("velocity", as_velocity_field, series)
     if params.flip_sign:
         # the converted frames are a fresh copy, so negate them in place
-        np.negative(fld.frames, out=fld.frames)
-    fld = _staged("velocity", unwrap_temporal, fld, params.anchor)
+        np.negative(vel.frames, out=vel.frames)
+    vel = _staged("velocity", unwrap_temporal, vel, params.anchor)
     offset = None
     if static is not None:
-        fld, offset = _staged("velocity", background_correct, fld, static)
-    return fld, offset
+        vel, offset = _staged("velocity", background_correct, vel, static)
+    return vel, offset
 
 
 def process_subject(
@@ -188,11 +187,11 @@ def process_subject(
     """
     params = params or PipelineParams()
     unit = _resolve_unit(params, roi.label)
-    fld, offset = prepare_velocity(series, static, params)
+    vel, offset = prepare_velocity(series, static, params)
 
     if params.refine_threshold is not None:
-        roi = _staged("flow", refine_roi, fld, roi, params.refine_threshold)
-    flow = _staged("flow", extract_flow, fld, roi)
+        roi = _staged("flow", refine_roi, vel, roi, params.refine_threshold)
+    flow = _staged("flow", extract_flow, vel, roi)
 
     boundaries = phases = None
     cycles: list[LabeledCycle] = []

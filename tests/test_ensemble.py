@@ -96,6 +96,20 @@ class TestResample:
         seam = abs(out.q32[0] - np.sin(0.7))
         assert seam < 1e-3
 
+    def test_last_sample_at_wrap_knot_dropped(self):
+        # 14 frames in a beat 0.0075 ms longer than 13 frame intervals: the
+        # last sample sits 6.6e-6 of a period before the wrap knot with a
+        # slightly different value, which a periodic spline through both
+        # turns into a spike of about 9 times the flow peak
+        dt = 88.0
+        rr = 13 * dt + 0.0075
+        t = np.arange(14) * dt
+        q = np.sin(2 * np.pi * t / rr) + 0.05 * np.cos(np.arange(14))
+        out = resample_cycle(make_cycle(t, q, start=0.0, end=rr))
+        assert np.max(np.abs(out.q32)) <= 1.5 * np.max(np.abs(q))
+        truth = np.sin(2 * np.pi * PHASE_GRID)
+        assert np.max(np.abs(out.q32 - truth)) < 0.1
+
 
 class TestBuildEnsembles:
     def test_mean_and_sd(self):

@@ -69,13 +69,14 @@ class TestExtractFlow:
 
 class TestRefineRoi:
     def build(self):
-        """3 correlated pixels around the seed, one anticorrelated, one
-        correlated but disconnected."""
+        """3 correlated pixels around the seed, one correlated touching it
+        only diagonally, one anticorrelated, one correlated but
+        disconnected."""
         rng = np.random.default_rng(5)
         n = 60
         pulse = np.sin(np.linspace(0, 12 * np.pi, n))
         frames = rng.normal(0, 0.05, (n, 9, 9))
-        for r, c in [(4, 4), (4, 5), (5, 4)]:
+        for r, c in [(4, 4), (4, 5), (5, 4), (3, 3)]:
             frames[:, r, c] += pulse
         frames[:, 3, 4] -= pulse          # anticorrelated neighbor
         frames[:, 0, 8] += pulse          # far corner, not 8-connected
@@ -85,6 +86,7 @@ class TestRefineRoi:
         f = self.build()
         out = refine_roi(f, roi(9, 9, 4, 4), threshold=0.7)
         assert out.pixels[4, 4] and out.pixels[4, 5] and out.pixels[5, 4]
+        assert out.pixels[3, 3]  # 8-connected through the corner
         assert not out.pixels[3, 4]
         assert not out.pixels[0, 8]
         assert out.label is RoiLabel.AQUEDUCT

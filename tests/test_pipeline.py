@@ -116,6 +116,26 @@ class TestProcessSubject:
             process_subject(ds.series, ds.lumen, static=ds.static, belt=ds.belt)
         assert exc_info.value.stage == "metrics"
 
+    def test_no_overshoot_at_wrap_knot(self):
+        # the first cycle's last frame falls 6.6e-6 of a period before the
+        # wrap knot; resampling through it once read sv_modulation 0.262
+        # against the 0.0777 the recording holds
+        base = csfdyn.default_aqueduct_spec()
+        spec = replace(
+            base, seed=1222,
+            grid=replace(base.grid, width=32, height=32),
+            lumen=replace(base.lumen, center_row=16.0, center_col=16.0),
+            resp=replace(base.resp, modulation_insp=0.09),
+        )
+        ds = csfdyn.generate(spec)
+        r = process_subject(ds.series, ds.lumen, static=ds.static, belt=ds.belt)
+        for cyc, can in zip(r.cycles, r.canonical):
+            assert np.max(np.abs(can.q32)) <= 1.5 * np.max(np.abs(cyc.q))
+        labels = np.array([label.value for label in ds.truth.resp_label])
+        sv = ds.truth.sv_per_cycle
+        recorded = sv[labels == "INSPIRATION"].mean() / sv[labels == "EXPIRATION"].mean() - 1.0
+        assert r.modulation == pytest.approx(recorded, abs=0.02)
+
 
 class TestPipelineParams:
     @pytest.mark.parametrize("bad", [

@@ -12,9 +12,10 @@ from csfdyn import (
     VelocitySeries,
     as_velocity_field,
     background_correct,
-    field_to_series,
     phase_to_velocity,
+    read_series,
     unwrap_temporal,
+    write_series,
 )
 from csfdyn.errors import ValueOutOfRange, WrongEncoding, WrongKind
 
@@ -58,10 +59,12 @@ class TestPhaseToVelocity:
         with pytest.raises(WrongEncoding):
             as_velocity_field(VelocitySeries(make_header(), np.zeros((5, 6, 8))))
 
-    def test_series_round_trip(self):
+    def test_series_round_trip(self, tmp_path):
         h = make_header(encoding=Encoding.VELOCITY_CMPS)
         v = np.linspace(-9, 9, 5 * 6 * 8).reshape(5, 6, 8)
-        s = field_to_series(as_velocity_field(VelocitySeries(h, v)))
+        write_series(as_velocity_field(VelocitySeries(h, v)), tmp_path / "v.csfd")
+        s = read_series(tmp_path / "v.csfd")
+        assert s.header == h
         assert s.frames.dtype == np.float32
         assert np.allclose(s.frames, v, atol=1e-5)
 
@@ -109,6 +112,12 @@ class TestUnwrap:
         field = self.make_aliased(v, venc=10.0)
         out = unwrap_temporal(field)
         assert np.allclose(out.frames, field.frames)
+
+    def test_single_frame_is_identity(self):
+        field = self.make_aliased(np.array([[4.0, -3.0]]), venc=5.0)
+        out = unwrap_temporal(field)
+        assert np.array_equal(out.frames, field.frames)
+        assert out.frames is not field.frames
 
     def test_anchor_frame_preserved(self):
         t = np.arange(40) * 0.088
