@@ -22,8 +22,13 @@ INTERP_MODES = ("spline", "linear")
 
 #: a last sample closer than this fraction of a sample step to the wrap
 #: knot u[0] + 1 is dropped: it repeats phase u[0] with a different value,
-#: and the interpolant would have to jump between the two
-WRAP_KNOT_TOLERANCE = 0.02
+#: and the periodic spline through both overshoots. On aqueduct phantoms
+#: without RR jitter (1106 seeds, 32² and 192²) the spline's peak stayed
+#: under (1 + 0.0043 / gap) times the cycle's largest sample, so 0.01
+#: bounds a kept cycle at 1.43x; every cycle that reached 1.5x lay within
+#: 0.003 steps. Dropping samples lying 0.01-0.05 steps out made
+#: sv_modulation worse in 95% of the runs it touched.
+WRAP_KNOT_TOLERANCE = 0.01
 
 
 @dataclass

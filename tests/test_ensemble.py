@@ -12,6 +12,7 @@ from csfdyn import (
     build_ensembles,
     resample_cycle,
 )
+from csfdyn.ensemble import WRAP_KNOT_TOLERANCE
 from csfdyn.errors import EmptyEnsemble, TooFewSamples, ValueOutOfRange
 
 
@@ -109,6 +110,18 @@ class TestResample:
         assert np.max(np.abs(out.q32)) <= 1.5 * np.max(np.abs(q))
         truth = np.sin(2 * np.pi * PHASE_GRID)
         assert np.max(np.abs(out.q32 - truth)) < 0.1
+
+    @pytest.mark.parametrize("steps,dropped", [(0.5, True), (2.0, False)])
+    def test_wrap_knot_tolerance(self, steps, dropped):
+        # the last sample lies steps x WRAP_KNOT_TOLERANCE sample steps
+        # before the wrap knot; only inside the tolerance is it dropped
+        dt = 88.0
+        rr = 13 * dt + steps * WRAP_KNOT_TOLERANCE * dt
+        t = np.arange(14) * dt
+        q = np.cos(np.arange(14))
+        out = resample_cycle(make_cycle(t, q, start=0.0, end=rr))
+        short = resample_cycle(make_cycle(t[:13], q[:13], start=0.0, end=rr))
+        assert np.array_equal(out.q32, short.q32) == dropped
 
 
 class TestBuildEnsembles:
