@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -176,12 +177,14 @@ class VelocitySeries:
             )
         if self.frames.dtype not in (np.float32, np.float64):
             self.frames = np.ascontiguousarray(self.frames, dtype=np.float64)
-        if not np.all(np.isfinite(self.frames)):
+        # NaN and +-inf propagate into the extremes, so one min/max pair
+        # checks finiteness and range; float() widens exactly, so the
+        # phase bounds are compared in float64
+        lo, hi = float(self.frames.min()), float(self.frames.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueOutOfRange("frames contain non-finite values")
-        if self.header.encoding is Encoding.PHASE_RADIANS:
-            # float() widens exactly, so the bounds are compared in float64
-            if float(self.frames.min()) < -math.pi or float(self.frames.max()) >= math.pi:
-                raise ValueOutOfRange("phase values must lie in [-pi, pi)")
+        if self.header.encoding is Encoding.PHASE_RADIANS and (lo < -math.pi or hi >= math.pi):
+            raise ValueOutOfRange("phase values must lie in [-pi, pi)")
 
     @property
     def timestamps(self) -> np.ndarray:
@@ -277,36 +280,42 @@ def write_series(series: VelocitySeries, path) -> None:
 
 
 def read_series(path) -> VelocitySeries:
-    """Read a .csfd container back into a validated VelocitySeries."""
+    """Read a .csfd container back into a validated VelocitySeries.
+
+    The payload is read straight into the frames array, so reading holds
+    no second copy of the series.
+    """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(len(MAGIC) + 4)
+            if len(head) < len(MAGIC) + 4 or head[: len(MAGIC)] != MAGIC:
+                raise MalformedHeader(f"{path}: not a CSFDYN01 container")
+            (hlen,) = struct.unpack_from("<I", head, len(MAGIC))
+            header_bytes = fh.read(hlen)
+            if len(header_bytes) < hlen:
+                raise MalformedHeader(f"{path}: truncated header")
+            try:
+                header_dict = json.loads(header_bytes.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise MalformedHeader(f"{path}: header is not valid JSON: {exc}") from exc
+            if not isinstance(header_dict, dict):
+                raise MalformedHeader(f"{path}: header JSON must be an object")
+            header = SeriesHeader.from_json_dict(header_dict)
+
+            payload_len = size - len(head) - hlen
+            n_values = header.n_frames * header.height * header.width
+            if payload_len != 4 * n_values:
+                raise DimensionMismatch(
+                    f"{path}: payload holds {payload_len // 4} values, "
+                    f"header promises {n_values}"
+                )
+            frames = np.empty((header.n_frames, header.height, header.width), dtype="<f4")
+            if fh.readinto(memoryview(frames).cast("B")) != payload_len:
+                raise IoFailure(f"cannot read {path}: payload shorter than its file size")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(blob) < len(MAGIC) + 4 or blob[: len(MAGIC)] != MAGIC:
-        raise MalformedHeader(f"{path}: not a CSFDYN01 container")
-    (hlen,) = struct.unpack_from("<I", blob, len(MAGIC))
-    body_start = len(MAGIC) + 4
-    if body_start + hlen > len(blob):
-        raise MalformedHeader(f"{path}: truncated header")
-    try:
-        header_dict = json.loads(blob[body_start : body_start + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedHeader(f"{path}: header is not valid JSON: {exc}") from exc
-    if not isinstance(header_dict, dict):
-        raise MalformedHeader(f"{path}: header JSON must be an object")
-    header = SeriesHeader.from_json_dict(header_dict)
-
-    payload = blob[body_start + hlen :]
-    n_values = header.n_frames * header.height * header.width
-    if len(payload) != 4 * n_values:
-        raise DimensionMismatch(
-            f"{path}: payload holds {len(payload) // 4} values, "
-            f"header promises {n_values}"
-        )
-    frames = np.frombuffer(payload, dtype="<f4").reshape(
-        header.n_frames, header.height, header.width
-    )
-    return VelocitySeries(header=header, frames=frames.copy())
+    return VelocitySeries(header=header, frames=frames)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .ingest import (
     RoiMask,
     SeriesKind,
     VelocitySeries,
+    ensure_same_grid,
 )
 from .metrics import (
     SvConvention,
@@ -53,6 +54,7 @@ from .velocity import (
     as_velocity_field,
     background_correct,
     phase_to_velocity,
+    static_pixels,
     unwrap_temporal,
 )
 
@@ -150,24 +152,59 @@ def _resolve_unit(params: PipelineParams, roi_label: RoiLabel) -> VolumeUnit:
     return VolumeUnit(params.unit)
 
 
-def prepare_velocity(
-    series: VelocitySeries,
-    static: RoiMask | None,
-    params: PipelineParams,
-) -> tuple[VelocitySeries, float | None]:
-    """Stage 1-2: encoding, sign convention, unwrap, background offset."""
+def _velocity(series: VelocitySeries, params: PipelineParams) -> VelocitySeries:
+    """Encoding, sign convention and unwrap of the pixels series holds."""
     if series.header.encoding is Encoding.PHASE_RADIANS:
         vel = _staged("velocity", phase_to_velocity, series)
     else:
         vel = _staged("velocity", as_velocity_field, series)
+    # a gathered static strip is about the size of the grid; let it go
+    # before unwrapping copies the converted frames
+    del series
     if params.flip_sign:
         # the converted frames are a fresh copy, so negate them in place
         np.negative(vel.frames, out=vel.frames)
-    vel = _staged("velocity", unwrap_temporal, vel, params.anchor)
-    offset = None
+    return _staged("velocity", unwrap_temporal, vel, params.anchor)
+
+
+def _roi_box(
+    series: VelocitySeries, roi: RoiMask, params: PipelineParams
+) -> tuple[VelocitySeries, RoiMask]:
+    """Series and ROI cropped to the ROI's bounding box, or to the whole
+    grid when refine_threshold is set: refinement correlates every pixel."""
+    _staged("flow", ensure_same_grid, roi, series.header)
+    if params.refine_threshold is None:
+        rows, cols = np.nonzero(roi.pixels)
+        box = (slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1))
+    else:
+        box = (slice(None), slice(None))
+    frames = series.frames[(slice(None),) + box]
+    header = replace(series.header, height=frames.shape[1], width=frames.shape[2])
+    return VelocitySeries(header, frames), RoiMask(roi.pixels[box], roi.label)
+
+
+def prepare_velocity(
+    series: VelocitySeries,
+    roi: RoiMask,
+    static: RoiMask | None,
+    params: PipelineParams,
+) -> tuple[VelocitySeries, RoiMask, float | None]:
+    """Stage 1-2: encoding, sign convention, unwrap, background offset.
+
+    Velocities are computed for the ROI's bounding box only (see
+    _roi_box), and the static offset from the static-mask pixels only;
+    the offset is subtracted from the box alone. Returns the box
+    velocities, the ROI on the box's grid, and the offset.
+    """
+    static_vel = None
     if static is not None:
-        vel, offset = _staged("velocity", background_correct, vel, static)
-    return vel, offset
+        static_vel = _velocity(_staged("velocity", static_pixels, series, static), params)
+    box, roi = _roi_box(series, roi, params)
+    vel = _velocity(box, params)
+    offset = None
+    if static_vel is not None:
+        vel, offset = _staged("velocity", background_correct, vel, static_vel)
+    return vel, roi, offset
 
 
 def process_subject(
@@ -187,7 +224,7 @@ def process_subject(
     """
     params = params or PipelineParams()
     unit = _resolve_unit(params, roi.label)
-    vel, offset = prepare_velocity(series, static, params)
+    vel, roi, offset = prepare_velocity(series, roi, static, params)
 
     if params.refine_threshold is not None:
         roi = _staged("flow", refine_roi, vel, roi, params.refine_threshold)

@@ -17,8 +17,13 @@ from .errors import IoFailure
 
 
 def sha256_of(path) -> str:
+    """Hex SHA-256 of a file, read 1 MiB at a time."""
+    digest = hashlib.sha256()
     try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        return digest.hexdigest()
     except OSError as exc:
         raise IoFailure(f"cannot hash {path}: {exc}") from exc
 

@@ -113,6 +113,14 @@ class TestVelocitySeries:
         with pytest.raises(ValueOutOfRange):
             VelocitySeries(make_header(), bad)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_rejects_inf(self, value, encoding):
+        bad = np.zeros((5, 6, 8))
+        bad[4, 5, 7] = value
+        with pytest.raises(ValueOutOfRange, match="non-finite"):
+            VelocitySeries(make_header(encoding=encoding), bad)
+
 
 class TestSeriesFile:
     def test_round_trip(self, tmp_path):
@@ -128,6 +136,12 @@ class TestSeriesFile:
         p = tmp_path / "bad.csfd"
         p.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(MalformedHeader):
+            read_series(p)
+
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "s.csfd"
+        p.write_bytes(b"CSFDYN01" + (1000).to_bytes(4, "little") + b'{"width": 8}')
+        with pytest.raises(MalformedHeader, match="truncated header"):
             read_series(p)
 
     def test_truncated_payload(self, tmp_path):

@@ -7,15 +7,17 @@ import pytest
 
 import csfdyn
 from csfdyn import (
+    Encoding,
     PipelineParams,
     RespLabel,
     RoiLabel,
     SvConvention,
+    VelocitySeries,
     VolumeUnit,
     process_subject,
     result_to_report,
 )
-from csfdyn.errors import DivisionByZeroSv, InputError, InvalidSpec
+from csfdyn.errors import DimensionMismatch, DivisionByZeroSv, InputError, InvalidSpec
 from csfdyn.phantom import AcquisitionSpec, RespSpec
 
 
@@ -135,6 +137,75 @@ class TestProcessSubject:
         sv = ds.truth.sv_per_cycle
         recorded = sv[labels == "INSPIRATION"].mean() / sv[labels == "EXPIRATION"].mean() - 1.0
         assert r.modulation == pytest.approx(recorded, abs=0.02)
+
+
+def converted(series):
+    if series.header.encoding is Encoding.PHASE_RADIANS:
+        return csfdyn.phase_to_velocity(series)
+    return csfdyn.as_velocity_field(series)
+
+
+def full_grid_velocity(series, roi, static, params):
+    """Reference velocity stage: every pixel of the grid converted,
+    unwrapped and offset-corrected, the offset taken over the static
+    pixels of the whole unwrapped grid."""
+    vel = converted(series)
+    frames = -vel.frames if params.flip_sign else vel.frames
+    vel = csfdyn.unwrap_temporal(VelocitySeries(vel.header, frames), params.anchor)
+    offset = float(vel.frames[:, static.pixels].mean())
+    return VelocitySeries(vel.header, vel.frames - offset), roi, offset
+
+
+class TestRoiFirstVelocity:
+    """The chain computes velocities only for the ROI's bounding box and
+    the static pixels; its results must equal, to the bit, those of the
+    velocity stage run over the whole grid."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def aliased():
+        # venc 1.0 lies below the lumen's peak (about 1.14 cm/s), so every
+        # lumen pixel aliases; the static mask leaks into the whole lumen
+        spec = csfdyn.PhantomSpec(
+            acquisition=replace(AcquisitionSpec(), venc=1.0, duration=40000.0))
+        ds = csfdyn.generate(spec)
+        gated = csfdyn.generate_gated(replace(spec, acquisition=replace(
+            spec.acquisition, series_kind=csfdyn.SeriesKind.GATED_CONV)))
+        static = csfdyn.RoiMask(ds.static.pixels | ds.lumen.pixels, RoiLabel.STATIC_TISSUE)
+        return ds, gated, static
+
+    @pytest.mark.parametrize("route, params", [
+        ("continuous", PipelineParams(flip_sign=True, anchor=17)),
+        ("continuous", PipelineParams(flip_sign=True, anchor=17, refine_threshold=0.5)),
+        ("gated", PipelineParams(flip_sign=True, anchor=3)),
+    ], ids=["box", "refine", "gated"])
+    def test_matches_full_grid(self, aliased, route, params, monkeypatch):
+        ds, gated, static = aliased
+        series = gated if route == "gated" else ds.series
+        # the unwrap changes static pixels, so skipping it would move the offset
+        vel = converted(series)
+        unwrapped = csfdyn.unwrap_temporal(vel, params.anchor)
+        assert np.any((unwrapped.frames != vel.frames)[:, static.pixels])
+
+        with pytest.warns(csfdyn.StaticTissueWarning):
+            r = process_subject(series, ds.lumen, params, static=static, belt=ds.belt)
+        monkeypatch.setattr(csfdyn.pipeline, "prepare_velocity", full_grid_velocity)
+        ref = process_subject(series, ds.lumen, params, static=static, belt=ds.belt)
+
+        assert r.background_offset == ref.background_offset
+        assert np.array_equal(r.flow.q, ref.flow.q)
+        assert r.flow.n_roi_pixels == ref.flow.n_roi_pixels
+        for name in ("global_mean", "global_sd", "insp_mean", "insp_sd", "exp_mean", "exp_sd"):
+            mine, theirs = getattr(r.curves, name), getattr(ref.curves, name)
+            assert (mine is None) == (theirs is None), name
+            assert mine is None or np.array_equal(mine, theirs), name
+
+    def test_roi_on_another_grid_is_flow_refusal(self, aliased):
+        ds, _, static = aliased
+        roi = csfdyn.RoiMask(np.ones((8, 8), dtype=bool), RoiLabel.AQUEDUCT)
+        with pytest.raises(DimensionMismatch) as exc_info:
+            process_subject(ds.series, roi, static=static, belt=ds.belt)
+        assert exc_info.value.stage == "flow"
 
 
 class TestPipelineParams:

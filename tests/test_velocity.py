@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csfdyn import (
     Encoding,
@@ -119,6 +121,14 @@ class TestUnwrap:
         assert np.array_equal(out.frames, field.frames)
         assert out.frames is not field.frames
 
+    def test_jump_at_any_step_is_found(self):
+        # pixel j's only wrap lies between frames j and j + 1, so every step
+        # of a long series is scanned, wherever the scan splits it
+        n = 200
+        v = np.where(np.arange(n)[:, None] <= np.arange(n - 1)[None, :], 4.0, 6.0)
+        out = unwrap_temporal(self.make_aliased(v, venc=5.0))
+        assert np.allclose(out.frames[:, 0, :], v, atol=1e-9)
+
     def test_anchor_frame_preserved(self):
         t = np.arange(40) * 0.088
         v = 7.0 * np.sin(2 * np.pi * t)[:, None]
@@ -131,6 +141,42 @@ class TestUnwrap:
         field = self.make_aliased(np.zeros((5, 2)), venc=5.0)
         with pytest.raises(ValueOutOfRange):
             unwrap_temporal(field, anchor=5)
+
+
+@st.composite
+def wrapped_field(draw):
+    """A velocity field in [-venc, venc) whose pixels may or may not hold
+    a step beyond venc, a rectangular crop of it, and an anchor frame."""
+    n, h, w = draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    venc = 5.0
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    frames = rng.uniform(-venc, venc, (n, h, w))
+    # smooth pixels step by at most 0.8 venc: no wrap jump
+    smooth = rng.random((h, w)) < 0.5
+    frames[:, smooth] *= 0.4
+    r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    r1, c1 = draw(st.integers(r0 + 1, h)), draw(st.integers(c0 + 1, w))
+    header = make_header(venc=venc, n_frames=n, w=w, h=h, encoding=Encoding.VELOCITY_CMPS)
+    return VelocitySeries(header, frames.astype(dtype)), (r0, r1, c0, c1), draw(
+        st.integers(0, n - 1))
+
+
+@settings(deadline=None)
+@given(wrapped_field())
+def test_unwrap_of_crop_is_crop_of_unwrap(case):
+    """unwrap_temporal works per pixel, so the pipeline may unwrap only a
+    box of the grid and get the same bits."""
+    series, (r0, r1, c0, c1), anchor = case
+    crop = series.frames[:, r0:r1, c0:c1]
+    cropped = VelocitySeries(
+        make_header(venc=series.header.venc, n_frames=crop.shape[0], w=crop.shape[2],
+                    h=crop.shape[1], encoding=Encoding.VELOCITY_CMPS), crop)
+    whole = unwrap_temporal(series, anchor).frames[:, r0:r1, c0:c1]
+    part = unwrap_temporal(cropped, anchor).frames
+    assert part.dtype == whole.dtype and part.shape == whole.shape
+    assert part.tobytes() == np.ascontiguousarray(whole).tobytes()
 
 
 class TestBackgroundCorrect:
