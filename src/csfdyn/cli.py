@@ -23,7 +23,7 @@ from .errors import (
     TooFewPairs,
     UnpairedSubject,
 )
-from .ingest import RoiLabel, read_mask, read_physio, read_series, write_series
+from .ingest import RoiLabel, coerce, read_mask, read_physio, read_series, write_series
 from .ingest import PhysioKind
 from .metrics import SvConvention
 from .phantom import (
@@ -48,7 +48,8 @@ from .reporting import (
 from .stats import PairedSample, paired_t, spearman, wilcoxon_paired
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The csfdyn parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="csfdyn",
         description="Post-processing for continuous phase-contrast CSF velocity series.",
@@ -103,12 +104,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write the 32-frame gated reconstruction")
     f.add_argument("--cohort", type=int, default=None, metavar="N",
                    help="write N jittered subjects instead of one")
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Merge --config JSON over parsed flags (config wins)."""
-    if not getattr(args, "config", None):
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Merge --config JSON over parsed flags (config wins).
+
+    Each value must fit its flag as the flag's own value would: the
+    flag's type (see ingest.coerce) and choices, a JSON bool for an on/off
+    flag, and null only where the flag is optional and defaults to None.
+    """
+    if not args.config:
         return
     try:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -118,11 +124,20 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise InvalidSpec(f"{args.config}: not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InvalidSpec(f"{args.config}: config must be a JSON object")
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if attr in ("command", "config") or not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise InvalidSpec(f"{args.config}: unknown config key {key!r}")
-        setattr(args, attr, value)
+        if value is not None or action.required or action.default is not None:
+            try:
+                value = coerce(bool if action.nargs == 0 else action.type or str, value)
+            except ValueError as exc:
+                raise InvalidSpec(f"{args.config}: {key}: {exc}") from None
+            if action.choices is not None and value not in action.choices:
+                raise InvalidSpec(f"{args.config}: {key}: must be one of "
+                                  f"{', '.join(action.choices)}; got {value!r}")
+        setattr(args, action.dest, value)
 
 
 def _hash_entry(path: str) -> dict:
@@ -130,7 +145,6 @@ def _hash_entry(path: str) -> dict:
 
 
 def cmd_process(args: argparse.Namespace) -> int:
-    _apply_config(args)
     params = PipelineParams(**{f.name: getattr(args, f.name) for f in fields(PipelineParams)})
     series = read_series(args.series)
     roi = read_mask(args.roi)
@@ -168,25 +182,26 @@ def _load_subject_report(path: str, subject_id: str) -> dict:
         rep = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise UnpairedSubject(f"subject {subject_id}: {path} is not valid JSON: {exc}") from exc
-    if rep.get("kind") != "subject" or "sv" not in rep:
+    if not isinstance(rep, dict) or rep.get("kind") != "subject" or "sv" not in rep:
         raise UnpairedSubject(f"subject {subject_id}: {path} is not a subject report")
     return rep
 
 
 def cmd_cohort(args: argparse.Namespace) -> int:
-    _apply_config(args)
     try:
         manifest = json.loads(Path(args.pairs).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {args.pairs}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"{args.pairs}: not valid JSON: {exc}") from exc
-    subjects = manifest.get("subjects")
+    subjects = manifest.get("subjects") if isinstance(manifest, dict) else None
     if not isinstance(subjects, list) or not subjects:
         raise InvalidSpec(f"{args.pairs}: expected a non-empty 'subjects' list")
 
     rows = []
     for entry in subjects:
+        if not isinstance(entry, dict):
+            raise UnpairedSubject(f"manifest entry {entry!r} must be an object")
         sid = entry.get("id")
         if not sid or "conv" not in entry or "epi" not in entry:
             raise UnpairedSubject(f"manifest entry {entry!r} needs id, conv, epi")
@@ -237,7 +252,7 @@ def cmd_cohort(args: argparse.Namespace) -> int:
             "subjects": [r["id"] for r in group],
             "conv_sv": [r["conv_sv"] for r in group],
             "epi_sv": [r["epi_sv"] for r in group],
-            "spearman": stat_dict(spearman(pairs, exact=bool(args.spearman_exact))),
+            "spearman": stat_dict(spearman(pairs, exact=args.spearman_exact)),
             "wilcoxon": stat_dict(wilcoxon_paired(pairs)),
         }
         if args.paired_t:
@@ -264,8 +279,7 @@ def cmd_cohort(args: argparse.Namespace) -> int:
         "kind": "cohort",
         "version": __version__,
         "inputs": inputs,
-        "config": {"spearman_exact": bool(args.spearman_exact),
-                   "paired_t": bool(args.paired_t)},
+        "config": {"spearman_exact": args.spearman_exact, "paired_t": args.paired_t},
         "per_roi": roi_reports,
     })
     print(f"wrote {outdir / 'cohort.json'}")
@@ -285,17 +299,18 @@ def _spec_from_args(args: argparse.Namespace) -> PhantomSpec:
         spec = default_spinal_spec()
     else:
         spec = default_aqueduct_spec()
+    # passed unconverted: the spec's own field check refuses bad values
     if args.seed is not None:
-        spec = replace(spec, seed=int(args.seed))
+        spec = replace(spec, seed=args.seed)
     if args.modulation is not None:
-        spec = replace(spec, resp=replace(spec.resp, modulation_insp=float(args.modulation)))
+        spec = replace(spec, resp=replace(spec.resp, modulation_insp=args.modulation))
     return spec
 
 
 def _write_phantom_subject(spec: PhantomSpec, outdir: Path, gated: bool) -> None:
     ds = generate(spec)
     save_dataset(ds, outdir)
-    write_json(outdir / "spec.json", spec.to_json_dict())
+    write_json(outdir / "spec.json", asdict(spec))
     if gated:
         gated_spec = replace(
             spec, acquisition=replace(spec.acquisition, series_kind=SeriesKind.GATED_CONV)
@@ -304,17 +319,16 @@ def _write_phantom_subject(spec: PhantomSpec, outdir: Path, gated: bool) -> None
 
 
 def cmd_phantom(args: argparse.Namespace) -> int:
-    _apply_config(args)
     spec = _spec_from_args(args)
     outdir = Path(args.out)
     if args.cohort is not None:
-        subjects = phantom_cohort(int(args.cohort), base=spec, seed=spec.seed)
+        subjects = phantom_cohort(args.cohort, base=spec, seed=spec.seed)
         listing = []
         for subj in subjects:
             subdir = outdir / subj.subject_id
             _write_phantom_subject(subj.spec, subdir, args.gated)
             listing.append({"id": subj.subject_id, "dir": subj.subject_id,
-                            "spec": subj.spec.to_json_dict()})
+                            "spec": asdict(subj.spec)})
         outdir.mkdir(parents=True, exist_ok=True)
         write_json(outdir / "cohort_specs.json",
                    {"kind": "phantom_cohort", "version": __version__,
@@ -327,10 +341,11 @@ def cmd_phantom(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"process": cmd_process, "cohort": cmd_cohort, "phantom": cmd_phantom}
     try:
+        _apply_config(args, commands[args.command])
         return handlers[args.command](args)
     except InputError as exc:
         stage = f" [{exc.stage}]" if exc.stage else ""

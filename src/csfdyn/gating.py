@@ -30,6 +30,11 @@ from .ingest import PhysioKind, PhysioTrace
 DEFAULT_MIN_RR = 300.0
 DEFAULT_MAX_RR = 2000.0
 
+#: belt smoothing window (ms) and Schmitt-trigger band (fraction of the
+#: belt's range) of classify_resp
+DEFAULT_SMOOTHING_MS = 500.0
+DEFAULT_HYSTERESIS = 0.05
+
 #: shortest admissible inspiration/expiration run, ms
 DEBOUNCE_MS = 200.0
 
@@ -102,8 +107,6 @@ class RespPhases:
     t0: float
     sample_interval: float
     inspiration: np.ndarray
-    smoothing_window: float
-    hysteresis: float
 
     def __post_init__(self):
         self.inspiration = np.asarray(self.inspiration, dtype=bool)
@@ -321,9 +324,8 @@ def _merge_short_runs(labels: np.ndarray, min_samples: int) -> np.ndarray:
         labels[starts[k] : ends[k]] = ~labels[starts[k]]
 
 
-def classify_resp(
-    trace: PhysioTrace, smoothing_window: float = 500.0, hysteresis: float = 0.05
-) -> RespPhases:
+def classify_resp(trace: PhysioTrace, smoothing_window: float = DEFAULT_SMOOTHING_MS,
+                  hysteresis: float = DEFAULT_HYSTERESIS) -> RespPhases:
     """Split the belt trace into inspiration (rising) and expiration
     (falling) with a Schmitt trigger.
 
@@ -401,13 +403,7 @@ def classify_resp(
         labels[seg_start:] = state
 
     labels = _merge_short_runs(labels, max(1, int(np.ceil(DEBOUNCE_MS / dt))))
-    return RespPhases(
-        t0=trace.t0,
-        sample_interval=dt,
-        inspiration=labels,
-        smoothing_window=smoothing_window,
-        hysteresis=hysteresis,
-    )
+    return RespPhases(t0=trace.t0, sample_interval=dt, inspiration=labels)
 
 
 def label_cycles(

@@ -20,17 +20,23 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from enum import Enum
+from functools import cache
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     EmptyMask,
+    InputError,
     IoFailure,
     MalformedHeader,
     MalformedRow,
@@ -66,19 +72,67 @@ class PhysioKind(str, Enum):
     CARDIAC_PLETHYSMO = "CARDIAC_PLETHYSMO"
 
 
-_HEADER_KEYS = (
-    "width",
-    "height",
-    "n_frames",
-    "pixel_spacing_x",
-    "pixel_spacing_y",
-    "slice_thickness",
-    "venc",
-    "frame_interval",
-    "t0",
-    "encoding",
-    "series_kind",
-)
+_TAKES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+def coerce(tp, value):
+    """value as the annotation tp takes it, or ValueError saying what tp takes.
+
+    int takes integers and float finite reals, neither a bool; bool takes
+    only a bool, str only a str and an enum one of its values;
+    tuple[float, ...] takes a list of finite reals, and X | None also
+    None; a dataclass takes an instance or a dict of its own fields.
+    """
+    if get_origin(tp) in (Union, UnionType):
+        if value is None:
+            return None
+        (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
+        return coerce(tp, value)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"must be a list of finite numbers, got {value!r}")
+        return tuple(coerce(get_args(tp)[0], v) for v in value)
+    if is_dataclass(tp):
+        if isinstance(value, dict):
+            return tp(**value)
+        if not isinstance(value, tp):
+            raise ValueError(f"must be an object of {tp.__name__} fields, got {value!r}")
+        return value
+    if issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            choices = ", ".join(member.value for member in tp)
+            raise ValueError(f"must be one of {choices}; got {value!r}") from None
+    if isinstance(value, bool) == (tp is bool):
+        # the bound refuses NaN and +-inf, and integers too large for a float
+        if tp is float and isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max:
+            return float(value)
+        if tp is int and isinstance(value, numbers.Integral):
+            return int(value)
+        if tp in (bool, str) and isinstance(value, tp):
+            return value
+    raise ValueError(f"must be {_TAKES[tp]}, got {value!r}")
+
+
+#: resolving a class's annotations costs more than checking its values
+_type_hints = cache(get_type_hints)
+
+
+def check_fields(obj, error: type[InputError]) -> None:
+    """Coerce every field of the dataclass obj to its annotation in place
+    (see coerce), or raise error naming the first field that does not fit.
+
+    Called first in the __post_init__ of each dataclass built from outside
+    input; range rules follow it there.
+    """
+    hints = _type_hints(type(obj))
+    for f in fields(obj):
+        try:
+            value = coerce(hints[f.name], getattr(obj, f.name))
+        except (TypeError, ValueError) as exc:
+            raise error(f"{f.name}: {exc}") from None
+        object.__setattr__(obj, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -102,6 +156,7 @@ class SeriesHeader:
     series_kind: SeriesKind = SeriesKind.CONTINUOUS_EPI
 
     def __post_init__(self):
+        check_fields(self, MalformedHeader)
         if min(self.width, self.height, self.n_frames) < 1:
             raise ValueOutOfRange("width, height and n_frames must all be >= 1")
         if self.pixel_spacing_x <= 0 or self.pixel_spacing_y <= 0:
@@ -126,34 +181,6 @@ class SeriesHeader:
     def timestamps(self) -> np.ndarray:
         """Frame timestamps in ms: t0 + k * frame_interval."""
         return self.t0 + np.arange(self.n_frames, dtype=np.float64) * self.frame_interval
-
-    def to_json_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in _HEADER_KEYS}
-        d["encoding"] = self.encoding.value
-        d["series_kind"] = self.series_kind.value
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SeriesHeader":
-        missing = [k for k in _HEADER_KEYS if k not in d]
-        if missing:
-            raise MalformedHeader(f"header is missing keys: {', '.join(missing)}")
-        try:
-            return cls(
-                width=int(d["width"]),
-                height=int(d["height"]),
-                n_frames=int(d["n_frames"]),
-                pixel_spacing_x=float(d["pixel_spacing_x"]),
-                pixel_spacing_y=float(d["pixel_spacing_y"]),
-                slice_thickness=float(d["slice_thickness"]),
-                venc=float(d["venc"]),
-                frame_interval=float(d["frame_interval"]),
-                t0=float(d["t0"]),
-                encoding=Encoding(d["encoding"]),
-                series_kind=SeriesKind(d["series_kind"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedHeader(f"invalid header field: {exc}") from exc
 
 
 @dataclass
@@ -266,7 +293,7 @@ def ensure_same_grid(mask: RoiMask, header: SeriesHeader) -> None:
 def write_series(series: VelocitySeries, path) -> None:
     """Write a series to the .csfd container. Deterministic bytes."""
     header_json = json.dumps(
-        series.header.to_json_dict(), sort_keys=True, separators=(",", ":")
+        asdict(series.header), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     payload = np.ascontiguousarray(series.frames, dtype="<f4").tobytes()
     try:
@@ -301,7 +328,12 @@ def read_series(path) -> VelocitySeries:
                 raise MalformedHeader(f"{path}: header is not valid JSON: {exc}") from exc
             if not isinstance(header_dict, dict):
                 raise MalformedHeader(f"{path}: header JSON must be an object")
-            header = SeriesHeader.from_json_dict(header_dict)
+            names = [f.name for f in fields(SeriesHeader)]
+            missing = [k for k in names if k not in header_dict]
+            unknown = sorted(set(header_dict) - set(names))
+            if missing or unknown:
+                raise MalformedHeader(f"{path}: header keys missing: {missing}; unknown: {unknown}")
+            header = SeriesHeader(**header_dict)
 
             payload_len = size - len(head) - hlen
             n_values = header.n_frames * header.height * header.width

@@ -37,6 +37,7 @@ from .ingest import (
     SeriesHeader,
     SeriesKind,
     VelocitySeries,
+    check_fields,
     write_mask,
     write_physio,
     write_series,
@@ -54,8 +55,15 @@ class FlowProfile(str, Enum):
     POISEUILLE = "POISEUILLE"
 
 
+class _Section:
+    """A section of PhantomSpec: its fields are checked on construction."""
+
+    def __post_init__(self):
+        check_fields(self, InvalidSpec)
+
+
 @dataclass(frozen=True)
-class LumenSpec:
+class LumenSpec(_Section):
     center_row: float = 32.0
     center_col: float = 32.0
     radius_px: float = 3.0
@@ -64,7 +72,7 @@ class LumenSpec:
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Section):
     width: int = 64
     height: int = 64
     spacing_x: float = 1.2
@@ -73,19 +81,16 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class CardiacSpec:
+class CardiacSpec(_Section):
     rr_mean: float = 1143.0
     rr_jitter_sd: float = 0.0
-    harmonics: tuple = (1.0, 0.35, 0.12)
+    harmonics: tuple[float, ...] = (1.0, 0.35, 0.12)
     #: base (expiration-state) stroke volume at rr_mean, mL
     sv_true: float = 0.15
 
-    def __post_init__(self):
-        object.__setattr__(self, "harmonics", tuple(float(b) for b in self.harmonics))
-
 
 @dataclass(frozen=True)
-class RespSpec:
+class RespSpec(_Section):
     period: float = 5000.0
     insp_fraction: float = 0.45
     modulation_insp: float = 0.0
@@ -95,7 +100,7 @@ class RespSpec:
 
 
 @dataclass(frozen=True)
-class AcquisitionSpec:
+class AcquisitionSpec(_Section):
     venc: float = 10.0
     frame_interval: float = 88.0
     duration: float = 80000.0
@@ -116,6 +121,7 @@ class PhantomSpec:
     seed: int = 42
 
     def __post_init__(self):
+        check_fields(self, InvalidSpec)
         g, lu, c, r, a = self.grid, self.lumen, self.cardiac, self.resp, self.acquisition
         if g.width < 2 or g.height < 2:
             raise InvalidSpec("grid must be at least 2x2")
@@ -153,44 +159,13 @@ class PhantomSpec:
         if not 0 <= self.seed < 2**63:
             raise InvalidSpec("seed must fit in 63 bits")
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["lumen"]["profile"] = self.lumen.profile.value
-        d["lumen"]["label"] = self.lumen.label.value
-        d["cardiac"]["harmonics"] = list(self.cardiac.harmonics)
-        d["acquisition"]["series_kind"] = self.acquisition.series_kind.value
-        return d
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "PhantomSpec":
+        """Spec from its JSON object; omitted keys keep their defaults."""
         try:
-            sections = dict(d)
-            lumen = dict(sections.pop("lumen", {}))
-            if "profile" in lumen:
-                lumen["profile"] = FlowProfile(lumen["profile"])
-            if "label" in lumen:
-                lumen["label"] = RoiLabel(lumen["label"])
-            grid = dict(sections.pop("grid", {}))
-            cardiac = dict(sections.pop("cardiac", {}))
-            if "harmonics" in cardiac:
-                cardiac["harmonics"] = tuple(cardiac["harmonics"])
-            resp = dict(sections.pop("resp", {}))
-            acq = dict(sections.pop("acquisition", {}))
-            if "series_kind" in acq:
-                acq["series_kind"] = SeriesKind(acq["series_kind"])
-            seed = sections.pop("seed", 42)
-            if sections:
-                raise InvalidSpec(f"unknown spec keys: {sorted(sections)}")
-            return cls(
-                lumen=LumenSpec(**lumen),
-                grid=GridSpec(**grid),
-                cardiac=CardiacSpec(**cardiac),
-                resp=RespSpec(**resp),
-                acquisition=AcquisitionSpec(**acq),
-                seed=int(seed),
-            )
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpec(f"bad phantom spec: {exc}") from exc
+            return cls(**d)
+        except TypeError as exc:
+            raise InvalidSpec(f"bad phantom spec: {exc}") from None
 
 
 def default_aqueduct_spec(**overrides) -> PhantomSpec:
@@ -238,7 +213,7 @@ def waveform_positive_integral(harmonics: tuple) -> float:
 def flow_amplitude(spec: PhantomSpec) -> float:
     """Scale factor amp (mL/s) such that the base waveform amp*shape(u)
     carries sv_true per cycle of rr_mean (lobe-mean convention)."""
-    integral = waveform_positive_integral(tuple(spec.cardiac.harmonics))
+    integral = waveform_positive_integral(spec.cardiac.harmonics)
     if integral <= 0:
         raise InvalidSpec("waveform has no positive lobe; sv_true cannot be met")
     return 1000.0 * spec.cardiac.sv_true / (integral * spec.cardiac.rr_mean)
@@ -327,12 +302,12 @@ class GroundTruth:
     def q(self, t) -> np.ndarray:
         """Analytic lumen flux Q(t) in mL/s including modulation."""
         base = self.amplitude * waveform(self.cardiac_phase(t),
-                                         tuple(self.spec.cardiac.harmonics))
+                                         self.spec.cardiac.harmonics)
         return base * (1.0 + self.modulation * self.inspiration(t))
 
     def to_json_dict(self) -> dict:
         return {
-            "spec": self.spec.to_json_dict(),
+            "spec": asdict(self.spec),
             "amplitude_ml_per_s": self.amplitude,
             "onsets_ms": self.onsets.tolist(),
             "rr_ms": self.rr.tolist(),
@@ -389,7 +364,7 @@ def _make_truth(spec: PhantomSpec) -> GroundTruth:
     onsets = onsets_ext[onsets_ext <= spec.acquisition.duration]
     rr = np.diff(onsets_ext)[: onsets.size - 1]
     m = spec.resp.modulation_insp
-    harmonics = tuple(spec.cardiac.harmonics)
+    harmonics = spec.cardiac.harmonics
 
     fracs = np.array(
         [_insp_time_in(spec, o, o + r) / r for o, r in zip(onsets[:-1], rr)]
@@ -523,7 +498,7 @@ def generate_gated(spec: PhantomSpec) -> VelocitySeries:
     base = replace(spec, acquisition=replace(a, series_kind=SeriesKind.CONTINUOUS_EPI))
     truth = _make_truth(base)
     w, scale = _profile_weights(spec)
-    harmonics = tuple(spec.cardiac.harmonics)
+    harmonics = spec.cardiac.harmonics
     m = spec.resp.modulation_insp
 
     onsets = truth.onsets
@@ -599,11 +574,11 @@ def cohort(
     subjects = []
     for k in range(n_subjects):
         rng = _rng(seed, 1000 + k)
-        rr = float(np.clip(base.cardiac.rr_mean + rng.normal(0.0, jitter.rr_sd_ms),
-                           600.0, 1800.0))
-        sv = base.cardiac.sv_true * float(max(0.2, 1.0 + rng.normal(0.0, jitter.sv_rel_sd)))
-        mod = float(np.clip(base.resp.modulation_insp + rng.normal(0.0, jitter.modulation_sd),
-                            0.0, 0.5))
+        # numpy scalars: the spec's field check stores them as float
+        rr = np.clip(base.cardiac.rr_mean + rng.normal(0.0, jitter.rr_sd_ms), 600.0, 1800.0)
+        sv = base.cardiac.sv_true * max(0.2, 1.0 + rng.normal(0.0, jitter.sv_rel_sd))
+        mod = np.clip(base.resp.modulation_insp + rng.normal(0.0, jitter.modulation_sd),
+                      0.0, 0.5)
         spec = replace(
             base,
             cardiac=replace(base.cardiac, rr_mean=rr, sv_true=sv),

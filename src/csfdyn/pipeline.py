@@ -5,8 +5,6 @@ failure attributed to its pipeline stage.
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -22,8 +20,10 @@ from .ensemble import (
 from .errors import CsfdynError, InputError, InvalidSpec, TooFewSamples
 from .flow import FlowSamples, extract_flow, refine_roi
 from .gating import (
+    DEFAULT_HYSTERESIS,
     DEFAULT_MAX_RR,
     DEFAULT_MIN_RR,
+    DEFAULT_SMOOTHING_MS,
     CycleBoundaries,
     LabeledCycle,
     RespLabel,
@@ -40,6 +40,7 @@ from .ingest import (
     RoiMask,
     SeriesKind,
     VelocitySeries,
+    check_fields,
     ensure_same_grid,
 )
 from .metrics import (
@@ -63,12 +64,6 @@ GATES = ("flow", "plethysmo")
 UNITS = ("auto",) + tuple(u.value for u in VolumeUnit)  # auto: uL for AQUEDUCT, mL otherwise
 
 
-def _real(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class PipelineParams:
     """Every knob of the subject pipeline in one place: defaults here,
@@ -77,8 +72,8 @@ class PipelineParams:
 
     min_rr: float = DEFAULT_MIN_RR
     max_rr: float = DEFAULT_MAX_RR
-    smoothing_window: float = 500.0
-    hysteresis: float = 0.05
+    smoothing_window: float = DEFAULT_SMOOTHING_MS
+    hysteresis: float = DEFAULT_HYSTERESIS
     interp: str = "spline"
     sv_convention: SvConvention = SvConvention.LOBE_MEAN
     unit: str = "auto"
@@ -88,30 +83,12 @@ class PipelineParams:
     gate: str = "flow"
 
     def __post_init__(self):
-        def put(name, value):
-            object.__setattr__(self, name, value)
-
-        for name in ("min_rr", "max_rr", "smoothing_window", "hysteresis"):
-            put(name, _real(name, getattr(self, name)))
-        if self.refine_threshold is not None:
-            put("refine_threshold", _real("refine_threshold", self.refine_threshold))
+        check_fields(self, InvalidSpec)
         for name, allowed in (("interp", INTERP_MODES), ("unit", UNITS), ("gate", GATES)):
             if getattr(self, name) not in allowed:
                 raise InvalidSpec(
-                    f"{name} must be one of {', '.join(allowed)}; got {getattr(self, name)!r}"
+                    f"{name}: must be one of {', '.join(allowed)}; got {getattr(self, name)!r}"
                 )
-        try:
-            put("sv_convention", SvConvention(self.sv_convention))
-        except ValueError:
-            raise InvalidSpec(
-                f"sv_convention must be one of {', '.join(c.value for c in SvConvention)}; "
-                f"got {self.sv_convention!r}"
-            ) from None
-        if not isinstance(self.flip_sign, bool):
-            raise InvalidSpec(f"flip_sign must be true or false, got {self.flip_sign!r}")
-        if isinstance(self.anchor, bool) or not isinstance(self.anchor, numbers.Integral):
-            raise InvalidSpec(f"anchor must be an integer frame index, got {self.anchor!r}")
-        put("anchor", int(self.anchor))
 
 
 @dataclass

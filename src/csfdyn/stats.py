@@ -20,6 +20,7 @@ from .errors import (
     ValueOutOfRange,
     ZeroVariance,
 )
+from .ingest import check_fields
 
 #: largest n for which the Wilcoxon null is enumerated exactly
 WILCOXON_EXACT_MAX_N = 25
@@ -45,8 +46,10 @@ class PairedSample:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueOutOfRange(f"subject {self.subject_id}: non-finite value")
+        try:
+            check_fields(self, ValueOutOfRange)
+        except ValueOutOfRange as exc:
+            raise ValueOutOfRange(f"subject {self.subject_id!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -130,17 +133,15 @@ def _wilcoxon_exact_cdf_counts(ranks2: np.ndarray) -> np.ndarray:
 
     ranks2 holds the doubled ranks (integers even under average-rank
     ties). counts[w] = number of assignments with 2*W+ = w; identical to
-    brute-force enumeration, computed by subset-sum convolution.
+    brute-force enumeration, computed by subset-sum convolution. Every
+    count is at most 2^n, so int64 holds it exactly for n <= 62.
     """
-    total = int(ranks2.sum())
-    counts = np.zeros(total + 1, dtype=object)
+    counts = np.zeros(int(ranks2.sum()) + 1, dtype=np.int64)
     counts[0] = 1
-    upper = 0
     for r in ranks2.tolist():
-        shifted = np.zeros(total + 1, dtype=object)
-        shifted[r : upper + r + 1] = counts[: upper + 1]
-        counts[: upper + r + 1] = counts[: upper + r + 1] + shifted[: upper + r + 1]
-        upper += r
+        # numpy buffers the overlapping slices, so every term added is
+        # the count from before this rank joined
+        counts[r:] += counts[:-r]
     return counts
 
 
@@ -172,7 +173,7 @@ def wilcoxon_paired(pairs: list[PairedSample]) -> StatResult:
         ranks2 = np.rint(2.0 * ranks).astype(np.int64)
         counts = _wilcoxon_exact_cdf_counts(ranks2)
         w2 = int(round(2.0 * w))
-        hits = int(sum(counts[: w2 + 1]))
+        hits = int(counts[: w2 + 1].sum())
         p = min(1.0, 2.0 * hits / (2**n))
         return StatResult(
             statistic=w,

@@ -2,6 +2,8 @@
 config-over-flags precedence, exit codes."""
 
 import json
+import math
+from dataclasses import asdict
 
 import pytest
 
@@ -61,6 +63,14 @@ class TestPhantom:
         bad.write_text("{not json")
         rc = main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(bad)])
         assert rc == 2
+
+    def test_infinite_duration_is_input_error(self, tmp_path, capsys):
+        # the onset draw would never reach an infinite duration
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"acquisition": {"duration": math.inf}}))
+        rc = main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec)])
+        assert rc == 2
+        assert "duration" in capsys.readouterr().err
 
 
 class TestProcess:
@@ -161,6 +171,45 @@ class TestProcess:
         assert rc == 2
         assert next(iter(entry)) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,entry", [
+        ("phantom", {"seed": "abc"}),
+        ("phantom", {"seed": 1.5}),
+        ("phantom", {"modulation": "x"}),
+        ("phantom", {"cohort": 2.5}),
+        ("phantom", {"preset": "x"}),
+        ("phantom", {"gated": "no"}),
+        ("cohort", {"spearman_exact": "false"}),
+    ], ids=lambda x: x if isinstance(x, str) else json.dumps(x))
+    def test_bad_config_value_of_other_commands(self, tmp_path, capsys, command, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "x")]
+        if command == "cohort":
+            argv += ["--pairs", str(tmp_path / "pairs.json")]
+        assert main(argv) == 2
+        assert next(iter(entry)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("frame_interval", math.nan), ("width", 16.9)])
+    def test_bad_header_value_is_input_error(self, phantom_dir, tmp_path, capsys, key,
+                                             value):
+        blob = (phantom_dir / "series.csfd").read_bytes()
+        hlen = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12 : 12 + hlen])
+        header[key] = value
+        head = json.dumps(header).encode()
+        series = tmp_path / "bad.csfd"
+        series.write_bytes(blob[:8] + len(head).to_bytes(4, "little") + head
+                           + blob[12 + hlen :])
+        rc = main([
+            "process",
+            "--series", str(series),
+            "--roi", str(phantom_dir / "lumen.pgm"),
+            "--belt", str(phantom_dir / "belt.csv"),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_series_is_input_error(self, phantom_dir, tmp_path):
         rc = main([
             "process",
@@ -205,7 +254,7 @@ def _write_duration_cfg(tmp_path):
     import csfdyn
 
     spec = csfdyn.PhantomSpec()
-    d = spec.to_json_dict()
+    d = asdict(spec)
     d["acquisition"]["duration"] = 6000.0
     spec_path.write_text(json.dumps(d))
     cfg = tmp_path / "phantom_cfg.json"
@@ -267,6 +316,28 @@ class TestCohort:
         manifest.write_text(json.dumps({"subjects": [
             {"id": "S01", "conv": str(tmp_path / "missing.json"),
              "epi": str(tmp_path / "missing.json")}]}))
+        rc = main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")])
+        assert rc == 2
+
+
+    @pytest.mark.parametrize("bad_sv", ["big", None])
+    def test_non_numeric_sv_is_input_error(self, tmp_path, capsys, bad_sv):
+        entries = []
+        for k in range(5):
+            report = tmp_path / f"S{k}.json"
+            report.write_text(json.dumps({
+                "kind": "subject", "roi_label": "AQUEDUCT", "unit": "uL",
+                "sv": {"global": {"sv": bad_sv if k == 2 else 100.0 + k}}}))
+            entries.append({"id": f"S{k}", "conv": str(report), "epi": str(report)})
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"subjects": entries}))
+        rc = main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "S2" in capsys.readouterr().err
+
+    def test_manifest_entries_must_be_objects(self, tmp_path):
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"subjects": [1, 2, 3, 4, 5]}))
         rc = main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")])
         assert rc == 2
 

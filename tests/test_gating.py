@@ -244,8 +244,7 @@ class TestMergeShortRuns:
 class TestLabelCycles:
     def make_phases(self, insp, dt=40.0, t0=0.0):
         return RespPhases(t0=t0, sample_interval=dt,
-                          inspiration=np.asarray(insp, dtype=bool),
-                          smoothing_window=500.0, hysteresis=0.05)
+                          inspiration=np.asarray(insp, dtype=bool))
 
     def make_boundaries(self, onsets, min_rr=300.0, max_rr=2000.0):
         onsets = np.asarray(onsets, dtype=np.float64)

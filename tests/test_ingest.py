@@ -1,5 +1,10 @@
 """Container and physio file round-trips, header validation."""
 
+import json
+import math
+from dataclasses import asdict, fields
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
@@ -23,11 +28,14 @@ from csfdyn import (
 from csfdyn.errors import (
     DimensionMismatch,
     EmptyMask,
+    InputError,
     MalformedHeader,
     MalformedRow,
     NonUniformSampling,
     ValueOutOfRange,
 )
+from csfdyn.phantom import AcquisitionSpec, CardiacSpec, GridSpec, LumenSpec, RespSpec
+from csfdyn.pipeline import PipelineParams
 
 
 def make_header(**kw):
@@ -75,7 +83,7 @@ class TestHeader:
 
     def test_json_round_trip(self):
         h = make_header(t0=42.5, encoding=Encoding.VELOCITY_CMPS)
-        assert SeriesHeader.from_json_dict(h.to_json_dict()) == h
+        assert SeriesHeader(**json.loads(json.dumps(asdict(h)))) == h
 
 
 class TestVelocitySeries:
@@ -152,6 +160,19 @@ class TestSeriesFile:
         with pytest.raises(DimensionMismatch):
             read_series(p)
 
+    @pytest.mark.parametrize("edit,key", [
+        (lambda d: {k: v for k, v in d.items() if k != "t0"}, "t0"),
+        (lambda d: {**d, "extra": 1}, "extra"),
+    ], ids=["missing", "unknown"])
+    def test_header_keys_must_be_the_fields(self, tmp_path, edit, key):
+        s = make_series()
+        head = json.dumps(edit(asdict(s.header))).encode()
+        p = tmp_path / "s.csfd"
+        p.write_bytes(b"CSFDYN01" + len(head).to_bytes(4, "little") + head
+                      + s.frames.astype("<f4").tobytes())
+        with pytest.raises(MalformedHeader, match=key):
+            read_series(p)
+
     def test_trailing_garbage(self, tmp_path):
         s = make_series()
         p = tmp_path / "s.csfd"
@@ -221,3 +242,33 @@ class TestPhysioFile:
     def test_trace_needs_two_samples(self):
         with pytest.raises(ValueOutOfRange):
             PhysioTrace(40.0, 0.0, np.array([1.0]), PhysioKind.RESP_BELT)
+
+
+# every dataclass built from outside input: file headers, phantom spec
+# sections, pipeline parameters (PhantomSpec itself holds only sections
+# and the seed, and is covered through its sections and test_phantom)
+CHECKED = (SeriesHeader, LumenSpec, GridSpec, CardiacSpec, RespSpec, AcquisitionSpec,
+           PipelineParams)
+
+
+def _default(cls):
+    return make_header() if cls is SeriesHeader else cls()
+
+
+@pytest.mark.parametrize("cls,name", [(cls, f.name) for cls in CHECKED for f in fields(cls)],
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_field_check_refuses_values_outside_its_type(cls, name):
+    tp = get_type_hints(cls)[name]
+    bad = [math.nan, math.inf, -math.inf, "1", 1 if tp is bool else True]
+    if tp is int:
+        bad.append(1.5)
+    base = asdict(_default(cls))
+    for value in bad:
+        with pytest.raises(InputError, match=name):
+            cls(**{**base, name: value})
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_defaults_round_trip_through_json(cls):
+    obj = _default(cls)
+    assert cls(**json.loads(json.dumps(asdict(obj)))) == obj

@@ -1,6 +1,7 @@
 """Synthetic phantom: analytic ground truth, determinism, file layout."""
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -73,14 +74,24 @@ class TestSpecValidation:
 
     def test_json_round_trip(self):
         spec = csfdyn.default_spinal_spec(seed=99)
-        back = PhantomSpec.from_json_dict(spec.to_json_dict())
+        back = PhantomSpec.from_json_dict(json.loads(json.dumps(asdict(spec))))
         assert back == spec
 
     def test_json_unknown_key_rejected(self):
-        d = PhantomSpec().to_json_dict()
+        d = asdict(PhantomSpec())
         d["surprise"] = 1
         with pytest.raises(InvalidSpec):
             PhantomSpec.from_json_dict(d)
+
+    def test_json_sections_fill_defaults_and_coerce(self):
+        spec = PhantomSpec.from_json_dict({"acquisition": {"venc": 10}, "seed": 3})
+        assert spec == replace(PhantomSpec(seed=3),
+                               acquisition=replace(AcquisitionSpec(), venc=10.0))
+        assert type(spec.acquisition.venc) is float
+        with pytest.raises(InvalidSpec, match="lumen"):
+            PhantomSpec.from_json_dict({"lumen": {"surprise": 1}})
+        with pytest.raises(InvalidSpec, match="grid"):
+            PhantomSpec.from_json_dict({"grid": [64, 64]})
 
 
 class TestWaveform:

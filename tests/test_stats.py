@@ -264,6 +264,16 @@ class TestWilcoxon:
         p_ref = wilcoxon_exact_dict(b - a)
         assert r.p_value == pytest.approx(p_ref, abs=0.01)
 
+    def test_exact_at_the_cutoff_matches_dict_enumeration(self, rng):
+        # n = 25 with tied |d|: the largest counts the exact path holds
+        n = 25
+        a = np.round(rng.normal(0, 1, n), 1)
+        b = a + np.round(rng.normal(0.4, 1.0, n), 1)
+        b[b == a] += 0.5
+        r = wilcoxon_paired(pairs_from(a, b))
+        assert r.method is StatMethod.WILCOXON_EXACT
+        assert r.p_value == wilcoxon_exact_dict(b - a)
+
     def test_order_antisymmetry(self, rng):
         a = rng.normal(0, 1, 12)
         b = a + rng.normal(0.5, 1, 12)
@@ -271,6 +281,13 @@ class TestWilcoxon:
         r_ba = wilcoxon_paired(pairs_from(b, a))
         assert r_ab.statistic == r_ba.statistic
         assert r_ab.p_value == r_ba.p_value
+
+
+class TestPairedSample:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "big", None, True])
+    def test_refuses_values_that_are_not_finite_numbers(self, value):
+        with pytest.raises(ValueOutOfRange, match="S07.*b"):
+            PairedSample("S07", 1.0, value)
 
 
 class TestPairedT:
