@@ -184,6 +184,12 @@ def _load_subject_report(path: str, subject_id: str) -> dict:
         raise UnpairedSubject(f"subject {subject_id}: {path} is not valid JSON: {exc}") from exc
     if not isinstance(rep, dict) or rep.get("kind") != "subject" or "sv" not in rep:
         raise UnpairedSubject(f"subject {subject_id}: {path} is not a subject report")
+    sv = rep["sv"].get("global") if isinstance(rep["sv"], dict) else None
+    for key, present in (("roi_label", isinstance(rep.get("roi_label"), str)),
+                         ("unit", isinstance(rep.get("unit"), str)),
+                         ("sv.global.sv", isinstance(sv, dict) and "sv" in sv)):
+        if not present:
+            raise UnpairedSubject(f"subject {subject_id}: {path} has no {key}")
     return rep
 
 

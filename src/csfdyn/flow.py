@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import EmptyMask, InvalidThreshold
+from .errors import DimensionMismatch, EmptyMask, InvalidThreshold
 from .ingest import RoiLabel, RoiMask, VelocitySeries, ensure_same_grid
+from .velocity import PixelMoments, pixel_moments
 
 
 @dataclass
@@ -57,32 +58,52 @@ def extract_flow(series: VelocitySeries, roi: RoiMask) -> FlowSamples:
     )
 
 
-def refine_roi(series: VelocitySeries, seed: RoiMask, threshold: float = 0.7) -> RoiMask:
+def seed_reference(series: VelocitySeries, seed: RoiMask) -> np.ndarray:
+    """The seed pixels' mean velocity time course, centred: the reference
+    refine_roi correlates every pixel against."""
+    ensure_same_grid(seed, series.header)
+    ref = series.frames[:, seed.pixels].mean(axis=1)
+    return ref - ref.mean()
+
+
+def refine_roi(
+    series: VelocitySeries | PixelMoments, seed: RoiMask, threshold: float = 0.7
+) -> RoiMask:
     """Grow the seed into the set of pixels that pulse with it.
 
     Each pixel's velocity-versus-time profile is correlated (Pearson)
-    against the mean profile of the seed pixels. Pixels at or above the
-    threshold that are 8-connected to qualifying seed pixels form the
-    refined mask. Constant-in-time pixels have no defined correlation and
-    never qualify, which is what keeps static background out even at
-    threshold 0.
+    against the seed's reference (seed_reference): r = cross /
+    (|ref| sqrt(m2)), from the pixel's moments (velocity.pixel_moments).
+    Pixels at or above the threshold that are 8-connected to qualifying
+    seed pixels form the refined mask. Constant-in-time pixels (m2 = 0)
+    have no defined correlation and never qualify, which is what keeps
+    static background out even at threshold 0.
+
+    ``series`` may also be pixel moments on the seed's grid, taken with
+    seed_reference as ref; only the pixels they cover can join. The
+    pipeline passes those for the whole grid, taken from the input series
+    in one pass.
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidThreshold(f"correlation threshold must be in [0, 1], got {threshold}")
-    ensure_same_grid(seed, series.header)
-    v = series.frames
-    n_frames = v.shape[0]
-    ref = v[:, seed.pixels].mean(axis=1)
-    ref_c = ref - ref.mean()
-    ref_norm = float(np.sqrt((ref_c**2).sum()))
-    if ref_norm == 0.0 or n_frames < 2:
+    if isinstance(series, VelocitySeries):
+        moments = pixel_moments(series, np.ones(seed.pixels.shape, dtype=bool),
+                                ref=seed_reference(series, seed))
+    else:
+        moments = series
+        if moments.pixels.shape != seed.pixels.shape:
+            raise DimensionMismatch(
+                f"mask grid {seed.height}x{seed.width} does not match moments grid "
+                f"{moments.pixels.shape[0]}x{moments.pixels.shape[1]}"
+            )
+    ref_norm = float(np.sqrt((moments.ref**2).sum()))
+    if ref_norm == 0.0 or moments.n_frames < 2:
         raise EmptyMask("seed region has no temporal variation to correlate against")
 
-    centered = v - v.mean(axis=0)
-    pix_norm = np.sqrt((centered**2).sum(axis=0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.tensordot(ref_c, centered, axes=(0, 0)) / (ref_norm * pix_norm)
-    eligible = np.nan_to_num(corr, nan=-2.0) >= threshold
+    corr = np.full(moments.m2.shape, -2.0)
+    np.divide(moments.cross, ref_norm * np.sqrt(moments.m2), out=corr, where=moments.m2 > 0.0)
+    eligible = np.zeros(seed.pixels.shape, dtype=bool)
+    eligible[moments.pixels] = corr >= threshold
 
     # 8-connected components of the eligible pixels; keep those holding
     # an eligible seed pixel (label 0 is the ineligible background)

@@ -338,6 +338,8 @@ def classify_resp(trace: PhysioTrace, smoothing_window: float = DEFAULT_SMOOTHIN
         raise WrongKind(f"expected RESP_BELT trace, got {trace.kind.value}")
     if not 0 < hysteresis < 1:
         raise ValueOutOfRange(f"hysteresis fraction must be in (0, 1), got {hysteresis}")
+    if not smoothing_window > 0:
+        raise ValueOutOfRange(f"smoothing window must be positive, got {smoothing_window} ms")
     if trace.duration < 2000.0:
         raise ValueOutOfRange(
             f"trace spans {trace.duration:g} ms, need at least one breath (2000 ms)"

@@ -18,7 +18,7 @@ from .ensemble import (
     resample_cycle,
 )
 from .errors import CsfdynError, InputError, InvalidSpec, TooFewSamples
-from .flow import FlowSamples, extract_flow, refine_roi
+from .flow import FlowSamples, extract_flow, refine_roi, seed_reference
 from .gating import (
     DEFAULT_HYSTERESIS,
     DEFAULT_MAX_RR,
@@ -52,16 +52,20 @@ from .metrics import (
     sv_modulation,
 )
 from .velocity import (
+    PixelMoments,
     as_velocity_field,
     background_correct,
+    check_static_mask,
     phase_to_velocity,
-    static_pixels,
+    pixel_moments,
     unwrap_temporal,
 )
 
 
 GATES = ("flow", "plethysmo")
 UNITS = ("auto",) + tuple(u.value for u in VolumeUnit)  # auto: uL for AQUEDUCT, mL otherwise
+#: pixel-frames per strip of wrapped pixels in _moments: 32 MB in float64
+_STRIP_VALUES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,8 @@ class PipelineParams:
                 raise InvalidSpec(
                     f"{name}: must be one of {', '.join(allowed)}; got {getattr(self, name)!r}"
                 )
+        if not self.smoothing_window > 0:
+            raise InvalidSpec(f"smoothing_window: must be positive; got {self.smoothing_window}")
 
 
 @dataclass
@@ -135,29 +141,49 @@ def _velocity(series: VelocitySeries, params: PipelineParams) -> VelocitySeries:
         vel = _staged("velocity", phase_to_velocity, series)
     else:
         vel = _staged("velocity", as_velocity_field, series)
-    # a gathered static strip is about the size of the grid; let it go
-    # before unwrapping copies the converted frames
-    del series
     if params.flip_sign:
         # the converted frames are a fresh copy, so negate them in place
         np.negative(vel.frames, out=vel.frames)
     return _staged("velocity", unwrap_temporal, vel, params.anchor)
 
 
-def _roi_box(
+def _moments(
+    series: VelocitySeries, pixels: np.ndarray, params: PipelineParams,
+    ref: np.ndarray | None = None,
+) -> PixelMoments:
+    """Moments of the unwrapped velocities of the given pixels: one
+    streamed pass over series, after which only the pixels it flags as
+    wrapped are gathered, unwrapped and their moments taken again.
+
+    The flagged pixels go through in strips of at most _STRIP_VALUES
+    pixel-frames, so memory stays bounded however many are flagged (at
+    high phase noise nearly all are); each pixel is unwrapped and summed
+    on its own, so the strips' split does not change any value."""
+    moments = pixel_moments(series, pixels, params.flip_sign, ref)
+    flagged = np.flatnonzero(moments.wrapped)
+    rows, cols = np.unravel_index(np.flatnonzero(pixels)[flagged], pixels.shape)
+    step = max(1, _STRIP_VALUES // series.header.n_frames)
+    for b in range(0, flagged.size, step):
+        at = flagged[b : b + step]
+        frames = series.frames[:, rows[b : b + step], cols[b : b + step]]
+        strip = VelocitySeries(replace(series.header, height=1, width=at.size),
+                               frames[:, None, :])
+        fixed = pixel_moments(_velocity(strip, params), np.ones((1, at.size), bool), ref=ref)
+        moments.mean[at], moments.m2[at] = fixed.mean, fixed.m2
+        if ref is not None:
+            moments.cross[at] = fixed.cross
+    return moments
+
+
+def _box_velocity(
     series: VelocitySeries, roi: RoiMask, params: PipelineParams
 ) -> tuple[VelocitySeries, RoiMask]:
-    """Series and ROI cropped to the ROI's bounding box, or to the whole
-    grid when refine_threshold is set: refinement correlates every pixel."""
-    _staged("flow", ensure_same_grid, roi, series.header)
-    if params.refine_threshold is None:
-        rows, cols = np.nonzero(roi.pixels)
-        box = (slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1))
-    else:
-        box = (slice(None), slice(None))
+    """Velocities of the ROI's bounding box, and the ROI on the box's grid."""
+    rows, cols = np.nonzero(roi.pixels)
+    box = (slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1))
     frames = series.frames[(slice(None),) + box]
     header = replace(series.header, height=frames.shape[1], width=frames.shape[2])
-    return VelocitySeries(header, frames), RoiMask(roi.pixels[box], roi.label)
+    return _velocity(VelocitySeries(header, frames), params), RoiMask(roi.pixels[box], roi.label)
 
 
 def prepare_velocity(
@@ -166,22 +192,33 @@ def prepare_velocity(
     static: RoiMask | None,
     params: PipelineParams,
 ) -> tuple[VelocitySeries, RoiMask, float | None]:
-    """Stage 1-2: encoding, sign convention, unwrap, background offset.
+    """Stage 1-2: encoding, sign convention, unwrap, background offset,
+    and ROI refinement when refine_threshold is set.
 
-    Velocities are computed for the ROI's bounding box only (see
-    _roi_box), and the static offset from the static-mask pixels only;
-    the offset is subtracted from the box alone. Returns the box
-    velocities, the ROI on the box's grid, and the offset.
+    The static offset, and refinement's correlation of every pixel with
+    the seed ROI's mean velocity, come from per-pixel moments taken in one
+    streamed pass over series (_moments). Velocities are computed for the
+    final ROI's bounding box only, and the offset is subtracted from the
+    box alone. Returns the box velocities, the final ROI on the box's
+    grid, and the offset.
     """
-    static_vel = None
     if static is not None:
-        static_vel = _velocity(_staged("velocity", static_pixels, series, static), params)
-    box, roi = _roi_box(series, roi, params)
-    vel = _velocity(box, params)
+        _staged("velocity", check_static_mask, static, series.header)
+    _staged("flow", ensure_same_grid, roi, series.header)
+    vel, box_roi = _box_velocity(series, roi, params)
+    moments = None
+    if params.refine_threshold is not None:
+        grid = np.ones(roi.pixels.shape, dtype=bool)
+        moments = _moments(series, grid, params, seed_reference(vel, box_roi))
+        roi = _staged("flow", refine_roi, moments, roi, params.refine_threshold)
+        vel, box_roi = _box_velocity(series, roi, params)
     offset = None
-    if static_vel is not None:
-        vel, offset = _staged("velocity", background_correct, vel, static_vel)
-    return vel, roi, offset
+    if static is not None:
+        # when refining, the static pixels' moments are part of the grid's
+        static_moments = (_moments(series, static.pixels, params) if moments is None
+                          else moments.subset(static.pixels))
+        vel, offset = _staged("velocity", background_correct, vel, static_moments)
+    return vel, box_roi, offset
 
 
 def process_subject(
@@ -202,9 +239,6 @@ def process_subject(
     params = params or PipelineParams()
     unit = _resolve_unit(params, roi.label)
     vel, roi, offset = prepare_velocity(series, roi, static, params)
-
-    if params.refine_threshold is not None:
-        roi = _staged("flow", refine_roi, vel, roi, params.refine_threshold)
     flow = _staged("flow", extract_flow, vel, roi)
 
     boundaries = phases = None

@@ -1,20 +1,31 @@
 """Phase-to-velocity conversion, temporal unwrapping of aliased
-velocities, and static-tissue background offset removal.
+velocities, per-pixel moments over time, and static-tissue background
+offset removal.
 
 Velocity maps are a VelocitySeries with VELOCITY_CMPS encoding and
-float64 frames. Every function here returns a new series and leaves its
+float64 frames. Every function here returns a new result and leaves its
 input unchanged. Each works on every pixel's time course on its own, so a
 subset of the grid gets the same values, to the bit, as the same pixels
-of the whole grid. The pipeline relies on that: it takes the static
-offset from the static-mask pixels alone (gathered by ``static_pixels``)
-and computes velocities only for the flow ROI's bounding box, or for the
-whole grid when ROI refinement must correlate every pixel.
+of the whole grid.
+
+The pipeline relies on that. It reads the float32 input once, in chunks
+of 64 frames, through ``pixel_moments``: each pixel's mean, centred sum
+of squares and (when refining the ROI) cross moment with the seed's
+time course, converted to velocity on the fly, with no full-size array
+built. Only the pixels that pass flags as wrapped are gathered,
+converted and unwrapped, a bounded strip at a time, and their moments
+taken again. That pays off while few pixels wrap; at 0.8 rad of phase
+noise nearly every pixel has a step beyond venc, and the wrapped strips
+are then most of the work. The static
+offset, the StaticTissueWarning and the refinement's correlation map
+come from those moments; full velocity maps are computed only for the
+bounding box of the final ROI.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,17 +34,25 @@ from .ingest import (
     Encoding,
     RoiLabel,
     RoiMask,
+    SeriesHeader,
     VelocitySeries,
     ensure_same_grid,
 )
 
 
-#: frames per step of unwrap_temporal's scan for wrapped pixels
-_DIFF_CHUNK = 64
+#: frames per step of the streamed scans (unwrap_temporal, pixel_moments)
+_CHUNK = 64
+#: pixels per step of pixel_moments: a float64 block of _CHUNK frames is 2 MB
+_BLOCK = 4096
 
 
 class StaticTissueWarning(UserWarning):
     """The supplied static-tissue mask does not look static."""
+
+
+def _to_cmps(header: SeriesHeader) -> float:
+    """Factor from stored values to cm/s: venc/pi for phase, 1 for velocity."""
+    return header.venc / np.pi if header.encoding is Encoding.PHASE_RADIANS else 1.0
 
 
 def phase_to_velocity(series: VelocitySeries) -> VelocitySeries:
@@ -48,7 +67,7 @@ def phase_to_velocity(series: VelocitySeries) -> VelocitySeries:
             f"expected PHASE_RADIANS input, got {series.header.encoding.value}"
         )
     v = series.frames.astype(np.float64)
-    v *= series.header.venc / np.pi
+    v *= _to_cmps(series.header)
     return VelocitySeries(replace(series.header, encoding=Encoding.VELOCITY_CMPS), v)
 
 
@@ -82,8 +101,8 @@ def unwrap_temporal(series: VelocitySeries, anchor: int = 0) -> VelocitySeries:
     # pixels with any jump beyond venc, found a chunk of frames at a time
     # so that no full-size diff is built
     wrapped = np.zeros(v.shape[1:], dtype=bool)
-    for start in range(0, n - 1, _DIFF_CHUNK):
-        steps = np.diff(v[start : start + _DIFF_CHUNK + 1], axis=0)
+    for start in range(0, n - 1, _CHUNK):
+        steps = np.diff(v[start : start + _CHUNK + 1], axis=0)
         wrapped |= (np.abs(steps) > venc).any(axis=0)
     # any other pixel would only gain an offset of -0.0, which keeps its bits
     out = v.astype(np.float64, order="K")
@@ -100,50 +119,142 @@ def unwrap_temporal(series: VelocitySeries, anchor: int = 0) -> VelocitySeries:
     return VelocitySeries(series.header, out)
 
 
-def static_pixels(series: VelocitySeries, static_mask: RoiMask) -> VelocitySeries:
-    """The static-mask pixels of series as a 1 x n strip, in mask order.
+@dataclass(frozen=True)
+class PixelMoments:
+    """Moments over time of the pixels a mask selects, one entry per pixel
+    in row-major mask order.
 
-    The strip keeps the layout numpy gives ``frames[:, mask]``, so a
-    mean over it sums the values in the same order, and to the same
-    bits, as a mean over the same pixels gathered from the whole grid.
+    mean and m2 (the centred sum of squares) are in cm/s and (cm/s)^2;
+    wrapped marks the pixels with a frame-to-frame step beyond venc; cross
+    is the sum over frames of ref times the pixel, when a reference time
+    course ref was given.
     """
-    if static_mask.label is not RoiLabel.STATIC_TISSUE:
+
+    pixels: np.ndarray
+    n_frames: int
+    mean: np.ndarray
+    m2: np.ndarray
+    wrapped: np.ndarray
+    ref: np.ndarray | None = None
+    cross: np.ndarray | None = None
+
+    def subset(self, mask: np.ndarray) -> PixelMoments:
+        """The moments of the pixels of mask, which must lie within pixels."""
+        at = mask[self.pixels]
+        return PixelMoments(mask, self.n_frames, self.mean[at], self.m2[at],
+                            self.wrapped[at], self.ref,
+                            None if self.cross is None else self.cross[at])
+
+
+def pixel_moments(
+    series: VelocitySeries,
+    pixels: np.ndarray,
+    flip_sign: bool = False,
+    ref: np.ndarray | None = None,
+) -> PixelMoments:
+    """Per-pixel moments of the velocities phase_to_velocity (or
+    as_velocity_field) would give for the pixels of series that the
+    boolean grid pixels selects, negated when flip_sign is set.
+
+    One pass over chunks of _CHUNK frames: each chunk is converted to
+    float64 a block of pixels at a time, and its mean and centred sum of
+    squares are merged into the running ones (Chan, Golub & LeVeque 1983).
+    A pixel that never changes gets m2 = 0 exactly. Every sum runs down
+    one pixel's column in frame order, so a pixel's moments do not depend
+    on which other pixels are in the call.
+    """
+    n, venc = series.header.n_frames, series.header.venc
+    scale = -_to_cmps(series.header) if flip_sign else _to_cmps(series.header)
+    idx = np.flatnonzero(pixels)
+    mean, m2, cross, last = (np.zeros(idx.size) for _ in range(4))
+    wrapped, varies = np.zeros(idx.size, dtype=bool), np.zeros(idx.size, dtype=bool)
+    x = np.empty((_CHUNK, max(min(idx.size, _BLOCK), 2)))
+    tmp = np.empty_like(x)
+    for start in range(0, n, _CHUNK):
+        chunk = series.frames[start : start + _CHUNK]
+        m = chunk.shape[0]
+        chunk = chunk.reshape(m, -1)
+        for b in range(0, idx.size, _BLOCK):
+            cols = idx[b : b + _BLOCK]
+            k = cols.size
+            at = slice(b, b + k)
+            # numpy sums a lone column pairwise but two or more columns frame
+            # by frame, so a pixel alone in its block is summed as two columns
+            cols = np.resize(cols, max(k, 2))
+            contiguous = cols[-1] - cols[0] == cols.size - 1
+            block = chunk[:, cols[0] : cols[-1] + 1] if contiguous else chunk[:, cols]
+            xb, tb = x[:m, : cols.size], tmp[:m, : cols.size]
+            np.multiply(block, scale, out=xb, dtype=np.float64)
+
+            # steps, the first from the last frame of the previous chunk
+            np.subtract(xb[1:], xb[:-1], out=tb[1:])
+            np.subtract(xb[0], last[at], out=tb[0])
+            if start == 0:
+                tb[0] = 0.0
+            np.abs(tb, out=tb)
+            step = tb.max(axis=0)[:k]
+            wrapped[at] |= step > venc
+            varies[at] |= step > 0.0
+            last[at] = xb[-1, :k]
+
+            if ref is not None:
+                np.multiply(xb, ref[start : start + m, None], out=tb)
+                cross[at] += tb.sum(axis=0)[:k]
+            chunk_mean = xb.sum(axis=0) / m
+            np.subtract(xb, chunk_mean, out=xb)
+            np.square(xb, out=xb)
+            delta = chunk_mean[:k] - mean[at]
+            mean[at] += delta * (m / (start + m))
+            m2[at] += xb.sum(axis=0)[:k] + delta * delta * (start * m / (start + m))
+    m2[~varies] = 0.0
+    return PixelMoments(pixels, n, mean, m2, wrapped, ref, None if ref is None else cross)
+
+
+def check_static_mask(mask: RoiMask, header: SeriesHeader) -> None:
+    """Raise unless mask is a STATIC_TISSUE mask on the grid of header."""
+    if mask.label is not RoiLabel.STATIC_TISSUE:
         raise WrongKind(
-            f"background correction needs a STATIC_TISSUE mask, got "
-            f"{static_mask.label.value}"
+            f"background correction needs a STATIC_TISSUE mask, got {mask.label.value}"
         )
-    ensure_same_grid(static_mask, series.header)
-    pix = series.frames[:, static_mask.pixels]
-    return VelocitySeries(replace(series.header, height=1, width=pix.shape[1]), pix[:, None, :])
+    ensure_same_grid(mask, header)
 
 
 def background_correct(
-    series: VelocitySeries, static: RoiMask | VelocitySeries
+    series: VelocitySeries, static: RoiMask | PixelMoments
 ) -> tuple[VelocitySeries, float]:
     """Subtract the global static-tissue offset; returns (series, offset).
 
     ``static`` is the STATIC_TISSUE mask on the grid of series, or the
-    static pixels' velocities already gathered by static_pixels; the
-    pipeline passes the latter, so that series need only hold the pixels
-    whose velocities are kept.
+    static pixels' moments already taken by pixel_moments; the pipeline
+    passes the latter, so that series need only hold the pixels whose
+    velocities are kept.
 
     The offset is one scalar, the mean velocity over static pixels and
-    over all frames. Per-frame subtraction would remove the real
-    respiratory modulation, so it is deliberately not done here.
+    over all frames (the mean of the pixels' means). Per-frame
+    subtraction would remove the real respiratory modulation, so it is
+    deliberately not done here.
 
     Warns with StaticTissueWarning when any static pixel's temporal
-    standard deviation exceeds 10% of venc, which usually means the mask
-    leaks into moving fluid.
+    standard deviation, sqrt(m2 / n), exceeds 10% of venc, which usually
+    means the mask leaks into moving fluid.
+
+    series must be velocity-encoded (WrongEncoding otherwise): the offset
+    is in cm/s, and so are the moments.
     """
+    if series.header.encoding is not Encoding.VELOCITY_CMPS:
+        raise WrongEncoding(
+            f"expected VELOCITY_CMPS input, got {series.header.encoding.value}"
+        )
     if isinstance(static, RoiMask):
-        static = static_pixels(series, static)
-    pix = static.frames
-    offset = float(pix.mean())
-    worst_sd = float(pix.std(axis=0).max())
-    if worst_sd > 0.1 * static.header.venc:
+        check_static_mask(static, series.header)
+        static = pixel_moments(series, static.pixels)
+    offset = float(static.mean.mean())
+    worst_sd = float(np.sqrt(static.m2.max() / static.n_frames))
+    venc = series.header.venc
+    if worst_sd > 0.1 * venc:
         warnings.warn(
             f"static mask pixel varies by {worst_sd:.3g} cm/s over time "
-            f"(> 10% of venc {static.header.venc:g}); offset may be biased",
+            f"(> 10% of venc {venc:g}); offset may be biased",
             StaticTissueWarning,
             stacklevel=2,
         )

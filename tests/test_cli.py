@@ -210,6 +210,20 @@ class TestProcess:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["-5", "0"])
+    def test_non_positive_smoothing_window_is_input_error(self, phantom_dir, tmp_path,
+                                                          capsys, window):
+        rc = main([
+            "process",
+            "--series", str(phantom_dir / "series.csfd"),
+            "--roi", str(phantom_dir / "lumen.pgm"),
+            "--belt", str(phantom_dir / "belt.csv"),
+            "--smoothing-window", window,
+            "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert "smoothing_window" in capsys.readouterr().err
+
     def test_missing_series_is_input_error(self, phantom_dir, tmp_path):
         rc = main([
             "process",
@@ -334,6 +348,26 @@ class TestCohort:
         rc = main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "S2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hole", ["sv.global", "roi_label", "unit"])
+    def test_report_without_key_is_input_error(self, tmp_path, capsys, hole):
+        entries = []
+        for k in range(5):
+            report = {"kind": "subject", "roi_label": "AQUEDUCT", "unit": "uL",
+                      "sv": {"global": {"sv": 100.0 + k}}}
+            if k == 2 and hole == "sv.global":
+                report["sv"]["global"] = None
+            elif k == 2:
+                del report[hole]
+            path = tmp_path / f"S{k}.json"
+            path.write_text(json.dumps(report))
+            entries.append({"id": f"S{k}", "conv": str(path), "epi": str(path)})
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"subjects": entries}))
+        rc = main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "S2" in err and hole in err
 
     def test_manifest_entries_must_be_objects(self, tmp_path):
         manifest = tmp_path / "pairs.json"

@@ -5,6 +5,7 @@ import pytest
 
 from csfdyn import (
     Encoding,
+    PipelineParams,
     RoiLabel,
     RoiMask,
     SeriesHeader,
@@ -14,6 +15,9 @@ from csfdyn import (
     refine_roi,
 )
 from csfdyn.errors import DimensionMismatch, InvalidThreshold
+from csfdyn.flow import seed_reference
+from csfdyn.pipeline import prepare_velocity
+from csfdyn.velocity import pixel_moments
 
 
 def make_field(frames, spacing=1.2):
@@ -106,6 +110,30 @@ class TestRefineRoi:
         out = refine_roi(f, roi(9, 9, 4, 4), threshold=0.5)
         assert not out.pixels[5, 5]
 
+    def test_inexact_constant_pixels_never_qualify(self):
+        # 0.1 summed over a chunk of frames does not divide back to 0.1, so
+        # its centred squares are rounding noise; its m2 must still be 0, or
+        # that noise would correlate with the seed at any value (of one
+        # sign or the other, so the test holds one pixel of each)
+        f = self.build()
+        f.frames[:, 5, 5] = 0.1
+        f.frames[:, 5, 3] = -0.1
+        out = refine_roi(f, roi(9, 9, 4, 4), threshold=0.0)
+        assert not out.pixels[5, 5] and not out.pixels[5, 3]
+
+    def test_moments_give_the_series_result(self):
+        f = self.build()
+        seed = roi(9, 9, 4, 4)
+        moments = pixel_moments(f, np.ones((9, 9), dtype=bool), ref=seed_reference(f, seed))
+        assert np.array_equal(refine_roi(moments, seed).pixels, refine_roi(f, seed).pixels)
+
+    def test_moments_of_another_grid_are_refused(self):
+        f = self.build()
+        moments = pixel_moments(f, np.ones((9, 9), dtype=bool),
+                                ref=seed_reference(f, roi(9, 9, 4, 4)))
+        with pytest.raises(DimensionMismatch):
+            refine_roi(moments, roi(8, 8, 4, 4))
+
     def test_seed_retained_when_nothing_correlates(self):
         rng = np.random.default_rng(11)
         f = make_field(rng.normal(0, 1, (40, 6, 6)))
@@ -113,3 +141,26 @@ class TestRefineRoi:
         out = refine_roi(f, seed, threshold=0.99)
         # a pixel correlates perfectly with itself, so the seed survives
         assert out.pixels[2, 2]
+
+
+def test_aliased_pixel_joins_after_unwrapping():
+    """The pipeline correlates raw phase, which only works for pixels that
+    do not wrap: a neighbour whose velocity exceeds venc arrives wrapped,
+    anticorrelated with the seed, and must be unwrapped first."""
+    n, venc = 300, 1.0
+    rng = np.random.default_rng(2)
+    pulse = np.sin(2 * np.pi * np.arange(n) / 30)
+    v = rng.normal(0, 0.01, (n, 9, 9))
+    v[:, 4, 4] += 0.8 * pulse
+    v[:, 4, 5] += 1.8 * pulse
+    phase = np.mod(v * np.pi / venc + np.pi, 2 * np.pi) - np.pi
+    assert np.corrcoef(phase[:, 4, 4], phase[:, 4, 5])[0, 1] < 0
+    header = SeriesHeader(
+        width=9, height=9, n_frames=n, pixel_spacing_x=1.2, pixel_spacing_y=1.2,
+        slice_thickness=4.0, venc=venc, frame_interval=88.0,
+        encoding=Encoding.PHASE_RADIANS,
+    )
+    series = VelocitySeries(header, phase.astype(np.float32))
+    _, refined, _ = prepare_velocity(series, roi(9, 9, 4, 4), None,
+                                     PipelineParams(refine_threshold=0.9))
+    assert refined.pixels.tolist() == [[True, True]]  # the box of (4, 4) and (4, 5)

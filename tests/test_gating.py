@@ -211,6 +211,12 @@ class TestClassifyResp:
             with pytest.raises(ValueOutOfRange):
                 classify_resp(self.make_belt(), hysteresis=bad)
 
+    @pytest.mark.parametrize("bad", [0.0, -5.0])
+    def test_smoothing_window_must_be_positive(self, bad):
+        # a window of one sample or less would silently skip the smoothing
+        with pytest.raises(ValueOutOfRange, match="smoothing window"):
+            classify_resp(self.make_belt(), smoothing_window=bad)
+
     def test_wrong_kind(self):
         t = PhysioTrace(10.0, 0.0, np.sin(np.linspace(0, 30, 3000)),
                         PhysioKind.CARDIAC_PLETHYSMO)

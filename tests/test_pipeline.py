@@ -1,9 +1,11 @@
 """End-to-end subject processing on phantom data."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import csfdyn
 from csfdyn import (
@@ -19,6 +21,7 @@ from csfdyn import (
 )
 from csfdyn.errors import DimensionMismatch, DivisionByZeroSv, InputError, InvalidSpec
 from csfdyn.phantom import AcquisitionSpec, RespSpec
+from csfdyn.velocity import pixel_moments
 
 
 class TestProcessSubject:
@@ -145,21 +148,45 @@ def converted(series):
     return csfdyn.as_velocity_field(series)
 
 
-def full_grid_velocity(series, roi, static, params):
-    """Reference velocity stage: every pixel of the grid converted,
-    unwrapped and offset-corrected, the offset taken over the static
-    pixels of the whole unwrapped grid."""
+def full_grid_unwrapped(series, params):
+    """Every pixel of the grid converted, sign-flipped and unwrapped."""
     vel = converted(series)
     frames = -vel.frames if params.flip_sign else vel.frames
-    vel = csfdyn.unwrap_temporal(VelocitySeries(vel.header, frames), params.anchor)
-    offset = float(vel.frames[:, static.pixels].mean())
-    return VelocitySeries(vel.header, vel.frames - offset), roi, offset
+    return csfdyn.unwrap_temporal(VelocitySeries(vel.header, frames), params.anchor)
+
+
+def full_grid_velocity(series, roi, static, params):
+    """Reference velocity stage: every pixel of the grid converted,
+    unwrapped and offset-corrected; the ROI refined, and the offset taken,
+    from the moments of the whole unwrapped grid."""
+    vel = full_grid_unwrapped(series, params)
+    if params.refine_threshold is not None:
+        roi = csfdyn.refine_roi(vel, roi, params.refine_threshold)
+    with pytest.warns(csfdyn.StaticTissueWarning):
+        vel, offset = csfdyn.background_correct(vel, static)
+    return vel, roi, offset
+
+
+def pearson_roi(frames, seed, threshold):
+    """Refinement by its definition, from the full frames: each pixel's
+    Pearson r against the seed pixels' mean time course, thresholded, and
+    the 8-connected parts that hold a qualifying seed pixel."""
+    ref = frames[:, seed].mean(axis=1)
+    ref_c = ref - ref.mean()
+    centred = frames - frames.mean(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.tensordot(ref_c, centred, axes=(0, 0)) / (
+            np.sqrt((ref_c**2).sum()) * np.sqrt((centred**2).sum(axis=0)))
+    eligible = np.nan_to_num(r, nan=-2.0) >= threshold
+    parts, _ = ndimage.label(eligible, structure=np.ones((3, 3), dtype=bool))
+    return np.isin(parts, parts[seed & eligible])
 
 
 class TestRoiFirstVelocity:
-    """The chain computes velocities only for the ROI's bounding box and
-    the static pixels; its results must equal, to the bit, those of the
-    velocity stage run over the whole grid."""
+    """The chain takes per-pixel moments in one streamed pass and computes
+    velocities only for the ROI's bounding box and the wrapped pixels; its
+    results must equal, to the bit, those of the velocity stage run over
+    the whole grid."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -177,8 +204,10 @@ class TestRoiFirstVelocity:
     @pytest.mark.parametrize("route, params", [
         ("continuous", PipelineParams(flip_sign=True, anchor=17)),
         ("continuous", PipelineParams(flip_sign=True, anchor=17, refine_threshold=0.5)),
+        # at 0.05 three weakly correlated pixels next to the lumen join it
+        ("continuous", PipelineParams(flip_sign=True, anchor=17, refine_threshold=0.05)),
         ("gated", PipelineParams(flip_sign=True, anchor=3)),
-    ], ids=["box", "refine", "gated"])
+    ], ids=["box", "refine", "refine-grows", "gated"])
     def test_matches_full_grid(self, aliased, route, params, monkeypatch):
         ds, gated, static = aliased
         series = gated if route == "gated" else ds.series
@@ -187,12 +216,22 @@ class TestRoiFirstVelocity:
         unwrapped = csfdyn.unwrap_temporal(vel, params.anchor)
         assert np.any((unwrapped.frames != vel.frames)[:, static.pixels])
 
+        refined = []
+        refine = csfdyn.pipeline.refine_roi
+        monkeypatch.setattr(csfdyn.pipeline, "refine_roi",
+                            lambda *args: refined.append(refine(*args)) or refined[-1])
         with pytest.warns(csfdyn.StaticTissueWarning):
             r = process_subject(series, ds.lumen, params, static=static, belt=ds.belt)
+        if params.refine_threshold is not None:
+            expected = pearson_roi(full_grid_unwrapped(series, params).frames,
+                                   ds.lumen.pixels, params.refine_threshold)
+            assert np.array_equal(refined[0].pixels, expected)
         monkeypatch.setattr(csfdyn.pipeline, "prepare_velocity", full_grid_velocity)
         ref = process_subject(series, ds.lumen, params, static=static, belt=ds.belt)
 
         assert r.background_offset == ref.background_offset
+        whole = full_grid_unwrapped(series, params).frames[:, static.pixels].mean()
+        assert r.background_offset == pytest.approx(whole, rel=1e-12)
         assert np.array_equal(r.flow.q, ref.flow.q)
         assert r.flow.n_roi_pixels == ref.flow.n_roi_pixels
         for name in ("global_mean", "global_sd", "insp_mean", "insp_sd", "exp_mean", "exp_sd"):
@@ -200,12 +239,86 @@ class TestRoiFirstVelocity:
             assert (mine is None) == (theirs is None), name
             assert mine is None or np.array_equal(mine, theirs), name
 
+    def test_strips_of_wrapped_pixels_change_nothing(self, aliased, monkeypatch):
+        ds, _, static = aliased
+        params = PipelineParams(flip_sign=True, anchor=17, refine_threshold=0.5)
+        with pytest.warns(csfdyn.StaticTissueWarning):
+            vel, roi, offset = csfdyn.pipeline.prepare_velocity(ds.series, ds.lumen, static,
+                                                                params)
+        monkeypatch.setattr(csfdyn.pipeline, "_STRIP_VALUES", 1)  # a pixel per strip
+        with pytest.warns(csfdyn.StaticTissueWarning):
+            split = csfdyn.pipeline.prepare_velocity(ds.series, ds.lumen, static, params)
+        assert np.array_equal(vel.frames, split[0].frames)
+        assert np.array_equal(roi.pixels, split[1].pixels)
+        assert offset == split[2]
+
     def test_roi_on_another_grid_is_flow_refusal(self, aliased):
         ds, _, static = aliased
         roi = csfdyn.RoiMask(np.ones((8, 8), dtype=bool), RoiLabel.AQUEDUCT)
         with pytest.raises(DimensionMismatch) as exc_info:
             process_subject(ds.series, roi, static=static, belt=ds.belt)
         assert exc_info.value.stage == "flow"
+
+
+def wide_phantom(noise_sd_phase=AcquisitionSpec().noise_sd_phase):
+    base = csfdyn.default_aqueduct_spec()
+    return csfdyn.generate(replace(
+        base,
+        grid=replace(base.grid, width=128, height=128),
+        lumen=replace(base.lumen, center_row=64.0, center_col=64.0),
+        acquisition=replace(base.acquisition, duration=40000.0,
+                            noise_sd_phase=noise_sd_phase),
+    ))
+
+
+def peak_on_top(fn, *args, **kwargs):
+    """What fn allocates at its peak, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """The velocity stage streams the input and converts only the ROI's box
+    and the wrapped pixels, a strip at a time, so what process_subject
+    allocates stays under half the input series."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def wide():
+        return wide_phantom()
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def noisy():
+        # at 0.8 rad of phase noise nearly every pixel has a step beyond venc
+        return wide_phantom(noise_sd_phase=0.8)
+
+    @pytest.mark.parametrize("params", [PipelineParams(), PipelineParams(refine_threshold=0.7)],
+                             ids=["static", "refine"])
+    def test_peak_under_one_and_a_half_times_the_input(self, wide, params):
+        size = wide.series.frames.nbytes
+        peak = peak_on_top(process_subject, wide.series, wide.lumen, params,
+                           static=wide.static, belt=wide.belt)
+        assert size + peak < 1.5 * size, f"{peak / size:.2f}x the input on top of it"
+
+    @pytest.mark.parametrize("params", [PipelineParams(), PipelineParams(refine_threshold=0.7)],
+                             ids=["static", "refine"])
+    def test_wrapped_pixels_go_a_strip_at_a_time(self, noisy, params, monkeypatch):
+        moments = pixel_moments(noisy.series, noisy.static.pixels)
+        assert moments.wrapped.mean() > 0.8
+        # 1 MB strips: the peak holds a few strips, not every wrapped pixel
+        monkeypatch.setattr(csfdyn.pipeline, "_STRIP_VALUES", 1 << 17)
+        size = noisy.series.frames.nbytes
+        # the noise also leaves too little pulse to detect cycles, and the
+        # static tissue varies by 25% of venc, so only the velocity stage runs
+        with pytest.warns(csfdyn.StaticTissueWarning):
+            peak = peak_on_top(csfdyn.pipeline.prepare_velocity, noisy.series, noisy.lumen,
+                               noisy.static, params)
+        assert size + peak < 1.5 * size, f"{peak / size:.2f}x the input on top of it"
 
 
 class TestPipelineParams:

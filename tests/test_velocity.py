@@ -1,4 +1,7 @@
-"""Phase-to-velocity mapping, temporal unwrapping, background offset."""
+"""Phase-to-velocity mapping, temporal unwrapping, per-pixel moments,
+background offset."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from csfdyn import (
     unwrap_temporal,
     write_series,
 )
+from csfdyn import velocity
+from csfdyn.velocity import pixel_moments
 from csfdyn.errors import ValueOutOfRange, WrongEncoding, WrongKind
 
 
@@ -179,6 +184,66 @@ def test_unwrap_of_crop_is_crop_of_unwrap(case):
     assert part.tobytes() == np.ascontiguousarray(whole).tobytes()
 
 
+@st.composite
+def moment_case(draw):
+    """A series of 1, 2, 64, 65 or 129 frames whose pixels may or may not
+    hold a step beyond venc, a pixel subset, a sign, an optional
+    reference time course and a block size for pixel_moments."""
+    n = draw(st.sampled_from([1, 2, 64, 65, 129]))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    encoding = draw(st.sampled_from(list(Encoding)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # phase stays clear of pi, which float32 rounds out of [-pi, pi)
+    top = 3.0 if encoding is Encoding.PHASE_RADIANS else 5.0
+    frames = rng.uniform(-top, top, (n, h, w))
+    # smooth pixels step by at most 0.8 venc: no wrap jump
+    frames[:, rng.random((h, w)) < 0.5] *= 0.4
+    header = make_header(venc=5.0, n_frames=n, w=w, h=h, encoding=encoding)
+    ref = rng.normal(0.0, 1.0, n) if draw(st.booleans()) else None
+    return (VelocitySeries(header, frames.astype(dtype)), rng.random((h, w)) < 0.5,
+            draw(st.booleans()), ref, draw(st.sampled_from([1, 2, 3, 4096])))
+
+
+@settings(deadline=None)
+@given(moment_case())
+def test_moments_of_subset_are_subset_of_moments(case):
+    """A pixel's moments do not depend on the other pixels of the call, so
+    the pipeline may take them for any pixel set and get the same bits."""
+    series, subset, flip_sign, ref, block = case
+    with mock.patch.object(velocity, "_BLOCK", block):
+        whole = pixel_moments(series, np.ones(subset.shape, dtype=bool), flip_sign, ref)
+        part = pixel_moments(series, subset, flip_sign, ref)
+    picked = whole.subset(subset)
+    for name in ("mean", "m2", "wrapped", "cross"):
+        mine, theirs = getattr(part, name), getattr(picked, name)
+        assert (mine is None) == (theirs is None), name
+        assert mine is None or mine.tobytes() == theirs.tobytes(), name
+
+    if series.header.encoding is Encoding.PHASE_RADIANS:
+        v = phase_to_velocity(series).frames
+    else:
+        v = as_velocity_field(series).frames
+    v = (-v if flip_sign else v).reshape(v.shape[0], -1)
+    n, big = v.shape[0], np.abs(v).max()
+    np.testing.assert_allclose(whole.mean, v.mean(axis=0), rtol=1e-12, atol=1e-12 * big)
+    np.testing.assert_allclose(whole.m2, v.var(axis=0) * n, rtol=1e-12,
+                               atol=1e-12 * n * big**2)
+    assert np.array_equal(whole.wrapped, (np.abs(np.diff(v, axis=0)) > 5.0).any(axis=0))
+    if ref is not None:
+        np.testing.assert_allclose(whole.cross, (ref[:, None] * v).sum(axis=0), rtol=1e-12,
+                                   atol=1e-12 * n * big * np.abs(ref).max())
+
+
+def test_constant_pixel_has_zero_m2():
+    # 0.1 summed over a chunk does not divide back to 0.1 exactly
+    header = make_header(n_frames=200, w=1, h=1, encoding=Encoding.VELOCITY_CMPS)
+    moments = pixel_moments(VelocitySeries(header, np.full((200, 1, 1), 0.1)),
+                            np.ones((1, 1), dtype=bool))
+    assert moments.m2.tolist() == [0.0]
+    assert moments.mean[0] == pytest.approx(0.1, rel=1e-15)
+
+
 class TestBackgroundCorrect:
     def make_field(self, offset, noise_sd=0.0, seed=0):
         rng = np.random.default_rng(seed)
@@ -210,6 +275,12 @@ class TestBackgroundCorrect:
         bad = RoiMask(np.ones((6, 8), dtype=bool), RoiLabel.OTHER)
         with pytest.raises(WrongKind):
             background_correct(field, bad)
+
+    def test_phase_input_is_refused(self):
+        # the offset and the moments are in cm/s; phase frames are not
+        phase = VelocitySeries(make_header(n_frames=10), np.zeros((10, 6, 8)))
+        with pytest.raises(WrongEncoding):
+            background_correct(phase, self.static())
 
     def test_unstable_tissue_warns(self):
         field = self.make_field(0.0)
