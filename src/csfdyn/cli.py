@@ -45,7 +45,13 @@ from .reporting import (
     write_json,
     write_scatter_svg,
 )
-from .stats import PairedSample, paired_t, spearman, wilcoxon_paired
+from .stats import (
+    SPEARMAN_EXACT_MAX_N,
+    PairedSample,
+    paired_t,
+    spearman,
+    wilcoxon_paired,
+)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -88,7 +94,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     c.add_argument("--out", required=True)
     c.add_argument("--config", help="JSON config; entries override flags")
     c.add_argument("--spearman-exact", action="store_true",
-                   help="full permutation p instead of the t approximation")
+                   help="exact Spearman p, counted over all n! pairings without "
+                        f"enumerating them (n <= {SPEARMAN_EXACT_MAX_N}), instead of "
+                        "the t approximation")
     c.add_argument("--paired-t", action="store_true",
                    help="also report a paired Student t")
 
@@ -234,8 +242,6 @@ def cmd_cohort(args: argparse.Namespace) -> int:
     if len(rows) < 5:
         raise TooFewPairs(f"cohort comparison needs >= 5 paired subjects, got {len(rows)}")
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     by_roi: dict[str, list[dict]] = {}
     for row in rows:
         by_roi.setdefault(row["roi"], []).append(row)
@@ -249,6 +255,8 @@ def cmd_cohort(args: argparse.Namespace) -> int:
             "n_dropped": res.n_dropped,
         }
 
+    # every ROI's statistics run before anything is written, so a refusal
+    # leaves no partial output behind
     roi_reports = {}
     for roi, group in sorted(by_roi.items()):
         pairs = [PairedSample(r["id"], r["conv_sv"], r["epi_sv"]) for r in group]
@@ -258,18 +266,24 @@ def cmd_cohort(args: argparse.Namespace) -> int:
             "subjects": [r["id"] for r in group],
             "conv_sv": [r["conv_sv"] for r in group],
             "epi_sv": [r["epi_sv"] for r in group],
-            "spearman": stat_dict(spearman(pairs, exact=args.spearman_exact)),
-            "wilcoxon": stat_dict(wilcoxon_paired(pairs)),
         }
-        if args.paired_t:
-            block["paired_t"] = stat_dict(paired_t(pairs))
+        try:
+            block["spearman"] = stat_dict(spearman(pairs, exact=args.spearman_exact))
+            block["wilcoxon"] = stat_dict(wilcoxon_paired(pairs))
+            if args.paired_t:
+                block["paired_t"] = stat_dict(paired_t(pairs))
+        except CsfdynError as exc:
+            raise type(exc)(f"ROI {roi}: {exc}") from exc
         mods = [r["modulation"] for r in group if r["modulation"] is not None]
         block["modulation_mean"] = (sum(mods) / len(mods)) if mods else None
         block["modulation_n"] = len(mods)
         roi_reports[roi] = block
-        svg_name = f"scatter_{roi.lower()}.svg"
+
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for roi, block in roi_reports.items():
         write_scatter_svg(
-            outdir / svg_name,
+            outdir / f"scatter_{roi.lower()}.svg",
             block["conv_sv"],
             block["epi_sv"],
             f"Stroke volume by both routes ({roi})",

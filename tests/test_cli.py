@@ -369,6 +369,28 @@ class TestCohort:
         err = capsys.readouterr().err
         assert "S2" in err and hole in err
 
+    @pytest.mark.parametrize("n_spinal, flags, rc", [
+        (2, [], 3),                      # too few pairs for Spearman
+        (15, ["--spearman-exact"], 2),   # above the exact Spearman limit
+    ])
+    def test_stats_refusal_names_roi_and_writes_nothing(self, tmp_path, capsys,
+                                                        n_spinal, flags, rc):
+        # AQUEDUCT sorts first and can be analysed; SPINAL_CANAL cannot
+        entries = []
+        for k, roi in enumerate(["AQUEDUCT"] * 5 + ["SPINAL_CANAL"] * n_spinal):
+            for route, sv in (("conv", 100.0 + k), ("epi", 101.0 + 1.5 * k)):
+                path = tmp_path / f"S{k}_{route}.json"
+                path.write_text(json.dumps({"kind": "subject", "roi_label": roi,
+                                            "unit": "uL", "sv": {"global": {"sv": sv}}}))
+            entries.append({"id": f"S{k}", "conv": str(tmp_path / f"S{k}_conv.json"),
+                            "epi": str(tmp_path / f"S{k}_epi.json")})
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"subjects": entries}))
+        out = tmp_path / "o"
+        assert main(["cohort", "--pairs", str(manifest), "--out", str(out), *flags]) == rc
+        assert "SPINAL_CANAL" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_entries_must_be_objects(self, tmp_path):
         manifest = tmp_path / "pairs.json"
         manifest.write_text(json.dumps({"subjects": [1, 2, 3, 4, 5]}))

@@ -2,12 +2,14 @@
 
 The oracles here deliberately avoid the package's own code paths:
 average ranks and Pearson are recomputed with math.fsum, the t survival
-function is integrated numerically, and Wilcoxon null distributions are
-enumerated or built with a dict-based subset-sum.
+function is integrated numerically, Wilcoxon null distributions are
+enumerated or built with a dict-based subset-sum, and the exact Spearman
+p lists all n! orderings.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from csfdyn.errors import (
     ValueOutOfRange,
     ZeroVariance,
 )
+from csfdyn.stats import SPEARMAN_EXACT_MAX_N
 
 # ------------------------------------------------------------- oracles
 
@@ -50,6 +53,20 @@ def pearson_fsum(x, y):
 
 def spearman_oracle(x, y):
     return pearson_fsum(rank_avg(x), rank_avg(y))
+
+
+def spearman_exact_oracle(x, y):
+    """Exact two-sided p by listing all n! orderings of y's ranks.
+
+    Doubled centred ranks are integers, so each permuted rank product is
+    compared with the observed one exactly."""
+    n = len(x)
+    dx = [round(2 * r) - (n + 1) for r in rank_avg(x)]
+    dy = [round(2 * r) - (n + 1) for r in rank_avg(y)]
+    observed = abs(sum(p * q for p, q in zip(dx, dy)))
+    hits = sum(abs(sum(p * q for p, q in zip(dx, perm))) >= observed
+               for perm in itertools.permutations(dy))
+    return hits / math.factorial(n)
 
 
 def t_sf_oracle(t, df):
@@ -172,6 +189,62 @@ class TestSpearman:
             if abs(pearson_fsum(ra, list(perm))) >= obs - 1e-12:
                 hits += 1
         assert r.p_value == pytest.approx(hits / 120, abs=1e-15)
+
+    @pytest.mark.parametrize("family", ["distinct", "ties_a", "ties_b", "ties_both",
+                                        "negative"])
+    def test_exact_matches_permutation_oracle(self, family):
+        g = np.random.default_rng(sum(map(ord, family)))
+        for n in range(4, 9):
+            for _ in range(3):
+                a = g.normal(0, 1, n)
+                b = 0.5 * a + g.normal(0, 1, n)
+                # heavy ties: values from a few levels only
+                if family in ("ties_a", "ties_both"):
+                    a = g.integers(0, int(g.integers(2, 4)), n).astype(float)
+                if family in ("ties_b", "ties_both"):
+                    b = g.integers(0, int(g.integers(2, 4)), n).astype(float)
+                if family == "negative":
+                    b = -np.round(a + g.normal(0, 0.5, n))
+                if np.all(a == a[0]) or np.all(b == b[0]):
+                    continue
+                r = spearman(pairs_from(a, b), exact=True)
+                assert r.method is StatMethod.SPEARMAN_PERMUTATION
+                assert r.p_value == spearman_exact_oracle(a, b)
+
+    def test_exact_symmetric_in_a_and_b(self, rng):
+        # ties on one side only, so each order puts the tie groups elsewhere
+        a = rng.normal(0, 1, 10)
+        b = np.round(a + rng.normal(0, 1, 10))
+        r_ab = spearman(pairs_from(a, b), exact=True)
+        r_ba = spearman(pairs_from(b, a), exact=True)
+        assert r_ab.statistic == r_ba.statistic
+        assert r_ab.p_value == r_ba.p_value
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exact_perfect_monotone_at_the_limit(self, sign):
+        n = SPEARMAN_EXACT_MAX_N
+        a = np.arange(1.0, n + 1)
+        r = spearman(pairs_from(a, sign * a**2), exact=True)
+        assert r.statistic == sign * 1.0
+        assert r.p_value == 2 / math.factorial(n)
+
+    def test_exact_memory_at_the_limit(self, rng):
+        # no ties is the costliest input for the exact count
+        n = SPEARMAN_EXACT_MAX_N
+        pairs = pairs_from(rng.normal(0, 1, n), rng.normal(0, 1, n))
+        tracemalloc.start()
+        try:
+            spearman(pairs, exact=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
+    def test_exact_refused_above_the_limit(self, rng):
+        n = SPEARMAN_EXACT_MAX_N + 1
+        pairs = pairs_from(rng.normal(0, 1, n), rng.normal(0, 1, n))
+        with pytest.raises(ValueOutOfRange, match=f"n <= {SPEARMAN_EXACT_MAX_N}"):
+            spearman(pairs, exact=True)
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairs):
