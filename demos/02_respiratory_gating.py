@@ -54,7 +54,7 @@ for lab, n in counts.items():
 # 3. Ensembles and the split stroke volumes. MIXED cycles only feed the
 #    global average, never the respiratory contrast.
 
-canonical = [csfdyn.resample_cycle(c) for c in cycles]
+canonical = csfdyn.resample_cycles(cycles)
 curves = csfdyn.build_ensembles(canonical)
 rr = float(np.mean([c.rr for c in cycles]))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import EmptyEnsemble, TooFewSamples, ValueOutOfRange
 from .gating import LabeledCycle, RespLabel
@@ -19,6 +18,9 @@ from .ingest import GATED_FRAMES
 PHASE_GRID = np.arange(GATED_FRAMES, dtype=np.float64) / GATED_FRAMES
 
 INTERP_MODES = ("spline", "linear")
+
+#: fewest samples a cycle needs to be resampled
+MIN_SAMPLES = 4
 
 #: a last sample closer than this fraction of a sample step to the wrap
 #: knot u[0] + 1 is dropped: it repeats phase u[0] with a different value,
@@ -79,7 +81,13 @@ class EnsembleCurves:
 
 
 def resample_cycle(cycle: LabeledCycle, mode: str = "spline") -> CanonicalCycle:
-    """Interpolate one cycle's samples onto the 32-point phase grid.
+    """Interpolate one cycle's samples onto the 32-point phase grid;
+    resample_cycles of a one-cycle list."""
+    return resample_cycles([cycle], mode)[0]
+
+
+def resample_cycles(cycles: list[LabeledCycle], mode: str = "spline") -> list[CanonicalCycle]:
+    """Interpolate each cycle's samples onto the 32-point phase grid.
 
     Sample times are normalized to phase u = (t - start) / rr in [0, 1);
     a periodic interpolant (period 1) through the samples is evaluated at
@@ -88,31 +96,86 @@ def resample_cycle(cycle: LabeledCycle, mode: str = "spline") -> CanonicalCycle:
     WRAP_KNOT_TOLERANCE sample steps of the wrap knot u[0] + 1, which is
     dropped. mode "spline" is a periodic cubic spline, "linear" joins
     the points with straight lines (kept for sensitivity checks).
+
+    Cycles are checked in input order, and the first one with fewer than
+    MIN_SAMPLES samples (TooFewSamples) or samples outside [start, end)
+    (ValueOutOfRange) refuses the whole list. Cycles keeping the same
+    number of samples are interpolated together; each cycle's values do
+    not depend on the others in the list.
     """
     if mode not in INTERP_MODES:
         raise ValueOutOfRange(f"mode must be one of {INTERP_MODES}, got {mode!r}")
-    if cycle.n_samples < 4:
-        raise TooFewSamples(
-            f"cycle at {cycle.start:.0f} ms has {cycle.n_samples} samples, need >= 4"
-        )
-    rr = cycle.rr
-    u = (cycle.t - cycle.start) / rr
-    if np.any(np.diff(u) <= 0) or u[0] < 0 or u[-1] >= 1:
-        raise ValueOutOfRange("cycle samples must lie strictly ordered within [start, end)")
-    q = cycle.q
-    if u[0] + 1.0 - u[-1] < WRAP_KNOT_TOLERANCE * (u[-1] - u[-2]):
-        u, q = u[:-1], q[:-1]
-    # wrap the first sample to u0 + 1 to close the period
-    knots = np.concatenate([u, [u[0] + 1.0]])
-    vals = np.concatenate([q, [q[0]]])
-    grid = np.where(PHASE_GRID < u[0], PHASE_GRID + 1.0, PHASE_GRID)
+    # kept sample count -> (list position, phases, flows) of each cycle
+    groups: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    for pos, cycle in enumerate(cycles):
+        if cycle.n_samples < MIN_SAMPLES:
+            raise TooFewSamples(
+                f"cycle at {cycle.start:.0f} ms has {cycle.n_samples} samples, "
+                f"need >= {MIN_SAMPLES}"
+            )
+        u = (cycle.t - cycle.start) / cycle.rr
+        if (u[1:] <= u[:-1]).any() or u[0] < 0 or u[-1] >= 1:
+            raise ValueOutOfRange("cycle samples must lie strictly ordered within [start, end)")
+        q = cycle.q
+        if u[0] + 1.0 - u[-1] < WRAP_KNOT_TOLERANCE * (u[-1] - u[-2]):
+            u, q = u[:-1], q[:-1]
+        groups.setdefault(u.size, []).append((pos, u, q))
+    q32 = np.empty((len(cycles), GATED_FRAMES))
+    for group in groups.values():
+        at, u, q = zip(*group)
+        q32[list(at)] = _periodic_interp(np.stack(u), np.stack(q), mode)
+    return [
+        CanonicalCycle(q32=row, source_cycle_id=c.cycle_id, resp_label=c.resp_label, rr=c.rr)
+        for c, row in zip(cycles, q32)
+    ]
+
+
+def _periodic_interp(u: np.ndarray, q: np.ndarray, mode: str) -> np.ndarray:
+    """Period-1 interpolants through k cycles of m samples each, (k, m)
+    phases u strictly increasing within [u[:, 0], u[:, 0] + 1), evaluated
+    at PHASE_GRID: a (k, 32) array.
+
+    Each interval is a cubic Hermite piece given by its end values and end
+    slopes. "spline" takes the knot slopes of the periodic cubic spline:
+    C2 continuity at every knot, the wrap knot u[:, 0] + 1 included, is
+    one cyclic tridiagonal system per cycle (de Boor, A Practical Guide to
+    Splines), the system CubicSpline(bc_type="periodic") solves. "linear"
+    takes each interval's chord slope at both ends, which zeroes the
+    quadratic and cubic terms.
+    """
+    k, m = u.shape
+    dx = np.diff(u, axis=1, append=u[:, :1] + 1.0)
+    chord = np.diff(q, axis=1, append=q[:, :1]) / dx
     if mode == "spline":
-        q32 = CubicSpline(knots, vals, bc_type="periodic")(grid)
+        # knot i joins interval i - 1 and interval i:
+        # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+        #   = 3 (dx[i] chord[i-1] + dx[i-1] chord[i]), indices mod m
+        dx_prev = np.roll(dx, 1, axis=1)
+        i = np.arange(m)
+        a = np.zeros((k, m, m))
+        a[:, i, i] = 2 * (dx_prev + dx)
+        a[:, i, i - 1] = dx
+        a[:, i, (i + 1) % m] = dx_prev
+        b = 3 * (dx * np.roll(chord, 1, axis=1) + dx_prev * chord)
+        left = np.linalg.solve(a, b[..., None])[..., 0]
+        right = np.roll(left, -1, axis=1)
     else:
-        q32 = np.interp(grid, knots, vals)
-    return CanonicalCycle(
-        q32=q32, source_cycle_id=cycle.cycle_id, resp_label=cycle.resp_label, rr=rr
-    )
+        left = right = chord
+    # power-basis coefficients of each piece in s = x - knot
+    t = (left + right - 2 * chord) / dx
+    cubic = t / dx
+    quad = (chord - left) / dx - t
+
+    grid = np.where(PHASE_GRID < u[:, :1], PHASE_GRID + 1.0, PHASE_GRID)
+    # interval j holds knots[j] <= x < knots[j + 1]
+    j = np.count_nonzero(u[:, None, :] <= grid[:, :, None], axis=2) - 1
+
+    def at(c):
+        return np.take_along_axis(c, j, axis=1)
+
+    s = grid - at(u)
+    z = s * s
+    return at(q) + at(left) * s + at(quad) * z + at(cubic) * (z * s)
 
 
 def build_ensembles(cycles: list[CanonicalCycle]) -> EnsembleCurves:

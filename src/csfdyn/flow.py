@@ -21,7 +21,7 @@ from .velocity import PixelMoments, pixel_moments
 class FlowSamples:
     """Flow waveform over the original frame clock.
 
-    timestamps ms, q mL/s, pixel_area mm^2.
+    timestamps ms (strictly increasing), q mL/s, pixel_area mm^2.
     """
 
     timestamps: np.ndarray
@@ -35,6 +35,8 @@ class FlowSamples:
         self.q = np.asarray(self.q, dtype=np.float64)
         if self.timestamps.shape != self.q.shape or self.timestamps.ndim != 1:
             raise ValueError("timestamps and q must be 1D and the same length")
+        if not np.all(np.diff(self.timestamps) > 0):
+            raise ValueError("timestamps must be strictly increasing")
 
 
 def extract_flow(series: VelocitySeries, roi: RoiMask) -> FlowSamples:

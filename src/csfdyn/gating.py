@@ -426,13 +426,16 @@ def label_cycles(
             f"[{onsets[0]:g}, {onsets[-1]:g}] ms"
         )
     t = flow.timestamps
+    # flow timestamps strictly increase, so cycle k holds samples
+    # cut[k] <= i < cut[k + 1], exactly those with start <= t < end
+    cut = np.searchsorted(t, onsets)
+    insp_all = phases.label_at(t)
     cycles: list[LabeledCycle] = []
-    for start, end in zip(onsets[:-1], onsets[1:]):
+    for start, end, lo, hi in zip(onsets[:-1], onsets[1:], cut[:-1], cut[1:]):
         rr = end - start
         if not boundaries.min_rr <= rr <= boundaries.max_rr:
             continue
-        sel = (t >= start) & (t < end)
-        n_samp = int(sel.sum())
+        n_samp = int(hi - lo)
         if n_samp == 0:
             continue
         if not 4 <= n_samp <= 24:
@@ -441,15 +444,14 @@ def label_cycles(
                 f"roughly 8-12 for EPI-PC timing",
                 stacklevel=2,
             )
-        insp = phases.label_at(t[sel])
-        frac = float(insp.mean())
+        frac = float(insp_all[lo:hi].mean())
         cycles.append(
             LabeledCycle(
                 cycle_id=len(cycles),
                 start=float(start),
                 end=float(end),
-                t=t[sel],
-                q=flow.q[sel],
+                t=t[lo:hi],
+                q=flow.q[lo:hi],
                 resp_label=resp_label_for(frac),
                 inspiration_fraction=frac,
             )

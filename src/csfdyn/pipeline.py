@@ -12,12 +12,14 @@ import numpy as np
 
 from .ensemble import (
     INTERP_MODES,
+    MIN_SAMPLES,
     CanonicalCycle,
     EnsembleCurves,
     build_ensembles,
-    resample_cycle,
+    resample_cycle,  # noqa: F401 -- bench/spans.py looks it up in this module
+    resample_cycles,
 )
-from .errors import CsfdynError, InputError, InvalidSpec, TooFewSamples
+from .errors import CsfdynError, InputError, InvalidSpec
 from .flow import FlowSamples, extract_flow, refine_roi, seed_reference
 from .gating import (
     DEFAULT_HYSTERESIS,
@@ -271,17 +273,18 @@ def process_subject(
                          params.hysteresis)
         cycles = _staged("gating", label_cycles, boundaries, phases, flow)
 
-        canonical = []
+        usable = []
         for cyc in cycles:
-            try:
-                canonical.append(resample_cycle(cyc, params.interp))
-            except TooFewSamples:
+            if cyc.n_samples < MIN_SAMPLES:
                 n_skipped += 1
                 warnings.warn(
                     f"cycle at {cyc.start:.0f} ms dropped: {cyc.n_samples} samples "
                     f"cannot support resampling",
                     stacklevel=2,
                 )
+            else:
+                usable.append(cyc)
+        canonical = resample_cycles(usable, params.interp)
     curves = _staged("ensemble", build_ensembles, canonical)
 
     sv: dict[str, SvReport] = {}

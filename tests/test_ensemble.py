@@ -1,7 +1,10 @@
 """Cycle resampling onto the 32-point grid and ensemble averaging."""
 
+import re
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from csfdyn import (
     PHASE_GRID,
@@ -11,6 +14,7 @@ from csfdyn import (
     RespLabel,
     build_ensembles,
     resample_cycle,
+    resample_cycles,
 )
 from csfdyn.ensemble import WRAP_KNOT_TOLERANCE
 from csfdyn.errors import EmptyEnsemble, TooFewSamples, ValueOutOfRange
@@ -122,6 +126,81 @@ class TestResample:
         out = resample_cycle(make_cycle(t, q, start=0.0, end=rr))
         short = resample_cycle(make_cycle(t[:13], q[:13], start=0.0, end=rr))
         assert np.array_equal(out.q32, short.q32) == dropped
+
+
+def oracle_q32(cycle, mode="spline"):
+    """The per-cycle interpolation resample_cycles batches: CubicSpline
+    (or np.interp) through the samples and the wrap knot, with a last
+    sample within WRAP_KNOT_TOLERANCE steps of the wrap knot dropped."""
+    u = (cycle.t - cycle.start) / cycle.rr
+    q = cycle.q
+    if u[0] + 1.0 - u[-1] < WRAP_KNOT_TOLERANCE * (u[-1] - u[-2]):
+        u, q = u[:-1], q[:-1]
+    knots, vals = np.append(u, u[0] + 1.0), np.append(q, q[0])
+    grid = np.where(PHASE_GRID < u[0], PHASE_GRID + 1.0, PHASE_GRID)
+    if mode == "linear":
+        return np.interp(grid, knots, vals)
+    return CubicSpline(knots, vals, bc_type="periodic")(grid)
+
+
+def random_cycles(rng, n_cycles=60):
+    """Cycles of 4-24 jittered samples at random onsets and RRs, then
+    cycles whose last sample lies 0.9 and 1.1 WRAP_KNOT_TOLERANCE sample
+    steps before the wrap knot (just inside and just outside it)."""
+    cycles = []
+    for cid in range(n_cycles):
+        n = int(rng.integers(4, 25))
+        rr = float(rng.uniform(600.0, 1400.0))
+        start = float(rng.uniform(0.0, 5000.0))
+        u = (np.arange(n) + rng.uniform(0.3, 0.4) + rng.uniform(-0.25, 0.25, n)) / n
+        cycles.append(make_cycle(start + u * rr, rng.normal(0.0, 2.0, n),
+                                 start=start, end=start + rr, cid=cid))
+    for steps in (0.9, 1.1):
+        for n in (4, 9, 13, 24):
+            dt = 88.0
+            rr = (n - 1) * dt + steps * WRAP_KNOT_TOLERANCE * dt
+            cycles.append(make_cycle(np.arange(n) * dt, rng.normal(0.0, 2.0, n),
+                                     start=0.0, end=rr, cid=len(cycles)))
+    return cycles
+
+
+class TestResampleCycles:
+    @pytest.mark.parametrize("mode", ["spline", "linear"])
+    def test_matches_per_cycle_oracle(self, rng, mode):
+        cycles = random_cycles(rng)
+        out = resample_cycles(cycles, mode)
+        assert len({c.n_samples for c in cycles}) > 10
+        assert [o.source_cycle_id for o in out] == [c.cycle_id for c in cycles]
+        for cyc, got in zip(cycles, out):
+            bound = 1e-12 * np.max(np.abs(cyc.q))
+            assert np.max(np.abs(got.q32 - oracle_q32(cyc, mode))) <= bound
+            assert got.rr == cyc.rr and got.resp_label is cyc.resp_label
+
+    @pytest.mark.parametrize("mode", ["spline", "linear"])
+    def test_bit_identical_alone_batched_and_permuted(self, rng, mode):
+        cycles = random_cycles(rng)
+        batch = [c.q32 for c in resample_cycles(cycles, mode)]
+        order = rng.permutation(len(cycles))
+        permuted = resample_cycles([cycles[k] for k in order], mode)
+        for k, got in zip(order, permuted):
+            assert np.array_equal(got.q32, batch[k])
+        for cyc, q32 in zip(cycles, batch):
+            assert np.array_equal(resample_cycle(cyc, mode).q32, q32)
+
+    def test_first_bad_cycle_refuses(self, rng):
+        good = random_cycles(rng, n_cycles=3)[:3]
+        few = make_cycle([0.0, 100.0, 200.0], np.zeros(3), start=0.0, end=800.0)
+        late = make_cycle(np.arange(8) * 100.0, np.zeros(8), start=0.0, end=700.0)
+        for batch, bad in ((good + [few, late], few), (good + [late, few], late)):
+            with pytest.raises((TooFewSamples, ValueOutOfRange)) as alone:
+                resample_cycle(bad)
+            with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+                resample_cycles(batch)
+        with pytest.raises(ValueOutOfRange):
+            resample_cycles(good, mode="cubic")
+
+    def test_empty_list(self):
+        assert resample_cycles([]) == []
 
 
 class TestBuildEnsembles:

@@ -5,6 +5,7 @@ import pytest
 
 from csfdyn import (
     Encoding,
+    FlowSamples,
     PipelineParams,
     RoiLabel,
     RoiMask,
@@ -64,6 +65,13 @@ class TestExtractFlow:
         f = make_field(frames)
         flow = extract_flow(f, roi(4, 4, 0, 0))
         assert np.allclose(flow.timestamps, [0.0, 88.0, 176.0])
+
+    @pytest.mark.parametrize("t", [[0.0, 88.0, 88.0, 176.0], [0.0, 176.0, 88.0, 264.0],
+                                   [0.0, np.nan, 176.0, 264.0]])
+    def test_timestamps_must_increase(self, t):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FlowSamples(timestamps=t, q=np.zeros(4), roi_label=RoiLabel.AQUEDUCT,
+                        pixel_area=1.44, n_roi_pixels=9)
 
     def test_grid_mismatch(self):
         f = make_field(np.zeros((3, 4, 4)) + 0.1)

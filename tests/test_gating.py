@@ -1,10 +1,12 @@
 """Cardiac self-gating, plethysmograph gating, respiratory labeling."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import csfdyn
 from csfdyn import (
     CycleBoundaries,
     FlowSamples,
@@ -28,7 +30,7 @@ from csfdyn.errors import (
     ValueOutOfRange,
     WrongKind,
 )
-from csfdyn.gating import _merge_short_runs
+from csfdyn.gating import _merge_short_runs, resp_label_for
 
 
 def make_flow(q, dt=88.0, t0=0.0, area=1.44):
@@ -312,3 +314,52 @@ class TestLabelCycles:
         got = np.concatenate([c.q for c in cycles])
         sel = (flow.timestamps >= 0) & (flow.timestamps < 8000.0)
         assert np.array_equal(got, flow.q[sel])
+
+    @staticmethod
+    def mask_cut(boundaries, phases, flow):
+        """label_cycles with a full-length boolean mask per cycle: the
+        reference the searchsorted cut must reproduce bit for bit."""
+        t = flow.timestamps
+        out = []
+        for start, end in zip(boundaries.onsets[:-1], boundaries.onsets[1:]):
+            if not boundaries.min_rr <= end - start <= boundaries.max_rr:
+                continue
+            sel = (t >= start) & (t < end)
+            if not sel.any():
+                continue
+            frac = float(phases.label_at(t[sel]).mean())
+            out.append((len(out), float(start), float(end), t[sel], flow.q[sel],
+                        resp_label_for(frac), frac))
+        return out
+
+    def assert_same_cut(self, boundaries, phases, flow):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = label_cycles(boundaries, phases, flow)
+        want = self.mask_cut(boundaries, phases, flow)
+        assert len(got) == len(want) > 0
+        for c, (cid, start, end, t, q, label, frac) in zip(got, want):
+            assert (c.cycle_id, c.start, c.end, c.resp_label) == (cid, start, end, label)
+            assert c.inspiration_fraction == frac
+            assert np.array_equal(c.t, t) and np.array_equal(c.q, q)
+
+    def test_cut_matches_mask_on_jittered_phantom(self):
+        base = csfdyn.default_aqueduct_spec()
+        spec = replace(
+            base, seed=5,
+            grid=replace(base.grid, width=24, height=24),
+            lumen=replace(base.lumen, center_row=12.0, center_col=12.0),
+            cardiac=replace(base.cardiac, rr_jitter_sd=0.05 * base.cardiac.rr_mean),
+            acquisition=replace(base.acquisition, duration=60000.0),
+        )
+        ds = csfdyn.generate(spec)
+        r = csfdyn.process_subject(ds.series, ds.lumen, static=ds.static, belt=ds.belt)
+        self.assert_same_cut(r.boundaries, r.phases, r.flow)
+
+    def test_cut_matches_mask_with_onsets_on_frame_times(self, rng):
+        t, q = pulse_train(n_cycles=10)
+        flow = make_flow(q)
+        # one 176 ms interval falls below min_rr and is skipped
+        at = [0, 11, 23, 34, 36, 47, 59, 70, 82, 93, 105]
+        phases = self.make_phases(rng.random(300) < 0.5)
+        self.assert_same_cut(self.make_boundaries(flow.timestamps[at]), phases, flow)

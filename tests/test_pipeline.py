@@ -141,6 +141,35 @@ class TestProcessSubject:
         recorded = sv[labels == "INSPIRATION"].mean() / sv[labels == "EXPIRATION"].mean() - 1.0
         assert r.modulation == pytest.approx(recorded, abs=0.02)
 
+    def test_cycles_under_four_samples_are_skipped(self):
+        # 300 ms frames over 1143 ms beats: every cycle holds 3 or 4 samples
+        base = csfdyn.default_aqueduct_spec()
+        spec = replace(
+            base, seed=3,
+            grid=replace(base.grid, width=24, height=24),
+            lumen=replace(base.lumen, center_row=12.0, center_col=12.0),
+            acquisition=replace(base.acquisition, frame_interval=300.0, duration=40000.0),
+        )
+        ds = csfdyn.generate(spec)
+        with pytest.warns(UserWarning) as record:
+            r = process_subject(ds.series, ds.lumen, static=ds.static, belt=ds.belt)
+        short = [c for c in r.cycles if c.n_samples < 4]
+        dropped = [w for w in record if "cannot support resampling" in str(w.message)]
+        assert 0 < len(short) < len(r.cycles)
+        assert [str(w.message) for w in dropped] == [
+            f"cycle at {c.start:.0f} ms dropped: {c.n_samples} samples cannot support "
+            f"resampling" for c in short
+        ]
+        # stacklevel 2 attributes each warning to process_subject's caller
+        assert {w.filename for w in dropped} == {__file__}
+        assert r.n_skipped_cycles == len(short)
+        assert [c.source_cycle_id for c in r.canonical] == [
+            c.cycle_id for c in r.cycles if c.n_samples >= 4
+        ]
+        report = result_to_report(r, "test", {})
+        assert report["ensembles"]["n_skipped"] == len(short)
+        assert report["ensembles"]["n_global"] == len(r.cycles) - len(short)
+
 
 def converted(series):
     if series.header.encoding is Encoding.PHASE_RADIANS:
