@@ -438,7 +438,9 @@ def label_cycles(
         n_samp = int(hi - lo)
         if n_samp == 0:
             continue
-        if not 4 <= n_samp <= 24:
+        # a cycle under ensemble.MIN_SAMPLES is warned about once, where
+        # process_subject drops it
+        if n_samp > 24:
             warnings.warn(
                 f"cycle at {start:.0f} ms holds {n_samp} samples; expected "
                 f"roughly 8-12 for EPI-PC timing",

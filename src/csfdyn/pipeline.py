@@ -54,7 +54,6 @@ from .metrics import (
     sv_modulation,
 )
 from .velocity import (
-    PixelMoments,
     as_velocity_field,
     background_correct,
     check_static_mask,
@@ -66,8 +65,6 @@ from .velocity import (
 
 GATES = ("flow", "plethysmo")
 UNITS = ("auto",) + tuple(u.value for u in VolumeUnit)  # auto: uL for AQUEDUCT, mL otherwise
-#: pixel-frames per strip of wrapped pixels in _moments: 32 MB in float64
-_STRIP_VALUES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -149,34 +146,6 @@ def _velocity(series: VelocitySeries, params: PipelineParams) -> VelocitySeries:
     return _staged("velocity", unwrap_temporal, vel, params.anchor)
 
 
-def _moments(
-    series: VelocitySeries, pixels: np.ndarray, params: PipelineParams,
-    ref: np.ndarray | None = None,
-) -> PixelMoments:
-    """Moments of the unwrapped velocities of the given pixels: one
-    streamed pass over series, after which only the pixels it flags as
-    wrapped are gathered, unwrapped and their moments taken again.
-
-    The flagged pixels go through in strips of at most _STRIP_VALUES
-    pixel-frames, so memory stays bounded however many are flagged (at
-    high phase noise nearly all are); each pixel is unwrapped and summed
-    on its own, so the strips' split does not change any value."""
-    moments = pixel_moments(series, pixels, params.flip_sign, ref)
-    flagged = np.flatnonzero(moments.wrapped)
-    rows, cols = np.unravel_index(np.flatnonzero(pixels)[flagged], pixels.shape)
-    step = max(1, _STRIP_VALUES // series.header.n_frames)
-    for b in range(0, flagged.size, step):
-        at = flagged[b : b + step]
-        frames = series.frames[:, rows[b : b + step], cols[b : b + step]]
-        strip = VelocitySeries(replace(series.header, height=1, width=at.size),
-                               frames[:, None, :])
-        fixed = pixel_moments(_velocity(strip, params), np.ones((1, at.size), bool), ref=ref)
-        moments.mean[at], moments.m2[at] = fixed.mean, fixed.m2
-        if ref is not None:
-            moments.cross[at] = fixed.cross
-    return moments
-
-
 def _box_velocity(
     series: VelocitySeries, roi: RoiMask, params: PipelineParams
 ) -> tuple[VelocitySeries, RoiMask]:
@@ -198,11 +167,12 @@ def prepare_velocity(
     and ROI refinement when refine_threshold is set.
 
     The static offset, and refinement's correlation of every pixel with
-    the seed ROI's mean velocity, come from per-pixel moments taken in one
-    streamed pass over series (_moments). Velocities are computed for the
-    final ROI's bounding box only, and the offset is subtracted from the
-    box alone. Returns the box velocities, the final ROI on the box's
-    grid, and the offset.
+    the seed ROI's mean velocity, come from the moments of the unwrapped
+    velocities, taken in one streamed pass over series (pixel_moments),
+    wrapped pixels included. Velocities are computed for the final ROI's
+    bounding box only, and the offset is subtracted from the box alone.
+    Returns the box velocities, the final ROI on the box's grid, and the
+    offset.
     """
     if static is not None:
         _staged("velocity", check_static_mask, static, series.header)
@@ -211,14 +181,16 @@ def prepare_velocity(
     moments = None
     if params.refine_threshold is not None:
         grid = np.ones(roi.pixels.shape, dtype=bool)
-        moments = _moments(series, grid, params, seed_reference(vel, box_roi))
+        moments = pixel_moments(series, grid, params.flip_sign, seed_reference(vel, box_roi),
+                                params.anchor)
         roi = _staged("flow", refine_roi, moments, roi, params.refine_threshold)
         vel, box_roi = _box_velocity(series, roi, params)
     offset = None
     if static is not None:
         # when refining, the static pixels' moments are part of the grid's
-        static_moments = (_moments(series, static.pixels, params) if moments is None
-                          else moments.subset(static.pixels))
+        static_moments = (
+            pixel_moments(series, static.pixels, params.flip_sign, anchor=params.anchor)
+            if moments is None else moments.subset(static.pixels))
         vel, offset = _staged("velocity", background_correct, vel, static_moments)
     return vel, box_roi, offset
 

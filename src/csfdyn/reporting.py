@@ -102,15 +102,6 @@ class SvgCanvas:
         span = self.H - self.MARGIN_T - self.MARGIN_B
         return self.H - self.MARGIN_B - (y - self.y0) / (self.y1 - self.y0) * span
 
-    def hline(self, y: float, color: str = "#888888", dash: bool = False) -> None:
-        sy = _fmt(self._sy(y))
-        dash_attr = ' stroke-dasharray="6,4"' if dash else ""
-        self.body.append(
-            f'<line x1="{_fmt(self.MARGIN_L)}" y1="{sy}" '
-            f'x2="{_fmt(self.W - self.MARGIN_R)}" y2="{sy}" '
-            f'stroke="{color}" stroke-width="1"{dash_attr}/>'
-        )
-
     def line(self, p0: tuple, p1: tuple, color: str = "#888888", dash: bool = False) -> None:
         dash_attr = ' stroke-dasharray="6,4"' if dash else ""
         self.body.append(
@@ -211,7 +202,7 @@ def write_curves_svg(path, curves, title: str, unit_label: str = "mL/s") -> None
     phase = np.arange(n, dtype=np.float64) / n
     canvas = SvgCanvas(title, "cardiac phase", f"flow ({unit_label})",
                        (0.0, 1.0), (lo - pad, hi + pad))
-    canvas.hline(0.0, "#888888", dash=True)
+    canvas.line((canvas.x0, 0.0), (canvas.x1, 0.0), "#888888", dash=True)
     entries = [("global", "#555555")]
     canvas.polyline(phase, curves.global_mean, "#555555", 1.5)
     if curves.insp_mean is not None:

@@ -11,15 +11,13 @@ of the whole grid.
 The pipeline relies on that. It reads the float32 input once, in chunks
 of 64 frames, through ``pixel_moments``: each pixel's mean, centred sum
 of squares and (when refining the ROI) cross moment with the seed's
-time course, converted to velocity on the fly, with no full-size array
-built. Only the pixels that pass flags as wrapped are gathered,
-converted and unwrapped, a bounded strip at a time, and their moments
-taken again. That pays off while few pixels wrap; at 0.8 rad of phase
-noise nearly every pixel has a step beyond venc, and the wrapped strips
-are then most of the work. The static
-offset, the StaticTissueWarning and the refinement's correlation map
-come from those moments; full velocity maps are computed only for the
-bounding box of the final ROI.
+time course, of the velocities converted and unwrapped on the fly, with
+no full-size array built. The unwrap carries each pixel's wrap count
+from chunk to chunk; it counts wraps only in the pixels that step beyond
+venc, and shifts only blocks that hold such a pixel or a carried count.
+The static offset, the StaticTissueWarning and the refinement's
+correlation map come from those moments; full velocity maps are
+computed only for the bounding box of the final ROI.
 """
 
 from __future__ import annotations
@@ -81,6 +79,11 @@ def as_velocity_field(series: VelocitySeries) -> VelocitySeries:
     return VelocitySeries(series.header, series.frames.astype(np.float64))
 
 
+def _check_anchor(anchor: int, n: int) -> None:
+    if not 0 <= anchor < n:
+        raise ValueOutOfRange(f"anchor frame {anchor} outside 0..{n - 1}")
+
+
 def unwrap_temporal(series: VelocitySeries, anchor: int = 0) -> VelocitySeries:
     """Undo phase-wrap aliasing by scanning each pixel in time.
 
@@ -93,10 +96,8 @@ def unwrap_temporal(series: VelocitySeries, anchor: int = 0) -> VelocitySeries:
     idempotent. A velocity that is constantly aliased (no jump ever) is
     left as is; that ambiguity cannot be resolved from one series.
     """
-    n = series.header.n_frames
-    if not 0 <= anchor < n:
-        raise ValueOutOfRange(f"anchor frame {anchor} outside 0..{n - 1}")
-    venc = series.header.venc
+    n, venc = series.header.n_frames, series.header.venc
+    _check_anchor(anchor, n)
     v = series.frames
     # pixels with any jump beyond venc, found a chunk of frames at a time
     # so that no full-size diff is built
@@ -108,15 +109,20 @@ def unwrap_temporal(series: VelocitySeries, anchor: int = 0) -> VelocitySeries:
     out = v.astype(np.float64, order="K")
     if wrapped.any():
         w = v[:, wrapped]
-        d = np.diff(w, axis=0)
-        # wrap count per step; 0 whenever |jump| <= venc
-        k = np.zeros_like(d)
-        jumps = (d > venc) | (d < -venc)
-        k[jumps] = np.sign(d[jumps]) * np.ceil((np.abs(d[jumps]) - venc) / (2.0 * venc))
+        k = _wrap_counts(np.diff(w, axis=0), venc)
         cum = np.concatenate([np.zeros((1, w.shape[1])), np.cumsum(k, axis=0)], axis=0)
         offsets = -2.0 * venc * (cum - cum[anchor])
         out[:, wrapped] = w + offsets
     return VelocitySeries(series.header, out)
+
+
+def _wrap_counts(d: np.ndarray, venc: float) -> np.ndarray:
+    """Wraps at each frame-to-frame step d: the signed number of 2*venc
+    turns that bring d back within [-venc, venc], 0 wherever it lies so."""
+    k = np.zeros_like(d)
+    jumps = (d > venc) | (d < -venc)
+    k[jumps] = np.sign(d[jumps]) * np.ceil((np.abs(d[jumps]) - venc) / (2.0 * venc))
+    return k
 
 
 @dataclass(frozen=True)
@@ -125,24 +131,21 @@ class PixelMoments:
     in row-major mask order.
 
     mean and m2 (the centred sum of squares) are in cm/s and (cm/s)^2;
-    wrapped marks the pixels with a frame-to-frame step beyond venc; cross
-    is the sum over frames of ref times the pixel, when a reference time
-    course ref was given.
+    cross is the sum over frames of ref times the pixel, when a reference
+    time course ref was given.
     """
 
     pixels: np.ndarray
     n_frames: int
     mean: np.ndarray
     m2: np.ndarray
-    wrapped: np.ndarray
     ref: np.ndarray | None = None
     cross: np.ndarray | None = None
 
     def subset(self, mask: np.ndarray) -> PixelMoments:
         """The moments of the pixels of mask, which must lie within pixels."""
         at = mask[self.pixels]
-        return PixelMoments(mask, self.n_frames, self.mean[at], self.m2[at],
-                            self.wrapped[at], self.ref,
+        return PixelMoments(mask, self.n_frames, self.mean[at], self.m2[at], self.ref,
                             None if self.cross is None else self.cross[at])
 
 
@@ -151,63 +154,94 @@ def pixel_moments(
     pixels: np.ndarray,
     flip_sign: bool = False,
     ref: np.ndarray | None = None,
+    anchor: int = 0,
 ) -> PixelMoments:
-    """Per-pixel moments of the velocities phase_to_velocity (or
-    as_velocity_field) would give for the pixels of series that the
-    boolean grid pixels selects, negated when flip_sign is set.
+    """Per-pixel moments, equal to the bit to those of the float64 series
+    that phase_to_velocity (or as_velocity_field), negation when flip_sign
+    is set, and unwrap_temporal(..., anchor) give, for the pixels that the
+    boolean grid pixels selects.
 
     One pass over chunks of _CHUNK frames: each chunk is converted to
-    float64 a block of pixels at a time, and its mean and centred sum of
-    squares are merged into the running ones (Chan, Golub & LeVeque 1983).
-    A pixel that never changes gets m2 = 0 exactly. Every sum runs down
-    one pixel's column in frame order, so a pixel's moments do not depend
-    on which other pixels are in the call.
+    float64 a block of pixels at a time and unwrapped, and its mean and
+    centred sum of squares are merged into the running ones (Chan, Golub
+    & LeVeque 1983). Each pixel's wraps since the anchor frame (counted
+    first over frames 0..anchor) are carried from chunk to chunk; they
+    are counted only in the pixels that step beyond venc, and a block is
+    shifted only when it holds such a pixel or carried wraps. A pixel
+    whose unwrapped velocity never changes gets m2 = 0 exactly. Every sum
+    runs down one pixel's column in frame order, so a pixel's moments do
+    not depend on which other pixels are in the call.
     """
     n, venc = series.header.n_frames, series.header.venc
+    _check_anchor(anchor, n)
     scale = -_to_cmps(series.header) if flip_sign else _to_cmps(series.header)
     idx = np.flatnonzero(pixels)
-    mean, m2, cross, last = (np.zeros(idx.size) for _ in range(4))
-    wrapped, varies = np.zeros(idx.size, dtype=bool), np.zeros(idx.size, dtype=bool)
+    # last: each pixel's last frame so far, converted; prev: the same,
+    # unwrapped; wraps: its wraps since the anchor frame at that frame
+    mean, m2, cross, last, prev, wraps = (np.zeros(idx.size) for _ in range(6))
+    varies = np.zeros(idx.size, dtype=bool)
     x = np.empty((_CHUNK, max(min(idx.size, _BLOCK), 2)))
     tmp = np.empty_like(x)
-    for start in range(0, n, _CHUNK):
-        chunk = series.frames[start : start + _CHUNK]
-        m = chunk.shape[0]
-        chunk = chunk.reshape(m, -1)
-        for b in range(0, idx.size, _BLOCK):
-            cols = idx[b : b + _BLOCK]
-            k = cols.size
-            at = slice(b, b + k)
-            # numpy sums a lone column pairwise but two or more columns frame
-            # by frame, so a pixel alone in its block is summed as two columns
-            cols = np.resize(cols, max(k, 2))
-            contiguous = cols[-1] - cols[0] == cols.size - 1
-            block = chunk[:, cols[0] : cols[-1] + 1] if contiguous else chunk[:, cols]
-            xb, tb = x[:m, : cols.size], tmp[:m, : cols.size]
-            np.multiply(block, scale, out=xb, dtype=np.float64)
 
-            # steps, the first from the last frame of the previous chunk
-            np.subtract(xb[1:], xb[:-1], out=tb[1:])
-            np.subtract(xb[0], last[at], out=tb[0])
-            if start == 0:
-                tb[0] = 0.0
-            np.abs(tb, out=tb)
-            step = tb.max(axis=0)[:k]
-            wrapped[at] |= step > venc
-            varies[at] |= step > 0.0
-            last[at] = xb[-1, :k]
+    def blocks(stop: int):
+        """(start, at, xb, d, step) per block of pixels at and chunk of frames
+        from start, before stop: velocities, steps and largest |step|."""
+        for start in range(0, stop, _CHUNK):
+            chunk = series.frames[start : min(start + _CHUNK, stop)]
+            m = chunk.shape[0]
+            chunk = chunk.reshape(m, -1)
+            for b in range(0, idx.size, _BLOCK):
+                cols = idx[b : b + _BLOCK]
+                k = cols.size
+                at = slice(b, b + k)
+                # numpy sums a lone column pairwise but two or more columns frame
+                # by frame, so a pixel alone in its block is summed as two columns
+                cols = np.resize(cols, max(k, 2))
+                contiguous = cols[-1] - cols[0] == cols.size - 1
+                block = chunk[:, cols[0] : cols[-1] + 1] if contiguous else chunk[:, cols]
+                xb, d = x[:m, : cols.size], tmp[:m, : cols.size]
+                np.multiply(block, scale, out=xb, dtype=np.float64)
+                np.subtract(xb[1:], xb[:-1], out=d[1:])
+                np.subtract(xb[0], last[at] if start else xb[0], out=d[0])
+                last[at] = xb[-1, :k]
+                yield start, at, xb, d, np.maximum(d.max(axis=0), -d.min(axis=0))[:k]
 
-            if ref is not None:
-                np.multiply(xb, ref[start : start + m, None], out=tb)
-                cross[at] += tb.sum(axis=0)[:k]
-            chunk_mean = xb.sum(axis=0) / m
-            np.subtract(xb, chunk_mean, out=xb)
-            np.square(xb, out=xb)
-            delta = chunk_mean[:k] - mean[at]
-            mean[at] += delta * (m / (start + m))
-            m2[at] += xb.sum(axis=0)[:k] + delta * delta * (start * m / (start + m))
+    # wraps before the anchor count against it, so the anchor frame keeps its value
+    for _, at, _, d, step in blocks(anchor + 1) if anchor else ():
+        jumps = np.flatnonzero(step > venc)
+        wraps[at.start + jumps] -= _wrap_counts(d[:, jumps], venc).sum(axis=0)
+
+    for start, at, xb, d, step in blocks(n):
+        k, m, carried = step.size, xb.shape[0], wraps[at]
+        touched = (step > venc) | (carried != 0.0)
+        varies[at] |= (step > 0.0) & ~touched
+        if touched.any():
+            jumps = np.flatnonzero(step > venc)
+            # 2 venc off per wrap since the anchor, as in unwrap_temporal: a
+            # fixed offset for wraps carried in, a running one within the chunk
+            cum = np.cumsum(_wrap_counts(d[:, jumps], venc), axis=0) + carried[jumps]
+            unwrapped = xb[:, jumps] + -2.0 * venc * cum
+            xb[:, :k] += -2.0 * venc * carried
+            xb[:, jumps] = unwrapped
+            carried[jumps] = cum[-1]
+            # a pixel may step raw and yet hold still once unwrapped; one not
+            # yet seen to vary has held one value until now
+            todo = np.flatnonzero(touched & ~varies[at])
+            held = prev[at][todo] if start else xb[0, todo]
+            varies[at.start + todo] = (xb[:, todo] != held).any(axis=0)
+        prev[at] = xb[-1, :k]
+
+        if ref is not None:
+            np.multiply(xb, ref[start : start + m, None], out=d)
+            cross[at] += d.sum(axis=0)[:k]
+        chunk_mean = xb.sum(axis=0) / m
+        np.subtract(xb, chunk_mean, out=xb)
+        np.square(xb, out=xb)
+        delta = chunk_mean[:k] - mean[at]
+        mean[at] += delta * (m / (start + m))
+        m2[at] += xb.sum(axis=0)[:k] + delta * delta * (start * m / (start + m))
     m2[~varies] = 0.0
-    return PixelMoments(pixels, n, mean, m2, wrapped, ref, None if ref is None else cross)
+    return PixelMoments(pixels, n, mean, m2, ref, None if ref is None else cross)
 
 
 def check_static_mask(mask: RoiMask, header: SeriesHeader) -> None:

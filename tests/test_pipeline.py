@@ -21,7 +21,6 @@ from csfdyn import (
 )
 from csfdyn.errors import DimensionMismatch, DivisionByZeroSv, InputError, InvalidSpec
 from csfdyn.phantom import AcquisitionSpec, RespSpec
-from csfdyn.velocity import pixel_moments
 
 
 class TestProcessSubject:
@@ -162,6 +161,9 @@ class TestProcessSubject:
         ]
         # stacklevel 2 attributes each warning to process_subject's caller
         assert {w.filename for w in dropped} == {__file__}
+        # each short cycle is warned about once, not also by label_cycles
+        for c in short:
+            assert sum(f"cycle at {c.start:.0f} ms " in str(w.message) for w in record) == 1
         assert r.n_skipped_cycles == len(short)
         assert [c.source_cycle_id for c in r.canonical] == [
             c.cycle_id for c in r.cycles if c.n_samples >= 4
@@ -212,10 +214,10 @@ def pearson_roi(frames, seed, threshold):
 
 
 class TestRoiFirstVelocity:
-    """The chain takes per-pixel moments in one streamed pass and computes
-    velocities only for the ROI's bounding box and the wrapped pixels; its
-    results must equal, to the bit, those of the velocity stage run over
-    the whole grid."""
+    """The chain takes per-pixel moments of the unwrapped velocities in one
+    streamed pass and computes velocities only for the ROI's bounding box;
+    its results must equal, to the bit, those of the velocity stage run
+    over the whole grid."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -268,19 +270,6 @@ class TestRoiFirstVelocity:
             assert (mine is None) == (theirs is None), name
             assert mine is None or np.array_equal(mine, theirs), name
 
-    def test_strips_of_wrapped_pixels_change_nothing(self, aliased, monkeypatch):
-        ds, _, static = aliased
-        params = PipelineParams(flip_sign=True, anchor=17, refine_threshold=0.5)
-        with pytest.warns(csfdyn.StaticTissueWarning):
-            vel, roi, offset = csfdyn.pipeline.prepare_velocity(ds.series, ds.lumen, static,
-                                                                params)
-        monkeypatch.setattr(csfdyn.pipeline, "_STRIP_VALUES", 1)  # a pixel per strip
-        with pytest.warns(csfdyn.StaticTissueWarning):
-            split = csfdyn.pipeline.prepare_velocity(ds.series, ds.lumen, static, params)
-        assert np.array_equal(vel.frames, split[0].frames)
-        assert np.array_equal(roi.pixels, split[1].pixels)
-        assert offset == split[2]
-
     def test_roi_on_another_grid_is_flow_refusal(self, aliased):
         ds, _, static = aliased
         roi = csfdyn.RoiMask(np.ones((8, 8), dtype=bool), RoiLabel.AQUEDUCT)
@@ -311,9 +300,9 @@ def peak_on_top(fn, *args, **kwargs):
 
 
 class TestPeakMemory:
-    """The velocity stage streams the input and converts only the ROI's box
-    and the wrapped pixels, a strip at a time, so what process_subject
-    allocates stays under half the input series."""
+    """The velocity stage streams the input, unwrapping as it goes, and
+    converts only the ROI's box, so what process_subject allocates stays
+    under half the input series, however many pixels wrap."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -336,11 +325,9 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("params", [PipelineParams(), PipelineParams(refine_threshold=0.7)],
                              ids=["static", "refine"])
-    def test_wrapped_pixels_go_a_strip_at_a_time(self, noisy, params, monkeypatch):
-        moments = pixel_moments(noisy.series, noisy.static.pixels)
-        assert moments.wrapped.mean() > 0.8
-        # 1 MB strips: the peak holds a few strips, not every wrapped pixel
-        monkeypatch.setattr(csfdyn.pipeline, "_STRIP_VALUES", 1 << 17)
+    def test_peak_with_wrapped_pixels(self, noisy, params):
+        phase = noisy.series.frames[:, noisy.static.pixels]
+        assert (np.abs(np.diff(phase, axis=0)) > np.pi).any(axis=0).mean() > 0.8
         size = noisy.series.frames.nbytes
         # the noise also leaves too little pulse to detect cycles, and the
         # static tissue varies by 25% of venc, so only the velocity stage runs

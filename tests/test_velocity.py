@@ -188,7 +188,8 @@ def test_unwrap_of_crop_is_crop_of_unwrap(case):
 def moment_case(draw):
     """A series of 1, 2, 64, 65 or 129 frames whose pixels may or may not
     hold a step beyond venc, a pixel subset, a sign, an optional
-    reference time course and a block size for pixel_moments."""
+    reference time course, an anchor frame and a block size for
+    pixel_moments."""
     n = draw(st.sampled_from([1, 2, 64, 65, 129]))
     h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     encoding = draw(st.sampled_from(list(Encoding)))
@@ -202,37 +203,48 @@ def moment_case(draw):
     header = make_header(venc=5.0, n_frames=n, w=w, h=h, encoding=encoding)
     ref = rng.normal(0.0, 1.0, n) if draw(st.booleans()) else None
     return (VelocitySeries(header, frames.astype(dtype)), rng.random((h, w)) < 0.5,
-            draw(st.booleans()), ref, draw(st.sampled_from([1, 2, 3, 4096])))
+            draw(st.booleans()), ref, draw(st.integers(0, n - 1)),
+            draw(st.sampled_from([1, 2, 3, 4096])))
 
 
 @settings(deadline=None)
 @given(moment_case())
 def test_moments_of_subset_are_subset_of_moments(case):
     """A pixel's moments do not depend on the other pixels of the call, so
-    the pipeline may take them for any pixel set and get the same bits."""
-    series, subset, flip_sign, ref, block = case
+    the pipeline may take them for any pixel set and get the same bits;
+    they are the moments of unwrap_temporal's output."""
+    series, subset, flip_sign, ref, anchor, block = case
     with mock.patch.object(velocity, "_BLOCK", block):
-        whole = pixel_moments(series, np.ones(subset.shape, dtype=bool), flip_sign, ref)
-        part = pixel_moments(series, subset, flip_sign, ref)
+        whole = pixel_moments(series, np.ones(subset.shape, dtype=bool), flip_sign, ref,
+                              anchor)
+        part = pixel_moments(series, subset, flip_sign, ref, anchor)
     picked = whole.subset(subset)
-    for name in ("mean", "m2", "wrapped", "cross"):
+    for name in ("mean", "m2", "cross"):
         mine, theirs = getattr(part, name), getattr(picked, name)
         assert (mine is None) == (theirs is None), name
         assert mine is None or mine.tobytes() == theirs.tobytes(), name
 
     if series.header.encoding is Encoding.PHASE_RADIANS:
-        v = phase_to_velocity(series).frames
+        v = phase_to_velocity(series)
     else:
-        v = as_velocity_field(series).frames
-    v = (-v if flip_sign else v).reshape(v.shape[0], -1)
+        v = as_velocity_field(series)
+    v = unwrap_temporal(VelocitySeries(v.header, -v.frames if flip_sign else v.frames), anchor)
+    v = v.frames.reshape(v.frames.shape[0], -1)
     n, big = v.shape[0], np.abs(v).max()
     np.testing.assert_allclose(whole.mean, v.mean(axis=0), rtol=1e-12, atol=1e-12 * big)
     np.testing.assert_allclose(whole.m2, v.var(axis=0) * n, rtol=1e-12,
                                atol=1e-12 * n * big**2)
-    assert np.array_equal(whole.wrapped, (np.abs(np.diff(v, axis=0)) > 5.0).any(axis=0))
     if ref is not None:
         np.testing.assert_allclose(whole.cross, (ref[:, None] * v).sum(axis=0), rtol=1e-12,
                                    atol=1e-12 * n * big * np.abs(ref).max())
+
+
+def test_moments_refuse_anchor_out_of_range():
+    header = make_header(n_frames=5, w=1, h=1, encoding=Encoding.VELOCITY_CMPS)
+    series = VelocitySeries(header, np.zeros((5, 1, 1)))
+    for anchor in (-1, 5):
+        with pytest.raises(ValueOutOfRange):
+            pixel_moments(series, np.ones((1, 1), dtype=bool), anchor=anchor)
 
 
 def test_constant_pixel_has_zero_m2():
@@ -242,6 +254,24 @@ def test_constant_pixel_has_zero_m2():
                             np.ones((1, 1), dtype=bool))
     assert moments.m2.tolist() == [0.0]
     assert moments.mean[0] == pytest.approx(0.1, rel=1e-15)
+
+
+def test_pixel_varies_by_its_unwrapped_steps():
+    # -7.7 is 2.3 wrapped once at venc 5, and -7.7 + 10 gives 2.3 to the
+    # bit. The first pixel steps raw but not once unwrapped, and 2.3 summed
+    # over a chunk does not divide back to 2.3 exactly. The second holds
+    # 2.3 unwrapped through the first chunk of 64 frames and steps to 5.0
+    # only across the chunk boundary, where its raw step is within venc.
+    header = make_header(venc=5.0, n_frames=200, w=2, h=1, encoding=Encoding.VELOCITY_CMPS)
+    frames = np.full((200, 1, 2), -7.7)
+    frames[::2, 0, 0] = 2.3
+    frames[0, 0, 1] = 2.3
+    frames[64:, 0, 1] = -5.0
+    moments = pixel_moments(VelocitySeries(header, frames), np.ones((1, 2), dtype=bool))
+    v = np.where(np.arange(200) < 64, 2.3, 5.0)
+    assert moments.m2[0] == 0.0
+    assert moments.m2[1] == pytest.approx(((v - v.mean()) ** 2).sum(), rel=1e-12)
+    assert moments.mean.tolist() == pytest.approx([2.3, v.mean()], rel=1e-15)
 
 
 class TestBackgroundCorrect:
