@@ -6,6 +6,9 @@ incompatible geometry, bad parameters; CLI exit code 2) and
 e.g. too few cardiac cycles; CLI exit code 3).
 """
 
+import sys
+import warnings
+
 
 class CsfdynError(Exception):
     """Base class for all csfdyn errors.
@@ -119,3 +122,13 @@ class AllZeroDifferences(ProcessingRefusal):
 
 class DivisionByZeroSv(ProcessingRefusal):
     """Modulation is undefined because the reference stroke volume is zero."""
+
+
+def warn(message: str, category: type[Warning] = UserWarning) -> None:
+    """warnings.warn, attributed to the innermost caller outside csfdyn,
+    however many csfdyn frames (pipeline stages, the CLI) lie between."""
+    package = __name__.partition(".")[0]
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == package:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

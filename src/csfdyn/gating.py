@@ -9,7 +9,6 @@ timestamp by exactly that amount.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +22,7 @@ from .errors import (
     TooFewCycles,
     ValueOutOfRange,
     WrongKind,
+    warn,
 )
 from .flow import FlowSamples
 from .ingest import PhysioKind, PhysioTrace
@@ -441,11 +441,8 @@ def label_cycles(
         # a cycle under ensemble.MIN_SAMPLES is warned about once, where
         # process_subject drops it
         if n_samp > 24:
-            warnings.warn(
-                f"cycle at {start:.0f} ms holds {n_samp} samples; expected "
-                f"roughly 8-12 for EPI-PC timing",
-                stacklevel=2,
-            )
+            warn(f"cycle at {start:.0f} ms holds {n_samp} samples; expected "
+                 f"roughly 8-12 for EPI-PC timing")
         frac = float(insp_all[lo:hi].mean())
         cycles.append(
             LabeledCycle(

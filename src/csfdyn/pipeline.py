@@ -5,7 +5,6 @@ failure attributed to its pipeline stage.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -19,7 +18,7 @@ from .ensemble import (
     resample_cycle,  # noqa: F401 -- bench/spans.py looks it up in this module
     resample_cycles,
 )
-from .errors import CsfdynError, InputError, InvalidSpec
+from .errors import CsfdynError, InputError, InvalidSpec, warn
 from .flow import FlowSamples, extract_flow, refine_roi, seed_reference
 from .gating import (
     DEFAULT_HYSTERESIS,
@@ -36,7 +35,6 @@ from .gating import (
     label_cycles,
 )
 from .ingest import (
-    Encoding,
     PhysioTrace,
     RoiLabel,
     RoiMask,
@@ -54,12 +52,13 @@ from .metrics import (
     sv_modulation,
 )
 from .velocity import (
-    as_velocity_field,
+    as_velocity_field,  # noqa: F401 -- bench/spans.py looks it up in this module
     background_correct,
     check_static_mask,
-    phase_to_velocity,
+    phase_to_velocity,  # noqa: F401 -- bench/spans.py looks it up in this module
     pixel_moments,
-    unwrap_temporal,
+    unwrap_temporal,  # noqa: F401 -- bench/spans.py looks it up in this module
+    velocities,
 )
 
 
@@ -134,18 +133,6 @@ def _resolve_unit(params: PipelineParams, roi_label: RoiLabel) -> VolumeUnit:
     return VolumeUnit(params.unit)
 
 
-def _velocity(series: VelocitySeries, params: PipelineParams) -> VelocitySeries:
-    """Encoding, sign convention and unwrap of the pixels series holds."""
-    if series.header.encoding is Encoding.PHASE_RADIANS:
-        vel = _staged("velocity", phase_to_velocity, series)
-    else:
-        vel = _staged("velocity", as_velocity_field, series)
-    if params.flip_sign:
-        # the converted frames are a fresh copy, so negate them in place
-        np.negative(vel.frames, out=vel.frames)
-    return _staged("velocity", unwrap_temporal, vel, params.anchor)
-
-
 def _box_velocity(
     series: VelocitySeries, roi: RoiMask, params: PipelineParams
 ) -> tuple[VelocitySeries, RoiMask]:
@@ -154,7 +141,9 @@ def _box_velocity(
     box = (slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1))
     frames = series.frames[(slice(None),) + box]
     header = replace(series.header, height=frames.shape[1], width=frames.shape[2])
-    return _velocity(VelocitySeries(header, frames), params), RoiMask(roi.pixels[box], roi.label)
+    vel = _staged("velocity", velocities, VelocitySeries(header, frames), params.flip_sign,
+                  params.anchor)
+    return vel, RoiMask(roi.pixels[box], roi.label)
 
 
 def prepare_velocity(
@@ -249,11 +238,8 @@ def process_subject(
         for cyc in cycles:
             if cyc.n_samples < MIN_SAMPLES:
                 n_skipped += 1
-                warnings.warn(
-                    f"cycle at {cyc.start:.0f} ms dropped: {cyc.n_samples} samples "
-                    f"cannot support resampling",
-                    stacklevel=2,
-                )
+                warn(f"cycle at {cyc.start:.0f} ms dropped: {cyc.n_samples} samples "
+                     f"cannot support resampling")
             else:
                 usable.append(cyc)
         canonical = resample_cycles(usable, params.interp)

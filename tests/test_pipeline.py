@@ -159,7 +159,7 @@ class TestProcessSubject:
             f"cycle at {c.start:.0f} ms dropped: {c.n_samples} samples cannot support "
             f"resampling" for c in short
         ]
-        # stacklevel 2 attributes each warning to process_subject's caller
+        # each warning names process_subject's caller
         assert {w.filename for w in dropped} == {__file__}
         # each short cycle is warned about once, not also by label_cycles
         for c in short:
@@ -171,6 +171,26 @@ class TestProcessSubject:
         report = result_to_report(r, "test", {})
         assert report["ensembles"]["n_skipped"] == len(short)
         assert report["ensembles"]["n_global"] == len(r.cycles) - len(short)
+
+    def test_warnings_name_the_caller(self):
+        # 40 ms frames put about 28 samples in each beat, and the static mask
+        # takes in a lumen whose flow varies by over 10% of venc: both
+        # warnings are raised below pipeline._staged
+        base = csfdyn.default_aqueduct_spec()
+        spec = replace(
+            base,
+            grid=replace(base.grid, width=24, height=24),
+            lumen=replace(base.lumen, center_row=12.0, center_col=12.0),
+            acquisition=replace(base.acquisition, venc=2.0, frame_interval=40.0,
+                                duration=20000.0),
+        )
+        ds = csfdyn.generate(spec)
+        static = csfdyn.RoiMask(ds.static.pixels | ds.lumen.pixels, RoiLabel.STATIC_TISSUE)
+        with pytest.warns(UserWarning) as record:
+            process_subject(ds.series, ds.lumen, static=static, belt=ds.belt)
+        assert any("expected roughly 8-12" in str(w.message) for w in record)
+        assert any(w.category is csfdyn.StaticTissueWarning for w in record)
+        assert {w.filename for w in record} == {__file__}
 
 
 def converted(series):

@@ -1,6 +1,7 @@
 """Phase-to-velocity mapping, temporal unwrapping, per-pixel moments,
 background offset."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,27 @@ def make_header(venc=10.0, n_frames=5, w=8, h=6, encoding=Encoding.PHASE_RADIANS
         pixel_spacing_x=1.2, pixel_spacing_y=1.2, slice_thickness=4.0,
         venc=venc, frame_interval=88.0, encoding=encoding,
     )
+
+
+def unwrap_oracle(series, flip_sign=False, anchor=0):
+    """Reference velocities of series: converted to float64 cm/s, negated
+    when flip_sign is set, and unwrapped over the whole array at once, 2 venc
+    off per wrap counted by np.cumsum from the anchor frame."""
+    header = series.header
+    v = series.frames.astype(np.float64)
+    if header.encoding is Encoding.PHASE_RADIANS:
+        v *= header.venc / np.pi
+    if flip_sign:
+        v = -v
+    venc, out = header.venc, v.copy()
+    wrapped = (np.abs(np.diff(v, axis=0)) > venc).any(axis=0)
+    if wrapped.any():
+        w = v[:, wrapped]
+        d = np.diff(w, axis=0)
+        k = np.where(np.abs(d) > venc, np.sign(d) * np.ceil((np.abs(d) - venc) / (2 * venc)), 0.0)
+        cum = np.concatenate([np.zeros((1, w.shape[1])), np.cumsum(k, axis=0)], axis=0)
+        out[:, wrapped] = w + -2.0 * venc * (cum - cum[anchor])
+    return out
 
 
 def wrap_to_phase(v, venc):
@@ -147,6 +169,12 @@ class TestUnwrap:
         with pytest.raises(ValueOutOfRange):
             unwrap_temporal(field, anchor=5)
 
+    def test_phase_input_is_refused(self):
+        # venc is in cm/s, so phase steps would be unwrapped against the wrong turn
+        phase = VelocitySeries(make_header(venc=1.0), np.zeros((5, 6, 8)))
+        with pytest.raises(WrongEncoding):
+            unwrap_temporal(phase)
+
 
 @st.composite
 def wrapped_field(draw):
@@ -212,7 +240,7 @@ def moment_case(draw):
 def test_moments_of_subset_are_subset_of_moments(case):
     """A pixel's moments do not depend on the other pixels of the call, so
     the pipeline may take them for any pixel set and get the same bits;
-    they are the moments of unwrap_temporal's output."""
+    they are the moments of the reference unwrap's output."""
     series, subset, flip_sign, ref, anchor, block = case
     with mock.patch.object(velocity, "_BLOCK", block):
         whole = pixel_moments(series, np.ones(subset.shape, dtype=bool), flip_sign, ref,
@@ -224,12 +252,8 @@ def test_moments_of_subset_are_subset_of_moments(case):
         assert (mine is None) == (theirs is None), name
         assert mine is None or mine.tobytes() == theirs.tobytes(), name
 
-    if series.header.encoding is Encoding.PHASE_RADIANS:
-        v = phase_to_velocity(series)
-    else:
-        v = as_velocity_field(series)
-    v = unwrap_temporal(VelocitySeries(v.header, -v.frames if flip_sign else v.frames), anchor)
-    v = v.frames.reshape(v.frames.shape[0], -1)
+    v = unwrap_oracle(series, flip_sign, anchor)
+    v = v.reshape(v.shape[0], -1)
     n, big = v.shape[0], np.abs(v).max()
     np.testing.assert_allclose(whole.mean, v.mean(axis=0), rtol=1e-12, atol=1e-12 * big)
     np.testing.assert_allclose(whole.m2, v.var(axis=0) * n, rtol=1e-12,
@@ -237,6 +261,26 @@ def test_moments_of_subset_are_subset_of_moments(case):
     if ref is not None:
         np.testing.assert_allclose(whole.cross, (ref[:, None] * v).sum(axis=0), rtol=1e-12,
                                    atol=1e-12 * n * big * np.abs(ref).max())
+
+
+@settings(deadline=None)
+@given(moment_case(), st.data())
+def test_velocities_match_oracle(case, data):
+    """The streamed velocities of any box of the grid, a view that need not
+    be contiguous, equal the whole-array reference to the bit; a _BLOCK of
+    1-3 pixels also splits the frames into chunks of 64."""
+    series, _, flip_sign, _, anchor, block = case
+    _, h, w = series.frames.shape
+    r0, c0 = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
+    r1, c1 = data.draw(st.integers(r0 + 1, h)), data.draw(st.integers(c0 + 1, w))
+    box = VelocitySeries(replace(series.header, height=r1 - r0, width=c1 - c0),
+                         series.frames[:, r0:r1, c0:c1])
+    with mock.patch.object(velocity, "_BLOCK", block):
+        out = velocity.velocities(box, flip_sign, anchor)
+    assert out.header == replace(box.header, encoding=Encoding.VELOCITY_CMPS)
+    expected = unwrap_oracle(box, flip_sign, anchor)
+    assert out.frames.dtype == np.float64 and out.frames.shape == expected.shape
+    assert out.frames.tobytes() == expected.tobytes()
 
 
 def test_moments_refuse_anchor_out_of_range():
@@ -317,5 +361,7 @@ class TestBackgroundCorrect:
         pix = np.zeros((6, 8), dtype=bool)
         pix[2, 2] = True  # the pulsatile pixel, sd >> venc/10
         pix[4, 4] = True
-        with pytest.warns(StaticTissueWarning):
+        with pytest.warns(StaticTissueWarning) as record:
             background_correct(field, RoiMask(pix, RoiLabel.STATIC_TISSUE))
+        # the warning names the caller of background_correct
+        assert [w.filename for w in record] == [__file__]
