@@ -163,6 +163,9 @@ def cmd_process(args: argparse.Namespace) -> int:
 
     result = process_subject(series, roi, params, static=static, belt=belt,
                              plethysmo=pleth)
+    # the series maps its file; unmap it before the hash maps the file again,
+    # as each live map of the same pages counts toward the resident set
+    del series
 
     inputs = {"series": _hash_entry(args.series), "roi": _hash_entry(args.roi)}
     for name in ("static", "belt", "plethysmo", "config"):

@@ -104,6 +104,11 @@ class TooFewSamples(ProcessingRefusal):
     """Cycle holds too few flow samples to resample."""
 
 
+class NoCorrelatedRegion(ProcessingRefusal):
+    """ROI refinement has nothing to grow: the seed does not vary in time,
+    or no seed pixel meets the correlation threshold."""
+
+
 class EmptyEnsemble(ProcessingRefusal):
     """No cycles available to average."""
 

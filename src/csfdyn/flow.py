@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionMismatch, EmptyMask, InvalidThreshold
+from .errors import DimensionMismatch, InvalidThreshold, NoCorrelatedRegion
 from .ingest import RoiLabel, RoiMask, VelocitySeries, ensure_same_grid
 from .velocity import PixelMoments, pixel_moments
 
@@ -100,7 +100,7 @@ def refine_roi(
             )
     ref_norm = float(np.sqrt((moments.ref**2).sum()))
     if ref_norm == 0.0 or moments.n_frames < 2:
-        raise EmptyMask("seed region has no temporal variation to correlate against")
+        raise NoCorrelatedRegion("seed region has no temporal variation to correlate against")
 
     corr = np.full(moments.m2.shape, -2.0)
     np.divide(moments.cross, ref_norm * np.sqrt(moments.m2), out=corr, where=moments.m2 > 0.0)
@@ -112,5 +112,5 @@ def refine_roi(
     components, _ = ndimage.label(eligible, structure=np.ones((3, 3), dtype=bool))
     kept = components[seed.pixels & eligible]
     if kept.size == 0:
-        raise EmptyMask("no pixel met the correlation threshold")
+        raise NoCorrelatedRegion("no pixel met the correlation threshold")
     return RoiMask(pixels=np.isin(components, kept), label=seed.label)

@@ -7,7 +7,15 @@ Series ``.csfd``
     8-byte magic ``CSFDYN01``, 4-byte little-endian header length N,
     N bytes of UTF-8 JSON (the :class:`SeriesHeader` fields), then
     ``n_frames * height * width`` float32 little-endian values,
-    frame-major, row-major within each frame.
+    frame-major, row-major within each frame. The payload need not start
+    on a multiple of 4 bytes.
+
+    A series read from a file holds a read-only map of it, not a copy: a
+    job's own memory does not grow with the recording's length, and the
+    pages are shared page cache. write_series never rewrites a file in
+    place (it writes a sibling and renames it over the old one), so a
+    mapped series keeps its values. Another program that truncates a file
+    while it is mapped makes the next read of the lost pages raise SIGBUS.
 Mask ``.pgm``
     Binary PGM (P5), maxval 255, nonzero = inside the ROI. The ROI label
     round-trips through a ``# label: NAME`` comment.
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import numbers
 import os
 import struct
@@ -190,7 +199,9 @@ class VelocitySeries:
     ``frames`` has shape (n_frames, height, width), holding phase in
     radians within [-pi, pi) or velocity in cm/s according to
     ``header.encoding``. float32 and float64 are both accepted in
-    memory; the on-disk container always stores float32.
+    memory; the on-disk container always stores float32. Frames read
+    from a file are a read-only map of it (read_series), so no stage may
+    write into its input.
     """
 
     header: SeriesHeader
@@ -291,26 +302,41 @@ def ensure_same_grid(mask: RoiMask, header: SeriesHeader) -> None:
 
 
 def write_series(series: VelocitySeries, path) -> None:
-    """Write a series to the .csfd container. Deterministic bytes."""
+    """Write a series to the .csfd container. Deterministic bytes.
+
+    The bytes go to a temporary file beside path, which then replaces path
+    in one rename, so a series mapped from the old file (read_series) keeps
+    its values, even when it is the series being written. On failure the
+    temporary file is removed and path is left as it was.
+    """
     header_json = json.dumps(
         asdict(series.header), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    payload = np.ascontiguousarray(series.frames, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(series.frames, dtype="<f4")
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     try:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(header_json)))
-            fh.write(header_json)
-            fh.write(payload)
+        with open(tmp, "xb") as fh:
+            try:
+                fh.write(MAGIC)
+                fh.write(struct.pack("<I", len(header_json)))
+                fh.write(header_json)
+                fh.write(memoryview(payload).cast("B"))
+                fh.flush()
+                os.replace(tmp, path)
+            except BaseException:
+                os.remove(tmp)
+                raise
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def read_series(path) -> VelocitySeries:
-    """Read a .csfd container back into a validated VelocitySeries.
+    """Read a .csfd container into a validated VelocitySeries.
 
-    The payload is read straight into the frames array, so reading holds
-    no second copy of the series.
+    After the header checks the file is mapped read-only and the frames
+    are a view of the map: nothing is copied, and the frames are not
+    writeable. The map lives as long as the frames do. See the module
+    docstring for what another program's truncation of the file does.
     """
     try:
         with open(path, "rb") as fh:
@@ -335,19 +361,22 @@ def read_series(path) -> VelocitySeries:
                 raise MalformedHeader(f"{path}: header keys missing: {missing}; unknown: {unknown}")
             header = SeriesHeader(**header_dict)
 
-            payload_len = size - len(head) - hlen
+            offset = len(head) + hlen
             n_values = header.n_frames * header.height * header.width
-            if payload_len != 4 * n_values:
+            if size - offset != 4 * n_values:
                 raise DimensionMismatch(
-                    f"{path}: payload holds {payload_len // 4} values, "
+                    f"{path}: payload holds {(size - offset) // 4} values, "
                     f"header promises {n_values}"
                 )
-            frames = np.empty((header.n_frames, header.height, header.width), dtype="<f4")
-            if fh.readinto(memoryview(frames).cast("B")) != payload_len:
-                raise IoFailure(f"cannot read {path}: payload shorter than its file size")
+            try:
+                # ValueError: the file shrank since fstat
+                mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
+            except (OSError, ValueError) as exc:
+                raise IoFailure(f"cannot map {path}: {exc}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return VelocitySeries(header=header, frames=frames)
+    frames = np.frombuffer(mapped, dtype="<f4", count=n_values, offset=offset)
+    return VelocitySeries(header, frames.reshape(header.n_frames, header.height, header.width))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,15 +18,21 @@ import numpy as np
 from .errors import IoFailure
 
 
+#: files from this size on are hashed from a map; smaller ones (the empty
+#: file, which cannot be mapped, among them) are read whole, which is faster
+_MAP_FROM = 1 << 20
+
+
 def sha256_of(path) -> str:
-    """Hex SHA-256 of a file, read 1 MiB at a time."""
-    digest = hashlib.sha256()
+    """Hex SHA-256 of a file. A file of 1 MiB or more is hashed from a
+    read-only map of it, so no copy of it is made."""
     try:
         with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-        return digest.hexdigest()
-    except OSError as exc:
+            if os.fstat(fh.fileno()).st_size < _MAP_FROM:
+                return hashlib.sha256(fh.read()).hexdigest()
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+                return hashlib.sha256(mapped).hexdigest()
+    except (OSError, ValueError) as exc:
         raise IoFailure(f"cannot hash {path}: {exc}") from exc
 
 

@@ -39,8 +39,8 @@ from .ingest import (
 
 #: frames per step of _unwrapped when it feeds pixel_moments
 _CHUNK = 64
-#: pixels per step of _unwrapped: a float64 block of _CHUNK frames is 2 MB
-_BLOCK = 4096
+#: pixels per step of _unwrapped: a float64 block of _CHUNK frames is 1 MB
+_BLOCK = 2048
 
 
 class StaticTissueWarning(UserWarning):
@@ -186,9 +186,9 @@ def velocities(series: VelocitySeries, flip_sign: bool = False, anchor: int = 0)
     n, h, w = series.frames.shape
     out = np.empty((n, h * w))
     # where chunks split does not change the unwrap, so a box of few pixels
-    # takes more frames a step, up to an eighth of a _CHUNK x _BLOCK block
+    # takes more frames a step, up to a quarter of a _CHUNK x _BLOCK block
     steps = _unwrapped(series, np.ones((h, w), dtype=bool), flip_sign, anchor,
-                       max(_CHUNK, _CHUNK * _BLOCK // (8 * h * w)))
+                       max(_CHUNK, _CHUNK * _BLOCK // (4 * h * w)))
     for start, at, xb, _, _ in steps:
         out[start : start + xb.shape[0], at] = xb[:, : at.stop - at.start]
     return VelocitySeries(replace(series.header, encoding=Encoding.VELOCITY_CMPS),

@@ -3,10 +3,13 @@ config-over-flags precedence, exit codes."""
 
 import json
 import math
+import mmap
+import weakref
 from dataclasses import asdict
 
 import pytest
 
+from csfdyn import cli
 from csfdyn.cli import main
 
 
@@ -259,6 +262,53 @@ class TestProcess:
         ])
         assert rc == 3
         assert "refusing" in capsys.readouterr().err
+
+    def test_refinement_finding_nothing_is_refusal(self, tmp_path, capsys):
+        # at 0.6 rad of phase noise no seed pixel correlates at 0.5 with the
+        # seed's mean: the files are well-formed, so this is a refusal
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"acquisition": {"noise_sd_phase": 0.6}}))
+        ph = tmp_path / "ph"
+        assert main(["phantom", "--out", str(ph), "--spec", str(spec), "--seed", "1"]) == 0
+        rc = main([
+            "process",
+            "--series", str(ph / "series.csfd"),
+            "--roi", str(ph / "lumen.pgm"),
+            "--static", str(ph / "static.pgm"),
+            "--belt", str(ph / "belt.csv"),
+            "--refine-threshold", "0.5", "--anchor", "100",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 3
+        assert "refusing [flow]: no pixel met the correlation threshold" in \
+            capsys.readouterr().err
+
+    def test_series_is_unmapped_before_it_is_hashed(self, phantom_dir, tmp_path, monkeypatch):
+        # each live map of the series file counts toward the resident set
+        maps, live = [], []
+        real_mmap, real_hash = mmap.mmap, cli.sha256_of
+
+        def recording_mmap(*args, **kwargs):
+            mapped = real_mmap(*args, **kwargs)
+            maps.append(weakref.ref(mapped))
+            return mapped
+
+        def checking_hash(path):
+            live.append(sum(ref() is not None and not ref().closed for ref in maps))
+            return real_hash(path)
+
+        monkeypatch.setattr(mmap, "mmap", recording_mmap)
+        monkeypatch.setattr(cli, "sha256_of", checking_hash)
+        rc = main([
+            "process",
+            "--series", str(phantom_dir / "series.csfd"),
+            "--roi", str(phantom_dir / "lumen.pgm"),
+            "--belt", str(phantom_dir / "belt.csv"),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 0
+        assert maps, "the series was not mapped"
+        assert live == [0, 0, 0]
 
 
 def _write_duration_cfg(tmp_path):

@@ -1,7 +1,9 @@
 """Container and physio file round-trips, header validation."""
 
+import errno
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, fields
 from typing import get_type_hints
 
@@ -25,10 +27,12 @@ from csfdyn import (
     write_physio,
     write_series,
 )
+from csfdyn import ingest
 from csfdyn.errors import (
     DimensionMismatch,
     EmptyMask,
     InputError,
+    IoFailure,
     MalformedHeader,
     MalformedRow,
     NonUniformSampling,
@@ -180,6 +184,72 @@ class TestSeriesFile:
         p.write_bytes(p.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(DimensionMismatch):
             read_series(p)
+
+    def test_round_trip_at_every_payload_alignment(self, tmp_path):
+        # t0 1, 10, 100 and 1000 lengthen the header JSON a byte at a time
+        offsets = set()
+        for t0 in (1.0, 10.0, 100.0, 1000.0):
+            s = make_series(make_header(t0=t0))
+            p = tmp_path / f"{t0}.csfd"
+            write_series(s, p)
+            back = read_series(p)
+            offsets.add((p.stat().st_size - s.frames.nbytes) % 4)
+            assert back.header == s.header
+            assert back.frames.tobytes() == s.frames.tobytes()
+        assert offsets == {0, 1, 2, 3}
+
+    def test_frames_are_a_read_only_map(self, tmp_path):
+        p = tmp_path / "s.csfd"
+        write_series(make_series(make_header(n_frames=400, height=64, width=64)), p)
+        tracemalloc.start()
+        try:
+            back = read_series(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * back.frames.nbytes, f"reading copied {peak} bytes"
+        assert not back.frames.flags.writeable
+        with pytest.raises(ValueError):
+            back.frames[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("error", [OSError(errno.ENODEV, "No such device"),
+                                       ValueError("mmap length is greater than file size")])
+    def test_unmappable_file_is_io_failure(self, tmp_path, monkeypatch, error):
+        p = tmp_path / "s.csfd"
+        write_series(make_series(), p)
+
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(ingest.mmap, "mmap", refuse)
+        with pytest.raises(IoFailure, match="s.csfd"):
+            read_series(p)
+
+    @pytest.mark.parametrize("n_frames", [5, 3], ids=["same-size", "shorter"])
+    def test_overwriting_keeps_the_frames_read(self, tmp_path, n_frames):
+        p = tmp_path / "s.csfd"
+        write_series(make_series(seed=1), p)
+        first = read_series(p)
+        kept = first.frames.copy()
+        write_series(make_series(make_header(n_frames=n_frames), seed=2), p)
+        assert np.array_equal(first.frames, kept)
+        assert read_series(p).header.n_frames == n_frames
+
+    def test_series_written_over_its_own_file(self, tmp_path):
+        s = make_series()
+        p = tmp_path / "s.csfd"
+        write_series(s, p)
+        write_series(read_series(p), p)
+        assert read_series(p).frames.tobytes() == s.frames.tobytes()
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        # a file cannot replace a non-empty directory
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "inside").write_text("x")
+        with pytest.raises(IoFailure):
+            write_series(make_series(), target)
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["taken"]
 
 
 class TestMaskFile:

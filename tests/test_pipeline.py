@@ -298,6 +298,44 @@ class TestRoiFirstVelocity:
         assert exc_info.value.stage == "flow"
 
 
+class TestMappedInput:
+    """A series read from a file is a read-only map of it, so any stage that
+    wrote into its input would raise; every route must run on it and give
+    what it gives on the same frames in memory."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def mapped(default_dataset, tmp_path_factory):
+        path = tmp_path_factory.mktemp("mapped") / "series.csfd"
+        csfdyn.write_series(default_dataset.series, path)
+        series = csfdyn.read_series(path)
+        assert not series.frames.flags.writeable
+        return series
+
+    @pytest.mark.parametrize("params, static, seed", [
+        (PipelineParams(), True, False),
+        (PipelineParams(), False, False),
+        (PipelineParams(gate="plethysmo"), True, False),
+        (PipelineParams(refine_threshold=0.9), True, True),
+        (PipelineParams(flip_sign=True, anchor=5), True, False),
+        (PipelineParams(flip_sign=True, refine_threshold=0.9), False, True),
+    ], ids=["flow", "no-static", "plethysmo", "refine", "flip-sign", "flip-refine"])
+    def test_runs_on_read_only_frames(self, default_dataset, mapped, params, static, seed):
+        ds = default_dataset
+        roi = ds.lumen
+        if seed:
+            pixel = np.zeros_like(roi.pixels)
+            pixel[32, 32] = True
+            roi = csfdyn.RoiMask(pixel, RoiLabel.AQUEDUCT)
+        kwargs = dict(static=ds.static if static else None, belt=ds.belt,
+                      plethysmo=ds.plethysmo)
+        r = process_subject(mapped, roi, params, **kwargs)
+        ref = process_subject(ds.series, roi, params, **kwargs)
+        assert r.background_offset == ref.background_offset
+        assert np.array_equal(r.flow.q, ref.flow.q)
+        assert np.array_equal(r.curves.global_mean, ref.curves.global_mean)
+
+
 def wide_phantom(noise_sd_phase=AcquisitionSpec().noise_sd_phase):
     base = csfdyn.default_aqueduct_spec()
     return csfdyn.generate(replace(
