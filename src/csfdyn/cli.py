@@ -115,6 +115,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+def _read_json(path: str):
+    """The JSON value in the file at path: InputError if the file cannot
+    be read, InvalidSpec if it is not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidSpec(f"{path}: not valid JSON: {exc}") from exc
+
+
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Merge --config JSON over parsed flags (config wins).
 
@@ -124,12 +135,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     """
     if not args.config:
         return
-    try:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"{args.config}: not valid JSON: {exc}") from exc
+    cfg = _read_json(args.config)
     if not isinstance(cfg, dict):
         raise InvalidSpec(f"{args.config}: config must be a JSON object")
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
@@ -186,13 +192,12 @@ def cmd_process(args: argparse.Namespace) -> int:
 
 
 def _load_subject_report(path: str, subject_id: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
+    if not Path(path).is_file():
         raise UnpairedSubject(f"subject {subject_id}: missing report {path}")
     try:
-        rep = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UnpairedSubject(f"subject {subject_id}: {path} is not valid JSON: {exc}") from exc
+        rep = _read_json(path)
+    except InputError as exc:
+        raise UnpairedSubject(f"subject {subject_id}: {exc}") from exc
     if not isinstance(rep, dict) or rep.get("kind") != "subject" or "sv" not in rep:
         raise UnpairedSubject(f"subject {subject_id}: {path} is not a subject report")
     sv = rep["sv"].get("global") if isinstance(rep["sv"], dict) else None
@@ -205,12 +210,7 @@ def _load_subject_report(path: str, subject_id: str) -> dict:
 
 
 def cmd_cohort(args: argparse.Namespace) -> int:
-    try:
-        manifest = json.loads(Path(args.pairs).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read {args.pairs}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"{args.pairs}: not valid JSON: {exc}") from exc
+    manifest = _read_json(args.pairs)
     subjects = manifest.get("subjects") if isinstance(manifest, dict) else None
     if not isinstance(subjects, list) or not subjects:
         raise InvalidSpec(f"{args.pairs}: expected a non-empty 'subjects' list")
@@ -311,13 +311,7 @@ def cmd_cohort(args: argparse.Namespace) -> int:
 
 def _spec_from_args(args: argparse.Namespace) -> PhantomSpec:
     if args.spec:
-        try:
-            raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InputError(f"cannot read {args.spec}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"{args.spec}: not valid JSON: {exc}") from exc
-        spec = PhantomSpec.from_json_dict(raw)
+        spec = PhantomSpec.from_json_dict(_read_json(args.spec))
     elif args.preset == "spinal":
         spec = default_spinal_spec()
     else:

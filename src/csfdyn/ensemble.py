@@ -192,19 +192,16 @@ def build_ensembles(cycles: list[CanonicalCycle]) -> EnsembleCurves:
     ordered = sorted(cycles, key=lambda c: c.source_cycle_id)
 
     def stats(sel: list[CanonicalCycle]):
+        if not sel:
+            return None, None, None
         q = np.stack([c.q32 for c in sel])
         return q.mean(axis=0), q.std(axis=0), float(np.mean([c.rr for c in sel]))
 
+    insp, expi, mixed = ([c for c in ordered if c.resp_label is label] for label in (
+        RespLabel.INSPIRATION, RespLabel.EXPIRATION, RespLabel.MIXED))
     g_mean, g_sd, g_rr = stats(ordered)
-    insp = [c for c in ordered if c.resp_label is RespLabel.INSPIRATION]
-    expi = [c for c in ordered if c.resp_label is RespLabel.EXPIRATION]
-    n_mixed = sum(1 for c in ordered if c.resp_label is RespLabel.MIXED)
-    i_mean = i_sd = e_mean = e_sd = None
-    i_rr = e_rr = None
-    if insp:
-        i_mean, i_sd, i_rr = stats(insp)
-    if expi:
-        e_mean, e_sd, e_rr = stats(expi)
+    i_mean, i_sd, i_rr = stats(insp)
+    e_mean, e_sd, e_rr = stats(expi)
     return EnsembleCurves(
         global_mean=g_mean,
         global_sd=g_sd,
@@ -218,5 +215,5 @@ def build_ensembles(cycles: list[CanonicalCycle]) -> EnsembleCurves:
         exp_sd=e_sd,
         n_exp=len(expi),
         mean_rr_exp=e_rr,
-        n_mixed=n_mixed,
+        n_mixed=len(mixed),
     )

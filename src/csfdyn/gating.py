@@ -355,54 +355,34 @@ def classify_resp(trace: PhysioTrace, smoothing_window: float = DEFAULT_SMOOTHIN
         )
     band = hysteresis * rng
 
-    n = s.size
-    labels = np.zeros(n, dtype=bool)
-    state = None  # True while rising
-    ext_val = s[0]
-    ext_idx = 0
-    lo_val, lo_idx, hi_val, hi_idx = s[0], 0, s[0], 0
-    seg_start = 0
-    for i in range(1, n):
+    s = s.tolist()
+    # until the signal first leaves the band its direction is unknown, so
+    # follow both running extremes; the later of the belt's two extremes
+    # lies a full range (> band) from the other, so this loop always breaks
+    lo = hi = 0
+    for i, x in enumerate(s):
+        if x < s[lo]:
+            lo = i
+        elif x > s[hi]:
+            hi = i
+        if x - s[lo] > band or s[hi] - x > band:
+            break
+    rising = x - s[lo] > band
+    seg_start = lo if rising else hi
+    labels = np.zeros(len(s), dtype=bool)
+    labels[:seg_start] = not rising  # the tail of the opposite phase
+    ext, ext_idx = x, i
+    for i in range(i + 1, len(s)):
         x = s[i]
-        if state is None:
-            if x < lo_val:
-                lo_val, lo_idx = x, i
-            if x > hi_val:
-                hi_val, hi_idx = x, i
-            if x - lo_val > band:
-                # everything before the first trough was the tail of an
-                # expiration; no sample since the trough can exceed x
-                # without having triggered already
-                state = True
-                labels[:lo_idx] = False
-                seg_start = lo_idx
-                ext_val, ext_idx = x, i
-            elif hi_val - x > band:
-                state = False
-                labels[:hi_idx] = True
-                seg_start = hi_idx
-                ext_val, ext_idx = x, i
-        elif state:
-            if x > ext_val:
-                ext_val, ext_idx = x, i
-            elif ext_val - x > band:
-                labels[seg_start:ext_idx] = True
-                seg_start = ext_idx
-                state = False
-                ext_val, ext_idx = x, i
-        else:
-            if x < ext_val:
-                ext_val, ext_idx = x, i
-            elif x - ext_val > band:
-                labels[seg_start:ext_idx] = False
-                seg_start = ext_idx
-                state = True
-                ext_val, ext_idx = x, i
-    if state is None:
-        # never left the hysteresis band: label by overall trend
-        labels[:] = s[-1] >= s[0]
-    else:
-        labels[seg_start:] = state
+        travel = x - ext if rising else ext - x
+        if travel > 0:
+            ext, ext_idx = x, i
+        elif travel < -band:
+            # retreated by more than the band: the turn was at the extremum
+            labels[seg_start:ext_idx] = rising
+            seg_start, rising = ext_idx, not rising
+            ext, ext_idx = x, i
+    labels[seg_start:] = rising
 
     labels = _merge_short_runs(labels, max(1, int(np.ceil(DEBOUNCE_MS / dt))))
     return RespPhases(t0=trace.t0, sample_interval=dt, inspiration=labels)

@@ -176,6 +176,15 @@ class SeriesHeader:
             raise ValueOutOfRange("venc must be positive")
         if self.frame_interval <= 0:
             raise ValueOutOfRange("frame_interval must be positive")
+        # consecutive timestamps() differ by frame_interval up to two
+        # roundings, each at most one float64 spacing of the latest time;
+        # from 2**53 frames on, that spacing exceeds frame_interval anyway
+        latest = abs(self.t0) + min(self.n_frames, 2**53) * self.frame_interval
+        if not self.frame_interval > 2 * math.ulp(latest):
+            raise ValueOutOfRange(
+                f"frame_interval {self.frame_interval:g} ms is within the float64 rounding "
+                f"of t0 + k * frame_interval up to {latest:g} ms: frame times could collide"
+            )
         if self.series_kind is SeriesKind.GATED_CONV and self.n_frames != GATED_FRAMES:
             raise ValueOutOfRange(
                 f"gated series must hold exactly {GATED_FRAMES} frames, "

@@ -7,6 +7,11 @@ requested sv_true. Breathing modulates the instantaneous flow
 multiplicatively during inspiration: Q(t) = Q_card(t) * (1 + m) while
 inspiring, Q_card(t) otherwise.
 
+Both acquisition routes sample one forward model, _phase: the continuous
+route (generate) at each frame time, the cine-gated route
+(generate_gated) at 32 phase bins of every cycle, which it then averages.
+A term added to the model therefore reaches both routes.
+
 All randomness comes from counter-based Philox streams keyed as
 (seed, stream_id), so any part of a dataset can be regenerated
 independently and bit-identically: stream 1 cycle-length jitter,
@@ -243,6 +248,7 @@ def static_mask(spec: PhantomSpec, margin_px: float = 2.0) -> RoiMask:
     )
 
 
+@lru_cache(maxsize=8)
 def _profile_weights(spec: PhantomSpec) -> tuple[np.ndarray, float]:
     """Per-pixel velocity weights w and scale s so that the velocity map
     for flux Q is v = s * Q * w (cm/s with Q in mL/s).
@@ -250,7 +256,8 @@ def _profile_weights(spec: PhantomSpec) -> tuple[np.ndarray, float]:
     PLUG divides Q evenly, so the discrete flux is exact by construction.
     POISEUILLE uses the analytic centerline velocity of a parabolic
     profile over the nominal circular area; its discrete flux carries a
-    small pixelization error that shrinks with radius.
+    small pixelization error that shrinks with radius. Cached, so the
+    gated route's per-cycle calls reuse one read-only w.
     """
     dist = _pixel_distances(spec)
     inside = dist <= spec.lumen.radius_px
@@ -262,6 +269,7 @@ def _profile_weights(spec: PhantomSpec) -> tuple[np.ndarray, float]:
         w = np.where(inside, 1.0 - (dist / spec.lumen.radius_px) ** 2, 0.0)
         radius_mm = spec.lumen.radius_px * spec.grid.spacing_x
         scale = 200.0 / (np.pi * radius_mm**2)
+    w.flags.writeable = False
     return w, scale
 
 
@@ -396,63 +404,59 @@ def _make_truth(spec: PhantomSpec) -> GroundTruth:
     )
 
 
-def _wrap_phase32(phase64: np.ndarray) -> np.ndarray:
-    """Wrap to [-pi, pi) and quantize to float32 without leaving the
-    half-open interval (float32 rounding can land exactly on +-pi)."""
-    wrapped = np.mod(phase64 + np.pi, 2.0 * np.pi) - np.pi
-    return np.clip(wrapped.astype(np.float32), _PHASE32_LO, _PHASE32_HI)
+def _wrap(phase: np.ndarray) -> np.ndarray:
+    """Wrap phase to [-pi, pi), as the scanner's phase difference does."""
+    return np.mod(phase + np.pi, 2.0 * np.pi) - np.pi
 
 
-def _drift(spec: PhantomSpec, t: np.ndarray) -> np.ndarray:
+def _phase(spec: PhantomSpec, t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Noise-free, unwrapped phase maps at times t (ms) for lumen flux q
+    (mL/s): the profile-weighted velocity plus the static offset and the
+    drift, times pi / venc. Shape (t.size, height, width)."""
     a = spec.acquisition
-    if a.drift_amplitude == 0.0:
-        return np.zeros_like(t)
-    return a.drift_amplitude * np.sin(2.0 * np.pi * t / a.drift_period)
+    w, scale = _profile_weights(spec)
+    v = (scale * q)[:, None, None] * w[None, :, :]
+    drift = a.drift_amplitude * np.sin(2.0 * np.pi * t / a.drift_period)
+    v += (a.background_offset + drift)[:, None, None]
+    return np.pi * v / a.venc
+
+
+def _header(spec: PhantomSpec, n_frames: int, frame_interval: float,
+            encoding: Encoding) -> SeriesHeader:
+    g, a = spec.grid, spec.acquisition
+    return SeriesHeader(
+        width=g.width, height=g.height, n_frames=n_frames,
+        pixel_spacing_x=g.spacing_x, pixel_spacing_y=g.spacing_y, slice_thickness=g.thickness,
+        venc=a.venc, frame_interval=frame_interval, t0=0.0,
+        encoding=encoding, series_kind=a.series_kind,
+    )
 
 
 def generate(spec: PhantomSpec) -> PhantomDataset:
     """Simulate one continuous acquisition plus belt and plethysmograph.
 
-    Velocity per pixel is the profile weight times the instantaneous
-    flux-matched center velocity; phase = pi*v/venc plus Gaussian noise,
-    wrapped into [-pi, pi) so aliasing emerges naturally when |v| > venc,
-    then quantized to float32 like a real reconstruction would.
+    Each frame samples the forward model (_phase) at its own time, adds
+    Gaussian phase noise, wraps into [-pi, pi) so aliasing emerges
+    naturally when |v| > venc, then quantizes to float32 like a real
+    reconstruction would.
     """
     if spec.acquisition.series_kind is not SeriesKind.CONTINUOUS_EPI:
         raise InvalidSpec("generate() builds CONTINUOUS_EPI series; "
                           "use generate_gated() for GATED_CONV")
     a = spec.acquisition
     truth = _make_truth(spec)
-    w, scale = _profile_weights(spec)
 
     n_frames = int(a.duration // a.frame_interval)
     t = np.arange(n_frames, dtype=np.float64) * a.frame_interval
-    q_t = truth.q(t)
-    v = (scale * q_t)[:, None, None] * w[None, :, :]
-    v += (a.background_offset + _drift(spec, t))[:, None, None]
-
-    phase = np.pi * v / a.venc
+    phase = _phase(spec, t, truth.q(t))
     if a.noise_sd_phase > 0:
         for k in range(n_frames):
             phase[k] += _rng(spec.seed, 16 + k).normal(
                 0.0, a.noise_sd_phase, size=phase[k].shape
             )
-    frames = _wrap_phase32(phase)
-
-    header = SeriesHeader(
-        width=spec.grid.width,
-        height=spec.grid.height,
-        n_frames=n_frames,
-        pixel_spacing_x=spec.grid.spacing_x,
-        pixel_spacing_y=spec.grid.spacing_y,
-        slice_thickness=spec.grid.thickness,
-        venc=a.venc,
-        frame_interval=a.frame_interval,
-        t0=0.0,
-        encoding=Encoding.PHASE_RADIANS,
-        series_kind=SeriesKind.CONTINUOUS_EPI,
-    )
-    series = VelocitySeries(header=header, frames=frames)
+    # float32 rounding can land exactly on +-pi: clip back inside
+    frames = np.clip(_wrap(phase).astype(np.float32), _PHASE32_LO, _PHASE32_HI)
+    header = _header(spec, n_frames, a.frame_interval, Encoding.PHASE_RADIANS)
 
     r = spec.resp
     n_belt = int(a.duration // r.belt_interval) + 1
@@ -475,7 +479,7 @@ def generate(spec: PhantomSpec) -> PhantomDataset:
                             samples=pleth_vals, kind=PhysioKind.CARDIAC_PLETHYSMO)
 
     return PhantomDataset(
-        series=series,
+        series=VelocitySeries(header=header, frames=frames),
         belt=belt,
         plethysmo=plethysmo,
         truth=truth,
@@ -495,49 +499,24 @@ def generate_gated(spec: PhantomSpec) -> VelocitySeries:
     if spec.acquisition.series_kind is not SeriesKind.GATED_CONV:
         raise InvalidSpec("generate_gated() needs series_kind = GATED_CONV")
     a = spec.acquisition
-    base = replace(spec, acquisition=replace(a, series_kind=SeriesKind.CONTINUOUS_EPI))
-    truth = _make_truth(base)
-    w, scale = _profile_weights(spec)
-    harmonics = spec.cardiac.harmonics
-    m = spec.resp.modulation_insp
-
-    onsets = truth.onsets
-    rr = truth.rr
-    n_cycles = rr.size
+    truth = _make_truth(spec)
+    n_cycles = truth.rr.size
     if n_cycles < 1:
         raise InvalidSpec("duration holds no complete cardiac cycle")
     phases = np.arange(32, dtype=np.float64) / 32.0
-    shape = waveform(phases, harmonics)
+    q_card = truth.amplitude * waveform(phases, spec.cardiac.harmonics)
 
     mean = np.zeros((32, spec.grid.height, spec.grid.width), dtype=np.float64)
     for k in range(n_cycles):
-        t_kb = onsets[k] + phases * rr[k]
-        gain = 1.0 + m * truth.inspiration(t_kb)
-        q_kb = truth.amplitude * shape * gain
-        v = (scale * q_kb)[:, None, None] * w[None, :, :]
-        v += (a.background_offset + _drift(spec, t_kb))[:, None, None]
-        phase = np.pi * v / a.venc
+        t_kb = truth.onsets[k] + phases * truth.rr[k]
+        phase = _phase(spec, t_kb, q_card * (1.0 + truth.modulation * truth.inspiration(t_kb)))
         if a.noise_sd_phase > 0:
             phase += _rng(spec.seed, (1 << 20) + k).normal(
                 0.0, a.noise_sd_phase, size=phase.shape
             )
-        phase = np.mod(phase + np.pi, 2.0 * np.pi) - np.pi
-        mean += phase * (a.venc / np.pi)
+        mean += _wrap(phase) * (a.venc / np.pi)
     mean /= n_cycles
-
-    header = SeriesHeader(
-        width=spec.grid.width,
-        height=spec.grid.height,
-        n_frames=32,
-        pixel_spacing_x=spec.grid.spacing_x,
-        pixel_spacing_y=spec.grid.spacing_y,
-        slice_thickness=spec.grid.thickness,
-        venc=a.venc,
-        frame_interval=spec.cardiac.rr_mean / 32.0,
-        t0=0.0,
-        encoding=Encoding.VELOCITY_CMPS,
-        series_kind=SeriesKind.GATED_CONV,
-    )
+    header = _header(spec, 32, spec.cardiac.rr_mean / 32.0, Encoding.VELOCITY_CMPS)
     return VelocitySeries(header=header, frames=mean)
 
 

@@ -36,27 +36,15 @@ def sha256_of(path) -> str:
         raise IoFailure(f"cannot hash {path}: {exc}") from exc
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and enums for json.dumps."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if hasattr(obj, "value") and not isinstance(obj, (int, float, str, bool)):
-        return obj.value  # enums
-    return obj
-
-
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(jsonable(payload), sort_keys=True, indent=1)
+    """Write payload as sorted, indented JSON.
+
+    The payload holds JSON types only: dict, list, tuple, str, int,
+    float, bool and None. A str-valued enum is a str, so it is written as
+    its value. Anything else (a numpy array or integer, say) raises
+    TypeError; nothing is converted.
+    """
+    text = json.dumps(payload, sort_keys=True, indent=1)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

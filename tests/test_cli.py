@@ -192,7 +192,8 @@ class TestProcess:
         assert main(argv) == 2
         assert next(iter(entry)) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("frame_interval", math.nan), ("width", 16.9)])
+    @pytest.mark.parametrize("key,value", [("frame_interval", math.nan), ("width", 16.9),
+                                           ("t0", 1e19)])
     def test_bad_header_value_is_input_error(self, phantom_dir, tmp_path, capsys, key,
                                              value):
         blob = (phantom_dir / "series.csfd").read_bytes()
@@ -446,6 +447,43 @@ class TestCohort:
         manifest.write_text(json.dumps({"subjects": [1, 2, 3, 4, 5]}))
         rc = main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+class TestNonUtf8Json:
+    """A JSON input that is not UTF-8 is an input error (exit 2)."""
+
+    BLOB = b"\xff\xfe{\x00}\x00"  # UTF-16 with its byte-order mark
+
+    def test_config(self, phantom_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(self.BLOB)
+        rc = main(["process", "--series", str(phantom_dir / "series.csfd"),
+                   "--roi", str(phantom_dir / "lumen.pgm"), "--config", str(cfg),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_phantom_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(self.BLOB)
+        assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_cohort_pairs(self, tmp_path, capsys):
+        manifest = tmp_path / "pairs.json"
+        manifest.write_bytes(self.BLOB)
+        assert main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_subject_report(self, tmp_path, capsys):
+        report = tmp_path / "S01.json"
+        report.write_bytes(self.BLOB)
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"subjects": [
+            {"id": "S01", "conv": str(report), "epi": str(report)}]}))
+        assert main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "subject S01" in err and "not valid JSON" in err
 
 
 class TestTopLevel:

@@ -231,6 +231,37 @@ class TestClassifyResp:
             classify_resp(t)
 
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_negated_belt_gives_the_complement(self, seed):
+        # rising and falling obey one rule, so turning the belt upside
+        # down swaps inspiration and expiration sample for sample
+        rng = np.random.default_rng(seed)
+        t = np.arange(0.0, 60_000.0, 40.0)
+        if seed % 2:
+            s = np.cumsum(rng.normal(0, 1, t.size))
+        else:
+            s = np.sin(2 * np.pi * t / rng.uniform(2500, 7000) + rng.uniform(0, 2 * np.pi))
+            s += rng.normal(0, 0.15, t.size)
+        hysteresis = rng.uniform(0.02, 0.6)
+        belt = PhysioTrace(40.0, 0.0, s, PhysioKind.RESP_BELT)
+        upright = classify_resp(belt, hysteresis=hysteresis).inspiration
+        flipped = classify_resp(replace(belt, samples=-s), hysteresis=hysteresis).inspiration
+        np.testing.assert_array_equal(flipped, ~upright)
+
+    def test_ties_keep_the_earliest_extremum(self):
+        # a quantized belt holds each extreme over a plateau of equal
+        # samples; the turn is dated to the plateau's first sample
+        dt = 40.0
+        s = np.round(3 * np.sin(2 * np.pi * np.arange(1000) * dt / 5000.0)) / 3
+        belt = PhysioTrace(dt, 0.0, s, PhysioKind.RESP_BELT)
+        lab = classify_resp(belt, smoothing_window=dt).inspiration.astype(np.int8)
+        turns = np.flatnonzero(np.diff(lab)) + 1
+        extreme = np.abs(s) == 1.0
+        plateau_starts = np.flatnonzero(extreme[1:] & ~extreme[:-1]) + 1
+        assert plateau_starts.size == 16
+        np.testing.assert_array_equal(turns, plateau_starts)
+
+
 class TestMergeShortRuns:
     def test_blip_removed(self):
         lab = np.array([0, 0, 0, 1, 0, 0, 0], dtype=bool)

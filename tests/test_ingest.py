@@ -85,6 +85,14 @@ class TestHeader:
             make_header(series_kind=SeriesKind.GATED_CONV, n_frames=30)
         make_header(series_kind=SeriesKind.GATED_CONV, n_frames=32)
 
+    def test_t0_swamping_frame_interval_refused(self):
+        # at 1e19 ms adjacent float64 values are 2048 ms apart, so frames
+        # 88 ms apart would share timestamps
+        with pytest.raises(ValueOutOfRange, match="frame_interval"):
+            make_header(t0=1e19, frame_interval=88.0)
+        h = make_header(t0=1e12, frame_interval=88.0, n_frames=1000)
+        assert (np.diff(h.timestamps()) > 0).all()
+
     def test_json_round_trip(self):
         h = make_header(t0=42.5, encoding=Encoding.VELOCITY_CMPS)
         assert SeriesHeader(**json.loads(json.dumps(asdict(h)))) == h

@@ -283,6 +283,29 @@ class TestGatedSeries:
         assert np.max(np.abs(flow.q - q_true)) < 1e-9
 
 
+class TestOneForwardModel:
+    def test_gated_route_is_the_cycle_mean_of_the_continuous_route(self):
+        # frames every rr/32 sample each cycle at the gated route's 32 bins,
+        # so every term of the forward model (flow, modulation, offset,
+        # drift) must agree between the routes up to float32 rounding
+        rr = 1024.0
+        spec = PhantomSpec(
+            grid=replace(GridSpec(), width=16, height=16),
+            lumen=replace(LumenSpec(), center_row=8, center_col=8),
+            cardiac=replace(CardiacSpec(), rr_mean=rr, rr_jitter_sd=0.0),
+            resp=replace(RespSpec(), modulation_insp=0.09),
+            acquisition=replace(
+                AcquisitionSpec(), venc=20.0, frame_interval=rr / 32, duration=40 * rr + 1,
+                noise_sd_phase=0.0, background_offset=0.4, drift_amplitude=0.3),
+        )
+        continuous = csfdyn.phase_to_velocity(generate(spec).series).frames
+        assert continuous.shape == (40 * 32, 16, 16)
+        cycle_mean = continuous.reshape(40, 32, 16, 16).mean(axis=0)
+        gated = generate_gated(replace(spec, acquisition=replace(
+            spec.acquisition, series_kind=SeriesKind.GATED_CONV)))
+        assert np.max(np.abs(cycle_mean - gated.frames)) < 1e-7
+
+
 class TestCohort:
     def test_subject_count_and_ids(self):
         subs = cohort(6, base=fast_spec())
