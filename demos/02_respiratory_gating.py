@@ -52,20 +52,27 @@ for lab, n in counts.items():
 
 # ------------------------------------------------------------------
 # 3. Ensembles and the split stroke volumes. MIXED cycles only feed the
-#    global average, never the respiratory contrast.
+#    global average, never the respiratory contrast. Each state's volume
+#    is taken over that state's own mean RR.
 
 canonical = csfdyn.resample_cycles(cycles)
 curves = csfdyn.build_ensembles(canonical)
-rr = float(np.mean([c.rr for c in cycles]))
 
 sv_all = {}
-for name, curve in (("global", curves.global_mean),
-                    ("insp", curves.insp_mean),
-                    ("exp", curves.exp_mean)):
+for name, curve, rr in (("global", curves.global_mean, curves.mean_rr_global),
+                        ("insp", curves.insp_mean, curves.mean_rr_insp),
+                        ("exp", curves.exp_mean, curves.mean_rr_exp)):
     sv_all[name] = csfdyn.stroke_volume(curve, rr, unit=csfdyn.VolumeUnit.UL)
     print(f"\n{name} ensemble")
+    print(f"  mean RR       : {rr:8.1f} ms")
     print(f"  stroke volume : {sv_all[name].sv:8.2f} uL")
     print(f"  flush peak    : {curve.max():+.4f} mL/s")
 
 mod = csfdyn.sv_modulation(sv_all["insp"], sv_all["exp"])
 print(f"\nrespiratory modulation: {mod:.3f} (simulated {spec.resp.modulation_insp:.3f})")
+
+# the pieces above are the chain process_subject runs, so they must give
+# its modulation to the last bit
+whole = csfdyn.process_subject(ds.series, ds.lumen, static=ds.static, belt=ds.belt)
+assert mod == whole.modulation, (mod, whole.modulation)
+print(f"process_subject       : {whole.modulation:.3f} (identical)")

@@ -117,12 +117,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _read_json(path: str):
     """The JSON value in the file at path: InputError if the file cannot
-    be read, InvalidSpec if it is not UTF-8 JSON."""
+    be read, InvalidSpec if it is not UTF-8 JSON or nests too deeply."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InvalidSpec(f"{path}: not valid JSON: {exc}") from exc
 
 

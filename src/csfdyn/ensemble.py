@@ -1,13 +1,16 @@
 """Resample labeled cycles onto a 32-point normalized cardiac grid and
 average them into global, inspiration, and expiration mean curves.
 
-Averaging stacks the cycles in source_cycle_id order before reducing, so
+CanonicalCycle is a plain row. build_ensembles checks the rows once and
+stacks them, in source_cycle_id order, into one (cycles, 32) matrix;
+each breathing state's curve is a masked reduction of that matrix, so
 the result is bit-identical under any permutation of the input list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,27 +36,17 @@ MIN_SAMPLES = 4
 WRAP_KNOT_TOLERANCE = 0.01
 
 
-@dataclass
-class CanonicalCycle:
+class CanonicalCycle(NamedTuple):
     """One cardiac cycle resampled to 32 flow values at phases k/32.
 
     Phase 0 is the cycle onset (the upward zero-crossing feeding the
-    systolic flush).
+    systolic flush). build_ensembles checks the row.
     """
 
     q32: np.ndarray
     source_cycle_id: int
     resp_label: RespLabel
     rr: float
-
-    def __post_init__(self):
-        self.q32 = np.asarray(self.q32, dtype=np.float64)
-        if self.q32.shape != (GATED_FRAMES,):
-            raise ValueOutOfRange(f"q32 must hold exactly {GATED_FRAMES} values")
-        if not np.all(np.isfinite(self.q32)):
-            raise ValueOutOfRange("q32 contains non-finite values")
-        if self.rr <= 0:
-            raise ValueOutOfRange("rr must be positive")
 
 
 @dataclass
@@ -124,10 +117,7 @@ def resample_cycles(cycles: list[LabeledCycle], mode: str = "spline") -> list[Ca
     for group in groups.values():
         at, u, q = zip(*group)
         q32[list(at)] = _periodic_interp(np.stack(u), np.stack(q), mode)
-    return [
-        CanonicalCycle(q32=row, source_cycle_id=c.cycle_id, resp_label=c.resp_label, rr=c.rr)
-        for c, row in zip(cycles, q32)
-    ]
+    return [CanonicalCycle(row, c.cycle_id, c.resp_label, c.rr) for c, row in zip(cycles, q32)]
 
 
 def _periodic_interp(u: np.ndarray, q: np.ndarray, mode: str) -> np.ndarray:
@@ -182,38 +172,46 @@ def build_ensembles(cycles: list[CanonicalCycle]) -> EnsembleCurves:
     """Pointwise mean and standard deviation per breathing state.
 
     MIXED cycles count toward the global curve only. Cycle ids must be
-    unique; summation order is fixed by sorting on them.
+    unique, every q32 must hold 32 finite values and every rr must be
+    positive (ValueOutOfRange). Summation order is fixed by sorting on
+    the ids.
     """
     if not cycles:
         raise EmptyEnsemble("no cycles to average")
-    ids = [c.source_cycle_id for c in cycles]
-    if len(set(ids)) != len(ids):
-        raise ValueOutOfRange("source_cycle_id values must be unique")
     ordered = sorted(cycles, key=lambda c: c.source_cycle_id)
+    if len({c.source_cycle_id for c in ordered}) != len(ordered):
+        raise ValueOutOfRange("source_cycle_id values must be unique")
+    if any(np.shape(c.q32) != (GATED_FRAMES,) for c in ordered):
+        raise ValueOutOfRange(f"q32 must hold exactly {GATED_FRAMES} values")
+    q = np.stack([c.q32 for c in ordered]).astype(np.float64, copy=False)
+    if not np.isfinite(q).all():
+        raise ValueOutOfRange("q32 contains non-finite values")
+    rr = np.array([c.rr for c in ordered], dtype=np.float64)
+    if not (rr > 0).all():
+        raise ValueOutOfRange("rr must be positive")
 
-    def stats(sel: list[CanonicalCycle]):
-        if not sel:
-            return None, None, None
-        q = np.stack([c.q32 for c in sel])
-        return q.mean(axis=0), q.std(axis=0), float(np.mean([c.rr for c in sel]))
+    def stats(label: RespLabel | None):
+        sel = np.array([label is None or c.resp_label is label for c in ordered])
+        if not sel.any():
+            return None, None, None, 0
+        rows = q[sel]
+        return rows.mean(axis=0), rows.std(axis=0), float(rr[sel].mean()), int(sel.sum())
 
-    insp, expi, mixed = ([c for c in ordered if c.resp_label is label] for label in (
-        RespLabel.INSPIRATION, RespLabel.EXPIRATION, RespLabel.MIXED))
-    g_mean, g_sd, g_rr = stats(ordered)
-    i_mean, i_sd, i_rr = stats(insp)
-    e_mean, e_sd, e_rr = stats(expi)
+    g_mean, g_sd, g_rr, n_global = stats(None)
+    i_mean, i_sd, i_rr, n_insp = stats(RespLabel.INSPIRATION)
+    e_mean, e_sd, e_rr, n_exp = stats(RespLabel.EXPIRATION)
     return EnsembleCurves(
         global_mean=g_mean,
         global_sd=g_sd,
-        n_global=len(ordered),
+        n_global=n_global,
         mean_rr_global=g_rr,
         insp_mean=i_mean,
         insp_sd=i_sd,
-        n_insp=len(insp),
+        n_insp=n_insp,
         mean_rr_insp=i_rr,
         exp_mean=e_mean,
         exp_sd=e_sd,
-        n_exp=len(expi),
+        n_exp=n_exp,
         mean_rr_exp=e_rr,
-        n_mixed=len(mixed),
+        n_mixed=sum(c.resp_label is RespLabel.MIXED for c in ordered),
     )

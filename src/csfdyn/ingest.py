@@ -359,7 +359,7 @@ def read_series(path) -> VelocitySeries:
                 raise MalformedHeader(f"{path}: truncated header")
             try:
                 header_dict = json.loads(header_bytes.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise MalformedHeader(f"{path}: header is not valid JSON: {exc}") from exc
             if not isinstance(header_dict, dict):
                 raise MalformedHeader(f"{path}: header JSON must be an object")

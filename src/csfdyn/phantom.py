@@ -31,9 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .ensemble import PHASE_GRID
 from .errors import InvalidSpec
 from .gating import resp_label_for
 from .ingest import (
+    GATED_FRAMES,
     Encoding,
     PhysioKind,
     PhysioTrace,
@@ -503,12 +505,11 @@ def generate_gated(spec: PhantomSpec) -> VelocitySeries:
     n_cycles = truth.rr.size
     if n_cycles < 1:
         raise InvalidSpec("duration holds no complete cardiac cycle")
-    phases = np.arange(32, dtype=np.float64) / 32.0
-    q_card = truth.amplitude * waveform(phases, spec.cardiac.harmonics)
+    q_card = truth.amplitude * waveform(PHASE_GRID, spec.cardiac.harmonics)
 
-    mean = np.zeros((32, spec.grid.height, spec.grid.width), dtype=np.float64)
+    mean = np.zeros((GATED_FRAMES, spec.grid.height, spec.grid.width), dtype=np.float64)
     for k in range(n_cycles):
-        t_kb = truth.onsets[k] + phases * truth.rr[k]
+        t_kb = truth.onsets[k] + PHASE_GRID * truth.rr[k]
         phase = _phase(spec, t_kb, q_card * (1.0 + truth.modulation * truth.inspiration(t_kb)))
         if a.noise_sd_phase > 0:
             phase += _rng(spec.seed, (1 << 20) + k).normal(
@@ -516,7 +517,8 @@ def generate_gated(spec: PhantomSpec) -> VelocitySeries:
             )
         mean += _wrap(phase) * (a.venc / np.pi)
     mean /= n_cycles
-    header = _header(spec, 32, spec.cardiac.rr_mean / 32.0, Encoding.VELOCITY_CMPS)
+    header = _header(spec, GATED_FRAMES, spec.cardiac.rr_mean / GATED_FRAMES,
+                     Encoding.VELOCITY_CMPS)
     return VelocitySeries(header=header, frames=mean)
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from .ensemble import (
     INTERP_MODES,
     MIN_SAMPLES,
+    PHASE_GRID,
     CanonicalCycle,
     EnsembleCurves,
     build_ensembles,
@@ -212,8 +213,7 @@ def process_subject(
         # already one reconstructed cycle: its 32 samples are adopted as
         # the global curve with no gating stage
         rr = flow.timestamps.size * (flow.timestamps[1] - flow.timestamps[0])
-        canonical = [CanonicalCycle(q32=flow.q, source_cycle_id=0,
-                                    resp_label=RespLabel.MIXED, rr=float(rr))]
+        canonical = [CanonicalCycle(flow.q, 0, RespLabel.MIXED, float(rr))]
         notes.append("gated series: cardiac gating already applied at acquisition")
     else:
         if belt is None:
@@ -336,7 +336,7 @@ def result_to_report(result: SubjectResult, version: str, inputs: dict) -> dict:
         "sv_modulation": result.modulation,
         "reversal": result.reversal,
         "curves": {
-            "phase": (np.arange(curves.global_mean.size) / curves.global_mean.size).tolist(),
+            "phase": PHASE_GRID.tolist(),
             "global_mean": curves.global_mean.tolist(),
             "global_sd": curves.global_sd.tolist(),
             "insp_mean": None if curves.insp_mean is None else curves.insp_mean.tolist(),

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ensemble import PHASE_GRID
 from .errors import IoFailure
 
 
@@ -194,18 +195,16 @@ def write_curves_svg(path, curves, title: str, unit_label: str = "mL/s") -> None
     lo = min(0.0, min(float(c.min()) for c in stacked))
     hi = max(0.0, max(float(c.max()) for c in stacked))
     pad = 0.08 * (hi - lo) if hi > lo else 1.0
-    n = curves.global_mean.size
-    phase = np.arange(n, dtype=np.float64) / n
     canvas = SvgCanvas(title, "cardiac phase", f"flow ({unit_label})",
                        (0.0, 1.0), (lo - pad, hi + pad))
     canvas.line((canvas.x0, 0.0), (canvas.x1, 0.0), "#888888", dash=True)
     entries = [("global", "#555555")]
-    canvas.polyline(phase, curves.global_mean, "#555555", 1.5)
+    canvas.polyline(PHASE_GRID, curves.global_mean, "#555555", 1.5)
     if curves.insp_mean is not None:
-        canvas.polyline(phase, curves.insp_mean, "#c62828", 2.0)
+        canvas.polyline(PHASE_GRID, curves.insp_mean, "#c62828", 2.0)
         entries.append(("inspiration", "#c62828"))
     if curves.exp_mean is not None:
-        canvas.polyline(phase, curves.exp_mean, "#1565c0", 2.0)
+        canvas.polyline(PHASE_GRID, curves.exp_mean, "#1565c0", 2.0)
         entries.append(("expiration", "#1565c0"))
     canvas.legend(entries)
     canvas.write(path)

@@ -486,6 +486,26 @@ class TestNonUtf8Json:
         assert "subject S01" in err and "not valid JSON" in err
 
 
+class TestDeeplyNestedJson:
+    """JSON nested too deeply to decode is an input error (exit 2), not
+    an internal RecursionError (exit 4)."""
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["phantom", "--spec", "{deep}", "--out", "{tmp}/o"],
+        ["phantom", "--config", "{deep}", "--out", "{tmp}/o"],
+        ["cohort", "--pairs", "{deep}", "--out", "{tmp}/o"],
+    ], ids=["spec", "config", "pairs"])
+    def test_exit_2(self, deep, tmp_path, capsys, argv):
+        assert main([a.format(deep=deep, tmp=tmp_path) for a in argv]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as e:

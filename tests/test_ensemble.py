@@ -256,8 +256,42 @@ class TestBuildEnsembles:
         assert e0.mean_rr_global == e1.mean_rr_global
 
     def test_q32_shape_enforced(self):
-        with pytest.raises(ValueOutOfRange):
-            canon(np.ones(31), 0)
-        with pytest.raises(ValueOutOfRange):
-            CanonicalCycle(q32=np.full(32, np.nan), source_cycle_id=0,
-                           resp_label=RespLabel.MIXED, rr=1000.0)
+        good = canon(np.ones(32), 0)
+        with pytest.raises(ValueOutOfRange, match="exactly 32"):
+            build_ensembles([good, canon(np.ones(31), 1)])
+        with pytest.raises(ValueOutOfRange, match="non-finite"):
+            build_ensembles([good, canon(np.full(32, np.nan), 1)])
+
+    @pytest.mark.parametrize("rr", [0.0, -800.0])
+    def test_non_positive_rr_refused(self, rr):
+        with pytest.raises(ValueOutOfRange, match="rr must be positive"):
+            build_ensembles([canon(np.ones(32), 0), canon(np.ones(32), 1, rr=rr)])
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_per_state_stack(self, seed):
+        # each state reduced on its own np.stack of its rows in id order;
+        # seeds 0-23 include empty inspiration (6, 14, 21), empty
+        # expiration (11, 12, 13) and a single MIXED cycle (23)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        labels = [list(RespLabel)[k] for k in rng.integers(3, size=n)]
+        rows = [canon(rng.normal(0, 1, 32), cid=int(cid), label=lab,
+                      rr=float(rng.uniform(500, 1800)))
+                for cid, lab in zip(rng.permutation(100)[:n], labels)]
+        e = build_ensembles(rows)
+        ordered = sorted(rows, key=lambda c: c.source_cycle_id)
+        for states, mean, sd, count, rr in (
+            (set(RespLabel), e.global_mean, e.global_sd, e.n_global, e.mean_rr_global),
+            ({RespLabel.INSPIRATION}, e.insp_mean, e.insp_sd, e.n_insp, e.mean_rr_insp),
+            ({RespLabel.EXPIRATION}, e.exp_mean, e.exp_sd, e.n_exp, e.mean_rr_exp),
+        ):
+            sel = [c for c in ordered if c.resp_label in states]
+            assert count == len(sel)
+            if not sel:
+                assert mean is None and sd is None and rr is None
+                continue
+            q = np.stack([c.q32 for c in sel])
+            assert np.array_equal(mean, q.mean(axis=0))
+            assert np.array_equal(sd, q.std(axis=0))
+            assert rr == float(np.mean([c.rr for c in sel]))
+        assert e.n_mixed == sum(c.resp_label is RespLabel.MIXED for c in rows)

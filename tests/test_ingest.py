@@ -164,6 +164,13 @@ class TestSeriesFile:
         with pytest.raises(MalformedHeader, match="truncated header"):
             read_series(p)
 
+    def test_deeply_nested_header(self, tmp_path):
+        head = b"[" * 200_000
+        p = tmp_path / "s.csfd"
+        p.write_bytes(b"CSFDYN01" + len(head).to_bytes(4, "little") + head)
+        with pytest.raises(MalformedHeader, match="not valid JSON"):
+            read_series(p)
+
     def test_truncated_payload(self, tmp_path):
         s = make_series()
         p = tmp_path / "s.csfd"
