@@ -206,6 +206,10 @@ def _load_subject_report(path: str, subject_id: str) -> dict:
                          ("sv.global.sv", isinstance(sv, dict) and "sv" in sv)):
         if not present:
             raise UnpairedSubject(f"subject {subject_id}: {path} has no {key}")
+    try:
+        rep["sv_modulation"] = coerce(float | None, rep.get("sv_modulation"))
+    except ValueError as exc:
+        raise UnpairedSubject(f"subject {subject_id}: {path}: sv_modulation {exc}") from None
     return rep
 
 
@@ -238,7 +242,7 @@ def cmd_cohort(args: argparse.Namespace) -> int:
             "unit": conv["unit"],
             "conv_sv": conv["sv"]["global"]["sv"],
             "epi_sv": epi["sv"]["global"]["sv"],
-            "modulation": epi.get("sv_modulation"),
+            "modulation": epi["sv_modulation"],
             "conv_path": entry["conv"],
             "epi_path": entry["epi"],
         })

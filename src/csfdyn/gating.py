@@ -2,6 +2,10 @@
 signal itself (or a plethysmograph trace), and inspiration/expiration
 labeling from the respiratory belt.
 
+One detector serves both cardiac sources; only the onset rule differs
+(the upward zero crossing before each flow peak, or the foot of each
+plethysmograph upstroke).
+
 All detection happens on timestamps relative to the first sample, so
 shifting every input clock by the same amount shifts every output
 timestamp by exactly that amount.
@@ -200,18 +204,46 @@ def _find_beat_peaks(s: np.ndarray, dt: float, min_rr: float) -> np.ndarray:
     return peaks
 
 
-def _uniform_dt(timestamps: np.ndarray) -> float:
-    gaps = np.diff(timestamps)
-    if gaps.size == 0 or np.any(gaps <= 0):
-        raise ValueOutOfRange("timestamps must be strictly increasing")
-    return float(np.median(gaps))
+def _detect(x: np.ndarray, rel: np.ndarray, dt: float | None, t_first: float,
+            method: GatingMethod, min_rr: float, max_rr: float) -> CycleBoundaries:
+    """Cycles of x, sampled at rel (ms since its first sample) every dt ms
+    (None: the median step of rel). Only the onset rule depends on method:
+    the last upward zero crossing at or before each beat peak, or the last
+    minimum since the previous peak."""
+    if not 0 < min_rr < max_rr:
+        raise ValueOutOfRange("need 0 < min_rr < max_rr")
+    if rel[-1] < 5.0 * min_rr:
+        raise TooFewCycles(f"signal spans {rel[-1]:g} ms, need at least {5 * min_rr:g}")
+    if dt is None:
+        dt = float(np.median(np.diff(rel)))
+    s = _smooth_for_peaks(x, dt, max_rr)
+    peaks = _find_beat_peaks(s, dt, min_rr)
 
+    if method is GatingMethod.FLOW_PEAKS:
+        # crossing i lies between samples i - 1 and i, linearly interpolated
+        up = np.flatnonzero((s[:-1] <= 0.0) & (s[1:] > 0.0)) + 1
+        frac = -s[up - 1] / (s[up] - s[up - 1])
+        at = rel[up - 1] + frac * (rel[up] - rel[up - 1])
+        if s[0] > 0.0:
+            # the positive run under the first peaks reaches the first
+            # sample: the flush was already underway when recording
+            # started, so clamp their onset to the window edge
+            up, at = np.r_[0, up], np.r_[rel[0], at]
+        k = np.searchsorted(up, peaks, side="right") - 1
+        onsets = at[k[k >= 0]]
+    else:
+        feet, prev = [], 0
+        for p in peaks.tolist():
+            seg = s[prev : p + 1]
+            feet.append(prev + seg.size - 1 - int(np.argmin(seg[::-1])))
+            prev = p
+        onsets = rel[feet]
+    # onsets do not decrease in peak order, so this only drops repeats
+    onsets = np.unique(onsets)
 
-def _rhythm_or_refuse(onsets_rel: np.ndarray, method: GatingMethod,
-                      t_first: float, min_rr: float, max_rr: float) -> CycleBoundaries:
-    if onsets_rel.size < 5:
-        raise TooFewCycles(f"only {onsets_rel.size} cycles detected, need at least 5")
-    rr = np.diff(onsets_rel)
+    if onsets.size < 5:
+        raise TooFewCycles(f"only {onsets.size} cycles detected, need at least 5")
+    rr = np.diff(onsets)
     mean_rr = float(rr.mean())
     rr_cv = float(rr.std() / mean_rr)
     if rr_cv > RR_CV_LIMIT:
@@ -220,7 +252,7 @@ def _rhythm_or_refuse(onsets_rel: np.ndarray, method: GatingMethod,
             f"try a plethysmograph recording"
         )
     return CycleBoundaries(
-        onsets=t_first + onsets_rel,
+        onsets=t_first + onsets,
         method=method,
         mean_rr=mean_rr,
         rr_cv=rr_cv,
@@ -240,37 +272,9 @@ def detect_cycles_from_flow(
     each onset is placed at the last upward zero-crossing before its
     peak, linearly interpolated between samples.
     """
-    if not 0 < min_rr < max_rr:
-        raise ValueOutOfRange("need 0 < min_rr < max_rr")
     t = flow.timestamps
-    if t[-1] - t[0] < 5.0 * min_rr:
-        raise TooFewCycles(
-            f"signal spans {t[-1] - t[0]:g} ms, need at least {5 * min_rr:g}"
-        )
-    dt = _uniform_dt(t)
-    rel = t - t[0]
-    s = _smooth_for_peaks(flow.q, dt, max_rr)
-    peaks = _find_beat_peaks(s, dt, min_rr)
-
-    onsets = []
-    for p in peaks.tolist():
-        i = p
-        found = None
-        while i > 0:
-            if s[i - 1] <= 0.0 < s[i]:
-                frac = -s[i - 1] / (s[i] - s[i - 1])
-                found = rel[i - 1] + frac * (rel[i] - rel[i - 1])
-                break
-            i -= 1
-        if found is None and s[0] > 0.0:
-            # the positive run under this peak reaches the first sample:
-            # the flush was already underway when recording started, so
-            # clamp the onset to the window edge
-            found = float(rel[0])
-        if found is not None and (not onsets or found > onsets[-1]):
-            onsets.append(found)
-    return _rhythm_or_refuse(np.asarray(onsets), GatingMethod.FLOW_PEAKS,
-                             float(t[0]), min_rr, max_rr)
+    return _detect(flow.q, t - t[0], None, float(t[0]), GatingMethod.FLOW_PEAKS,
+                   min_rr, max_rr)
 
 
 def detect_cycles_from_plethysmo(
@@ -280,27 +284,9 @@ def detect_cycles_from_plethysmo(
     upstroke (the last minimum before the pulse peak)."""
     if trace.kind is not PhysioKind.CARDIAC_PLETHYSMO:
         raise WrongKind(f"expected CARDIAC_PLETHYSMO trace, got {trace.kind.value}")
-    if not 0 < min_rr < max_rr:
-        raise ValueOutOfRange("need 0 < min_rr < max_rr")
-    if trace.duration < 5.0 * min_rr:
-        raise TooFewCycles(
-            f"trace spans {trace.duration:g} ms, need at least {5 * min_rr:g}"
-        )
     dt = trace.sample_interval
     rel = np.arange(trace.samples.size, dtype=np.float64) * dt
-    s = _smooth_for_peaks(trace.samples, dt, max_rr)
-    peaks = _find_beat_peaks(s, dt, min_rr)
-
-    onsets = []
-    prev = 0
-    for p in peaks.tolist():
-        seg = s[prev : p + 1]
-        foot = prev + (seg.size - 1 - int(np.argmin(seg[::-1])))
-        if not onsets or rel[foot] > onsets[-1]:
-            onsets.append(float(rel[foot]))
-        prev = p
-    return _rhythm_or_refuse(np.asarray(onsets), GatingMethod.PLETHYSMO,
-                             trace.t0, min_rr, max_rr)
+    return _detect(trace.samples, rel, dt, trace.t0, GatingMethod.PLETHYSMO, min_rr, max_rr)
 
 
 def _noise_floor(x: np.ndarray) -> float:

@@ -276,8 +276,11 @@ class PhysioTrace:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_interval <= 0:
-            raise ValueOutOfRange("sample_interval must be positive")
+        if not (math.isfinite(self.sample_interval) and self.sample_interval > 0):
+            raise ValueOutOfRange(f"sample_interval must be positive and finite, "
+                                  f"got {self.sample_interval}")
+        if not math.isfinite(self.t0):
+            raise ValueOutOfRange(f"t0 must be finite, got {self.t0}")
         if self.samples.size < 2:
             raise ValueOutOfRange("trace needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):

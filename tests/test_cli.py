@@ -400,6 +400,24 @@ class TestCohort:
         assert rc == 2
         assert "S2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_mod", ["abc", True, math.nan])
+    def test_bad_sv_modulation_is_input_error(self, tmp_path, capsys, bad_mod):
+        entries = []
+        for k in range(6):
+            report = tmp_path / f"S{k}.json"
+            report.write_text(json.dumps({
+                "kind": "subject", "roi_label": "AQUEDUCT", "unit": "uL",
+                "sv": {"global": {"sv": 100.0 + k}},
+                "sv_modulation": bad_mod if k == 2 else 0.08}))
+            entries.append({"id": f"S{k}", "conv": str(report), "epi": str(report)})
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"subjects": entries}))
+        rc = main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "S2" in err and "sv_modulation" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("hole", ["sv.global", "roi_label", "unit"])
     def test_report_without_key_is_input_error(self, tmp_path, capsys, hole):
         entries = []

@@ -30,7 +30,13 @@ from csfdyn.errors import (
     ValueOutOfRange,
     WrongKind,
 )
-from csfdyn.gating import _merge_short_runs, resp_label_for
+from csfdyn.gating import (
+    RR_CV_LIMIT,
+    _find_beat_peaks,
+    _merge_short_runs,
+    _smooth_for_peaks,
+    resp_label_for,
+)
 
 
 def make_flow(q, dt=88.0, t0=0.0, area=1.44):
@@ -135,6 +141,141 @@ class TestPlethysmoGating:
         t = PhysioTrace(10.0, 0.0, np.sin(np.linspace(0, 60, 1000)), PhysioKind.RESP_BELT)
         with pytest.raises(WrongKind):
             detect_cycles_from_plethysmo(t)
+
+
+class TestOneDetectorAgainstLoops:
+    """Both detectors against the onset rules written as per-peak loops:
+    the flow route's back-scan to the last upward zero crossing (clamped
+    to the first sample when the positive run reaches it), the
+    plethysmograph's last minimum since the previous peak, and the filter
+    that keeps an onset only if it is later than the last one kept.
+    Onsets must match bit for bit, and refusals by type."""
+
+    @staticmethod
+    def loop_onsets(s, rel, peaks, method):
+        onsets, prev = [], 0
+        for p in peaks.tolist():
+            found = None
+            if method is GatingMethod.FLOW_PEAKS:
+                i = p
+                while i > 0:
+                    if s[i - 1] <= 0.0 < s[i]:
+                        frac = -s[i - 1] / (s[i] - s[i - 1])
+                        found = rel[i - 1] + frac * (rel[i] - rel[i - 1])
+                        break
+                    i -= 1
+                if found is None and s[0] > 0.0:
+                    found = float(rel[0])
+            else:
+                seg = s[prev : p + 1]
+                found = float(rel[prev + (seg.size - 1 - int(np.argmin(seg[::-1])))])
+                prev = p
+            if found is not None and (not onsets or found > onsets[-1]):
+                onsets.append(found)
+        return np.asarray(onsets)
+
+    def reference(self, x, rel, dt, t_first, method, min_rr, max_rr):
+        """(onsets, mean_rr, rr_cv, clamped), or the refusal's type."""
+        if not 0 < min_rr < max_rr:
+            return ValueOutOfRange
+        if rel[-1] < 5.0 * min_rr:
+            return TooFewCycles
+        s = _smooth_for_peaks(x, dt, max_rr)
+        try:
+            peaks = _find_beat_peaks(s, dt, min_rr)
+        except TooFewCycles:
+            return TooFewCycles
+        onsets = self.loop_onsets(s, rel, peaks, method)
+        if onsets.size < 5:
+            return TooFewCycles
+        rr = np.diff(onsets)
+        mean_rr = float(rr.mean())
+        rr_cv = float(rr.std() / mean_rr)
+        if rr_cv > RR_CV_LIMIT:
+            return ArrhythmicSignal
+        clamped = method is GatingMethod.FLOW_PEAKS and s[0] > 0.0 and onsets[0] == 0.0
+        return t_first + onsets, mean_rr, rr_cv, clamped
+
+    @staticmethod
+    def random_signal(rng):
+        """A jittered pulse train (or pure noise) with a random start phase,
+        clock offset, step, length and RR window."""
+        n = int(rng.integers(20, 1501))
+        dt = float(rng.choice([33.3, 40.0, 88.0, rng.uniform(5.0, 120.0)]))
+        t0 = float(rng.choice([0.0, rng.uniform(-1e5, 1e5)]))
+        rr = rng.uniform(400.0, 1500.0)
+        u = np.cumsum(np.full(n, dt) / (rr * (1 + rng.uniform(0, 0.3) * rng.standard_normal(n))))
+        u += rng.random()
+        x = np.sin(2 * np.pi * u) + rng.uniform(0, 0.6) * np.sin(4 * np.pi * u)
+        x = rng.uniform(0.1, 10.0) * x + rng.uniform(0, 0.8) * rng.standard_normal(n)
+        if rng.random() < 0.1:
+            x = rng.standard_normal(n)
+        min_rr, max_rr = float(rng.uniform(150.0, 500.0)), float(rng.uniform(900.0, 2500.0))
+        if rng.random() < 0.2:
+            # a zero-sum integer pulse on a flat floor, every p samples: with
+            # a detrend window of 3 whole periods the smoothed signal is
+            # exact, so it holds tied minima (first shape) or a rise straight
+            # off an exact zero (second shape)
+            p = 2 * int(rng.integers(4, 15)) + 1
+            pulse = np.zeros(p)
+            shape = [-1.0, -2.0, 0.0, 4.0, -1.0] if rng.random() < 0.5 else [1.0, 3.0, -2.0, -2.0]
+            pulse[: len(shape)] = shape
+            x = np.tile(np.roll(pulse, int(rng.integers(p))), n // p + 1)[:n]
+            min_rr, max_rr = 0.6 * p * dt, 3 * p * dt
+        if rng.random() < 0.03:
+            min_rr, max_rr = max_rr, min_rr
+        return x, dt, t0, min_rr, max_rr
+
+    @staticmethod
+    def outcome(detect, *args):
+        try:
+            b = detect(*args)
+        except (TooFewCycles, ArrhythmicSignal, ValueOutOfRange) as exc:
+            return type(exc)
+        return b
+
+    def check(self, method, n_signals=1200, seed=0):
+        rng = np.random.default_rng(seed)
+        tally = {"accepted": 0, "clamped": 0, TooFewCycles: 0, ArrhythmicSignal: 0,
+                 ValueOutOfRange: 0}
+        for _ in range(n_signals):
+            x, dt, t0, min_rr, max_rr = self.random_signal(rng)
+            if method is GatingMethod.FLOW_PEAKS:
+                t = t0 + np.arange(x.size) * dt
+                if rng.random() < 0.3:  # a clock that wobbles: step = median gap
+                    t = t + rng.uniform(-0.2, 0.2, x.size) * dt
+                flow = FlowSamples(timestamps=t, q=x, roi_label=RoiLabel.AQUEDUCT,
+                                   pixel_area=1.0, n_roi_pixels=1)
+                got = self.outcome(detect_cycles_from_flow, flow, min_rr, max_rr)
+                rel = t - t[0]
+                step = float(np.median(np.diff(rel)))
+                want = self.reference(x, rel, step, float(t[0]), method, min_rr, max_rr)
+            else:
+                trace = PhysioTrace(dt, t0, x, PhysioKind.CARDIAC_PLETHYSMO)
+                got = self.outcome(detect_cycles_from_plethysmo, trace, min_rr, max_rr)
+                rel = np.arange(x.size, dtype=np.float64) * dt
+                want = self.reference(x, rel, dt, t0, method, min_rr, max_rr)
+            if isinstance(want, type):
+                assert got is want
+                tally[want] += 1
+                continue
+            onsets, mean_rr, rr_cv, clamped = want
+            assert isinstance(got, CycleBoundaries) and got.method is method
+            assert np.array_equal(got.onsets, onsets)
+            assert (got.mean_rr, got.rr_cv) == (mean_rr, rr_cv)
+            tally["accepted"] += 1
+            tally["clamped"] += clamped
+        return tally
+
+    def test_flow(self):
+        tally = self.check(GatingMethod.FLOW_PEAKS)
+        assert tally["accepted"] >= 300 and tally["clamped"] >= 20
+        assert min(tally[e] for e in (TooFewCycles, ArrhythmicSignal, ValueOutOfRange)) >= 5
+
+    def test_plethysmo(self):
+        tally = self.check(GatingMethod.PLETHYSMO)
+        assert tally["accepted"] >= 300
+        assert min(tally[e] for e in (TooFewCycles, ArrhythmicSignal, ValueOutOfRange)) >= 5
 
 
 class TestMovingAverage:

@@ -328,6 +328,13 @@ class TestPhysioFile:
         with pytest.raises(ValueOutOfRange):
             PhysioTrace(40.0, 0.0, np.array([1.0]), PhysioKind.RESP_BELT)
 
+    @pytest.mark.parametrize("interval, t0", [
+        (math.nan, 0.0), (math.inf, 0.0), (40.0, math.nan), (40.0, math.inf), (40.0, -math.inf),
+    ])
+    def test_trace_clock_must_be_finite(self, interval, t0):
+        with pytest.raises(ValueOutOfRange):
+            PhysioTrace(interval, t0, np.sin(np.linspace(0, 6, 250)), PhysioKind.RESP_BELT)
+
 
 # every dataclass built from outside input: file headers, phantom spec
 # sections, pipeline parameters (PhantomSpec itself holds only sections
