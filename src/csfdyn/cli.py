@@ -207,6 +207,10 @@ def _load_subject_report(path: str, subject_id: str) -> dict:
         if not present:
             raise UnpairedSubject(f"subject {subject_id}: {path} has no {key}")
     try:
+        sv["sv"] = coerce(float, sv["sv"])
+    except ValueError as exc:
+        raise UnpairedSubject(f"subject {subject_id}: {path}: sv.global.sv {exc}") from None
+    try:
         rep["sv_modulation"] = coerce(float | None, rep.get("sv_modulation"))
     except ValueError as exc:
         raise UnpairedSubject(f"subject {subject_id}: {path}: sv_modulation {exc}") from None

@@ -10,7 +10,10 @@ inspiring, Q_card(t) otherwise.
 Both acquisition routes sample one forward model, _phase: the continuous
 route (generate) at each frame time, the cine-gated route
 (generate_gated) at 32 phase bins of every cycle, which it then averages.
-A term added to the model therefore reaches both routes.
+A term added to the model therefore reaches both routes. Neither builds
+the whole float64 phase cube: generate fills its float32 frames one block
+of about _BLOCK_VALUES values at a time, generate_gated one cycle at a
+time, and both wrap each block in place with _wrap.
 
 All randomness comes from counter-based Philox streams keyed as
 (seed, stream_id), so any part of a dataset can be regenerated
@@ -51,6 +54,11 @@ from .ingest import (
 )
 
 QUAD_POINTS = 1 << 17  # dense-grid quadrature resolution for truth values
+
+#: phase values per block of frames generate() builds at once: 7 frames at
+#: 192x192, 1024 at 16x16
+_BLOCK_VALUES = 1 << 18
+_TWO_PI = 2.0 * np.pi
 
 # largest float32 values still inside [-pi, pi)
 _PHASE32_LO = np.nextafter(np.float32(-np.pi), np.float32(0.0))
@@ -407,8 +415,18 @@ def _make_truth(spec: PhantomSpec) -> GroundTruth:
 
 
 def _wrap(phase: np.ndarray) -> np.ndarray:
-    """Wrap phase to [-pi, pi), as the scanner's phase difference does."""
-    return np.mod(phase + np.pi, 2.0 * np.pi) - np.pi
+    """Wrap float64 phase to [-pi, pi) in place, as the scanner's phase
+    difference does, and return it.
+
+    Bit for bit np.mod(phase + pi, 2 pi) - pi: for y = phase + pi in
+    [0, 2 pi) np.mod(y, 2 pi) is y itself, so only values outside that
+    range go through np.mod.
+    """
+    phase += np.pi
+    outside = ~((phase >= 0.0) & (phase < _TWO_PI))
+    phase[outside] = np.mod(phase[outside], _TWO_PI)
+    phase -= np.pi
+    return phase
 
 
 def _phase(spec: PhantomSpec, t: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -438,9 +456,12 @@ def generate(spec: PhantomSpec) -> PhantomDataset:
     """Simulate one continuous acquisition plus belt and plethysmograph.
 
     Each frame samples the forward model (_phase) at its own time, adds
-    Gaussian phase noise, wraps into [-pi, pi) so aliasing emerges
-    naturally when |v| > venc, then quantizes to float32 like a real
-    reconstruction would.
+    Gaussian phase noise from its own stream, wraps into [-pi, pi) so
+    aliasing emerges naturally when |v| > venc, then quantizes to float32
+    like a real reconstruction would. Frames are built in blocks of about
+    _BLOCK_VALUES float64 values, each wrapped in place and cast into the
+    preallocated float32 frames, so no float64 array of the whole series
+    is ever held; the frames are the same bits at any block size.
     """
     if spec.acquisition.series_kind is not SeriesKind.CONTINUOUS_EPI:
         raise InvalidSpec("generate() builds CONTINUOUS_EPI series; "
@@ -450,14 +471,20 @@ def generate(spec: PhantomSpec) -> PhantomDataset:
 
     n_frames = int(a.duration // a.frame_interval)
     t = np.arange(n_frames, dtype=np.float64) * a.frame_interval
-    phase = _phase(spec, t, truth.q(t))
-    if a.noise_sd_phase > 0:
-        for k in range(n_frames):
-            phase[k] += _rng(spec.seed, 16 + k).normal(
-                0.0, a.noise_sd_phase, size=phase[k].shape
-            )
-    # float32 rounding can land exactly on +-pi: clip back inside
-    frames = np.clip(_wrap(phase).astype(np.float32), _PHASE32_LO, _PHASE32_HI)
+    q = truth.q(t)
+    frames = np.empty((n_frames, spec.grid.height, spec.grid.width), dtype=np.float32)
+    step = max(1, _BLOCK_VALUES // (spec.grid.height * spec.grid.width))
+    for start in range(0, n_frames, step):
+        blk = slice(start, start + step)
+        phase = _phase(spec, t[blk], q[blk])
+        if a.noise_sd_phase > 0:
+            for k, frame in enumerate(phase, start):
+                frame += _rng(spec.seed, 16 + k).normal(
+                    0.0, a.noise_sd_phase, size=frame.shape
+                )
+        frames[blk] = _wrap(phase)
+        # float32 rounding can land exactly on +-pi: clip back inside
+        np.clip(frames[blk], _PHASE32_LO, _PHASE32_HI, out=frames[blk])
     header = _header(spec, n_frames, a.frame_interval, Encoding.PHASE_RADIANS)
 
     r = spec.resp

@@ -400,6 +400,26 @@ class TestCohort:
         assert rc == 2
         assert "S2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_sv", ["true", "NaN", "1e309"])
+    def test_bad_sv_names_the_report_key(self, tmp_path, capsys, bad_sv):
+        # JSON text written as is: 1e309 reads as inf, NaN as nan
+        entries = []
+        for k in range(6):
+            report = tmp_path / f"S{k}.json"
+            report.write_text(
+                '{"kind": "subject", "roi_label": "AQUEDUCT", "unit": "uL", '
+                f'"sv": {{"global": {{"sv": {bad_sv if k == 2 else 100.0 + k}}}}}}}')
+            entries.append({"id": f"S{k}", "conv": str(tmp_path / "S0.json"),
+                            "epi": str(report)})
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"subjects": entries}))
+        rc = main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "subject S2:" in err and str(tmp_path / "S2.json") in err
+        assert "sv.global.sv" in err and "b:" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("bad_mod", ["abc", True, math.nan])
     def test_bad_sv_modulation_is_input_error(self, tmp_path, capsys, bad_mod):
         entries = []

@@ -23,6 +23,7 @@ from csfdyn import (
     static_mask,
     waveform,
 )
+from csfdyn import phantom
 from csfdyn.errors import InvalidSpec
 from csfdyn.phantom import (
     AcquisitionSpec,
@@ -304,6 +305,136 @@ class TestOneForwardModel:
         gated = generate_gated(replace(spec, acquisition=replace(
             spec.acquisition, series_kind=SeriesKind.GATED_CONV)))
         assert np.max(np.abs(cycle_mean - gated.frames)) < 1e-7
+
+
+def frames_reference(spec):
+    """generate()'s frames as the whole-cube expression built them: one
+    float64 phase cube from _phase, each frame's noise stream added, np.mod
+    over the whole cube, then the float32 cast and the clip inside +-pi."""
+    a = spec.acquisition
+    truth = phantom._make_truth(spec)
+    n_frames = int(a.duration // a.frame_interval)
+    t = np.arange(n_frames, dtype=np.float64) * a.frame_interval
+    phase = phantom._phase(spec, t, truth.q(t))
+    if a.noise_sd_phase > 0:
+        for k in range(n_frames):
+            phase[k] += phantom._rng(spec.seed, 16 + k).normal(
+                0.0, a.noise_sd_phase, size=phase[k].shape)
+    wrapped = np.mod(phase + np.pi, 2.0 * np.pi) - np.pi
+    return np.clip(wrapped.astype(np.float32), phantom._PHASE32_LO, phantom._PHASE32_HI)
+
+
+def gated_reference(spec):
+    """generate_gated()'s frames as its per-cycle loop built them, each
+    cycle's 32 maps wrapped by np.mod."""
+    a = spec.acquisition
+    truth = phantom._make_truth(spec)
+    q_card = truth.amplitude * waveform(csfdyn.PHASE_GRID, spec.cardiac.harmonics)
+    mean = np.zeros((csfdyn.GATED_FRAMES, spec.grid.height, spec.grid.width))
+    for k in range(truth.rr.size):
+        t_kb = truth.onsets[k] + csfdyn.PHASE_GRID * truth.rr[k]
+        phase = phantom._phase(
+            spec, t_kb, q_card * (1.0 + truth.modulation * truth.inspiration(t_kb)))
+        if a.noise_sd_phase > 0:
+            phase += phantom._rng(spec.seed, (1 << 20) + k).normal(
+                0.0, a.noise_sd_phase, size=phase.shape)
+        mean += (np.mod(phase + np.pi, 2.0 * np.pi) - np.pi) * (a.venc / np.pi)
+    mean /= truth.rr.size
+    return mean
+
+
+def blocked_spec(size, n_frames, noise, venc, offset_drift, kind=SeriesKind.CONTINUOUS_EPI):
+    """A size x size aqueduct of n_frames frames every 88 ms."""
+    offset, drift = offset_drift
+    return PhantomSpec(
+        grid=replace(GridSpec(), width=size, height=size),
+        lumen=replace(LumenSpec(), center_row=size / 2, center_col=size / 2),
+        resp=replace(RespSpec(), modulation_insp=0.09),
+        acquisition=replace(
+            AcquisitionSpec(), venc=venc, duration=88.0 * n_frames + 1.0,
+            noise_sd_phase=noise, background_offset=offset, drift_amplitude=drift,
+            series_kind=kind),
+        seed=5,
+    )
+
+
+# 16x16 takes 1024 frames a block and 64x64 64: neither frame count is a
+# multiple of its block, and 16x16 runs two blocks
+GRIDS = [(16, 1500), (64, 227)]
+NOISES = [0.0, 0.02, 0.8]
+VENCS = [10.0, 1.1, 0.9]
+OFFSETS = [(0.0, 0.0), (0.4, 0.3)]
+
+
+class TestBlockedGeneration:
+    """Both routes equal their whole-cube references bit for bit."""
+
+    @pytest.mark.parametrize("offset_drift", OFFSETS)
+    @pytest.mark.parametrize("venc", VENCS)
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("size,n_frames", GRIDS)
+    def test_frames_match_reference(self, size, n_frames, noise, venc, offset_drift):
+        spec = blocked_spec(size, n_frames, noise, venc, offset_drift)
+        frames = generate(spec).series.frames
+        assert frames.shape == (n_frames, size, size)
+        assert np.array_equal(frames.view(np.uint32), frames_reference(spec).view(np.uint32))
+
+    @pytest.mark.parametrize("offset_drift", OFFSETS)
+    @pytest.mark.parametrize("venc", VENCS)
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("size,n_frames", GRIDS)
+    def test_gated_matches_reference(self, size, n_frames, noise, venc, offset_drift):
+        spec = blocked_spec(size, n_frames, noise, venc, offset_drift, SeriesKind.GATED_CONV)
+        frames = generate_gated(spec).frames
+        assert np.array_equal(frames.view(np.uint64), gated_reference(spec).view(np.uint64))
+
+    @pytest.mark.parametrize("block_values", [1, 4096, 3 * 4096 + 5, 227 * 4096])
+    def test_any_block_size_gives_the_same_frames(self, monkeypatch, block_values):
+        spec = blocked_spec(64, 227, 0.8, 0.9, (0.4, 0.3))
+        monkeypatch.setattr(phantom, "_BLOCK_VALUES", block_values)
+        frames = generate(spec).series.frames
+        assert np.array_equal(frames.view(np.uint32), frames_reference(spec).view(np.uint32))
+
+    @pytest.mark.parametrize("venc", [1.1, 0.9])
+    def test_low_venc_phase_leaves_the_range_repeatedly(self, venc):
+        # the cases above must exercise the slow path of _wrap
+        spec = blocked_spec(64, 227, 0.0, venc, (0.0, 0.0))
+        truth = phantom._make_truth(spec)
+        t = np.arange(227) * 88.0
+        phase = phantom._phase(spec, t, truth.q(t))
+        assert (np.abs(phase) >= np.pi).any(axis=(1, 2)).sum() > 30
+
+
+class TestWrap:
+    @staticmethod
+    def assert_wraps_like_mod(x):
+        expected = np.mod(x + np.pi, 2.0 * np.pi) - np.pi
+        out = phantom._wrap(x.copy())
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    def test_edge_values(self):
+        pi, two_pi = np.pi, 2.0 * np.pi
+        turns = two_pi * np.array([1.0, 3.0, 1e3, 1e6, 1e9, 1e12, 1e15])
+        centres = np.concatenate([[pi, -pi, two_pi, -two_pi, 0.0, -0.0], turns, -turns])
+        edges = np.concatenate([
+            centres,
+            np.nextafter(centres, np.inf),
+            np.nextafter(centres, -np.inf),
+            [np.nextafter(two_pi, 0.0), -np.nextafter(two_pi, 0.0)],
+        ])
+        for x in edges:
+            self.assert_wraps_like_mod(np.array([x]))
+        self.assert_wraps_like_mod(edges)
+
+    def test_seeded_random_values(self):
+        rng = np.random.default_rng(20)
+        self.assert_wraps_like_mod(rng.normal(0.0, 10.0, size=(1000, 1000)))
+        self.assert_wraps_like_mod(rng.uniform(-np.pi, np.pi, size=10**6))
+
+    def test_in_place(self):
+        x = np.array([[0.5, 4.0], [-4.0, 0.0]])
+        assert phantom._wrap(x) is x
+        assert np.all((x >= -np.pi) & (x < np.pi))
 
 
 class TestCohort:
