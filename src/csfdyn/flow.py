@@ -1,4 +1,6 @@
-"""ROI flow extraction: velocity maps in, flow waveform Q(t) out.
+"""ROI flow extraction: velocity maps in, flow waveform Q(t) out; or, in
+the pipeline, the series in and the same flow out, summed from its
+streamed velocity blocks with no velocity map built.
 
 Positive flow is the systolic flush direction (craniocaudal). Units:
 velocity cm/s, pixel area mm^2, flow mL/s; the 0.01 factor converts
@@ -14,7 +16,7 @@ from scipy import ndimage
 
 from .errors import DimensionMismatch, InvalidThreshold, NoCorrelatedRegion
 from .ingest import RoiLabel, RoiMask, VelocitySeries, ensure_same_grid
-from .velocity import PixelMoments, pixel_moments
+from .velocity import PixelMoments, add_columns, pixel_moments, pixel_sums
 
 
 @dataclass
@@ -39,33 +41,66 @@ class FlowSamples:
             raise ValueError("timestamps must be strictly increasing")
 
 
-def extract_flow(series: VelocitySeries, roi: RoiMask) -> FlowSamples:
-    """Integrate velocity over the ROI per frame.
-
-    q(t) = sum over ROI pixels of v_i(t) * pixel_area * 0.01  [mL/s]
-
-    The velocity maps should be background corrected first; an
-    uncorrected offset turns into a spurious constant flow of
-    n_pixels * area * offset / 100.
-    """
-    ensure_same_grid(roi, series.header)
+def _samples(series: VelocitySeries, roi: RoiMask, sums: np.ndarray) -> FlowSamples:
+    """The flow of per-frame velocity sums over roi."""
     area = series.header.pixel_area
-    q = series.frames[:, roi.pixels].sum(axis=1) * (area * 0.01)
     return FlowSamples(
         timestamps=series.timestamps,
-        q=q,
+        q=sums * (area * 0.01),
         roi_label=roi.label,
         pixel_area=area,
         n_roi_pixels=roi.n_pixels,
     )
 
 
+def extract_flow(series: VelocitySeries, roi: RoiMask) -> FlowSamples:
+    """Integrate velocity over the ROI per frame.
+
+    q(t) = sum over ROI pixels of v_i(t) * pixel_area * 0.01  [mL/s]
+
+    The sum adds the ROI's pixels one after another in row-major order
+    (velocity.add_columns). The velocity maps should be background
+    corrected first; an uncorrected offset turns into a spurious constant
+    flow of n_pixels * area * offset / 100.
+    """
+    ensure_same_grid(roi, series.header)
+    return _samples(series, roi, add_columns(series.frames[:, roi.pixels]))
+
+
+def streamed_flow(
+    series: VelocitySeries,
+    roi: RoiMask,
+    flip_sign: bool = False,
+    anchor: int = 0,
+    offset: float | None = None,
+) -> FlowSamples:
+    """extract_flow, to the bit, of the velocities
+    velocities(series, flip_sign, anchor) less offset when one is given,
+    as background_correct leaves them. Summed as the streamed blocks come
+    (velocity.pixel_sums), so no velocity map is built."""
+    ensure_same_grid(roi, series.header)
+    return _samples(series, roi, pixel_sums(series, roi.pixels, flip_sign, anchor, offset))
+
+
+def _centred_mean(sums: np.ndarray, n_pixels: int) -> np.ndarray:
+    ref = sums / n_pixels
+    return ref - ref.mean()
+
+
 def seed_reference(series: VelocitySeries, seed: RoiMask) -> np.ndarray:
     """The seed pixels' mean velocity time course, centred: the reference
     refine_roi correlates every pixel against."""
     ensure_same_grid(seed, series.header)
-    ref = series.frames[:, seed.pixels].mean(axis=1)
-    return ref - ref.mean()
+    return _centred_mean(add_columns(series.frames[:, seed.pixels]), seed.n_pixels)
+
+
+def streamed_seed_reference(
+    series: VelocitySeries, seed: RoiMask, flip_sign: bool = False, anchor: int = 0
+) -> np.ndarray:
+    """seed_reference, to the bit, of velocities(series, flip_sign, anchor),
+    from the seed pixels' streamed sums (velocity.pixel_sums)."""
+    ensure_same_grid(seed, series.header)
+    return _centred_mean(pixel_sums(series, seed.pixels, flip_sign, anchor), seed.n_pixels)
 
 
 def refine_roi(

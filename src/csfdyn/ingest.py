@@ -33,6 +33,7 @@ import numbers
 import os
 import struct
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cache
@@ -489,19 +490,33 @@ def write_physio(trace: PhysioTrace, path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def read_physio(path, kind: PhysioKind = PhysioKind.RESP_BELT) -> PhysioTrace:
-    """Read a two-column physio CSV into a uniformly sampled trace.
+#: line breaks of str.splitlines, besides "\n", that text read with
+#: universal newlines ("\r\n" and "\r" become "\n") can hold; loadtxt
+#: does not end a line at them
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
 
-    Non-uniform timestamps (any gap deviating more than 1% from the median
-    interval) are rejected, never resampled: resampling policy belongs to
-    the gating stage.
-    """
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(f"{path}: non-ASCII content: {exc}") from exc
+
+def _loadtxt_rows(path) -> np.ndarray | None:
+    """The rows below the header line as numpy parses them, or None where
+    they may differ from _loop_rows: loadtxt refused, or found other than
+    two columns, fewer than 2 rows or a non-finite value."""
+    with warnings.catch_warnings():
+        # a file without rows is _loop_rows' to refuse
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2,
+                              encoding="ascii")
+        except (ValueError, OSError):
+            return None
+    if rows.shape[0] < 2 or rows.shape[1] != 2 or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
+def _loop_rows(path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and amplitudes of the rows of text, parsed a line at a
+    time: the reader of every file _loadtxt_rows declines, which raises
+    for each malformed header or row."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "t_ms,amplitude":
         raise MalformedHeader(f"{path}: expected header line 't_ms,amplitude'")
@@ -524,7 +539,36 @@ def read_physio(path, kind: PhysioKind = PhysioKind.RESP_BELT) -> PhysioTrace:
         amps.append(a)
     if len(times) < 2:
         raise MalformedRow(f"{path}: trace needs at least 2 samples")
-    t_arr = np.asarray(times, dtype=np.float64)
+    return np.asarray(times, dtype=np.float64), np.asarray(amps)
+
+
+def read_physio(path, kind: PhysioKind = PhysioKind.RESP_BELT) -> PhysioTrace:
+    """Read a two-column physio CSV into a uniformly sampled trace.
+
+    Non-uniform timestamps (any gap deviating more than 1% from the median
+    interval) are rejected, never resampled: resampling policy belongs to
+    the gating stage.
+
+    Rows below a valid header are parsed by np.loadtxt. A file it refuses
+    or reads otherwise than the line-at-a-time parser could (see
+    _loadtxt_rows) goes to that parser, so both accept the same files,
+    with the same values, and refuse the rest with the same errors.
+    """
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: non-ASCII content: {exc}") from exc
+    rows = None
+    end = text.find("\n")
+    header = text if end < 0 else text[:end]
+    if header.strip() == "t_ms,amplitude" and not any(c in text for c in _OTHER_LINE_BREAKS):
+        rows = _loadtxt_rows(path)
+    if rows is None:
+        t_arr, amps = _loop_rows(path, text)
+    else:
+        t_arr, amps = rows[:, 0], rows[:, 1].copy()
     gaps = np.diff(t_arr)
     interval = float(np.median(gaps))
     if interval <= 0:

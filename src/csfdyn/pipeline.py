@@ -1,11 +1,17 @@
 """End-to-end subject processing: velocity conversion, flow extraction,
 gating, ensemble reconstruction, and stroke volume metrics, with every
 failure attributed to its pipeline stage.
+
+The velocity and flow stages read the series once per pass, a block of
+pixels at a time, and fold the blocks into per-pixel moments and
+per-frame sums (prepare_velocity). A job holds one block plus vectors
+with one value per frame or per pixel, however long the recording: no
+velocity map is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,7 +26,13 @@ from .ensemble import (
     resample_cycles,
 )
 from .errors import CsfdynError, InputError, InvalidSpec, warn
-from .flow import FlowSamples, extract_flow, refine_roi, seed_reference
+from .flow import (
+    FlowSamples,
+    extract_flow,  # noqa: F401 -- bench/spans.py looks it up in this module
+    refine_roi,
+    streamed_flow,
+    streamed_seed_reference,
+)
 from .gating import (
     DEFAULT_HYSTERESIS,
     DEFAULT_MAX_RR,
@@ -54,12 +66,12 @@ from .metrics import (
 )
 from .velocity import (
     as_velocity_field,  # noqa: F401 -- bench/spans.py looks it up in this module
-    background_correct,
+    background_correct,  # noqa: F401 -- bench/spans.py looks it up in this module
     check_static_mask,
     phase_to_velocity,  # noqa: F401 -- bench/spans.py looks it up in this module
     pixel_moments,
+    static_offset,
     unwrap_temporal,  # noqa: F401 -- bench/spans.py looks it up in this module
-    velocities,
 )
 
 
@@ -134,55 +146,46 @@ def _resolve_unit(params: PipelineParams, roi_label: RoiLabel) -> VolumeUnit:
     return VolumeUnit(params.unit)
 
 
-def _box_velocity(
-    series: VelocitySeries, roi: RoiMask, params: PipelineParams
-) -> tuple[VelocitySeries, RoiMask]:
-    """Velocities of the ROI's bounding box, and the ROI on the box's grid."""
-    rows, cols = np.nonzero(roi.pixels)
-    box = (slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1))
-    frames = series.frames[(slice(None),) + box]
-    header = replace(series.header, height=frames.shape[1], width=frames.shape[2])
-    vel = _staged("velocity", velocities, VelocitySeries(header, frames), params.flip_sign,
-                  params.anchor)
-    return vel, RoiMask(roi.pixels[box], roi.label)
-
-
 def prepare_velocity(
     series: VelocitySeries,
     roi: RoiMask,
     static: RoiMask | None,
     params: PipelineParams,
-) -> tuple[VelocitySeries, RoiMask, float | None]:
-    """Stage 1-2: encoding, sign convention, unwrap, background offset,
-    and ROI refinement when refine_threshold is set.
+) -> tuple[FlowSamples, RoiMask, float | None]:
+    """Stages 1-2: encoding, sign convention, unwrap, background offset,
+    ROI refinement when refine_threshold is set, and the ROI's flow.
 
     The static offset, and refinement's correlation of every pixel with
     the seed ROI's mean velocity, come from the moments of the unwrapped
     velocities, taken in one streamed pass over series (pixel_moments),
-    wrapped pixels included. Velocities are computed for the final ROI's
-    bounding box only, and the offset is subtracted from the box alone.
-    Returns the box velocities, the final ROI on the box's grid, and the
+    wrapped pixels included. The seed's mean velocity and the flow are
+    per-frame sums over the ROI of the same streamed velocities
+    (pixel_sums), the offset taken off each as it is added, so no
+    velocity map is built: a job holds one block plus vectors with one
+    value per frame or per pixel. Returns the flow, the final ROI and the
     offset.
     """
     if static is not None:
         _staged("velocity", check_static_mask, static, series.header)
     _staged("flow", ensure_same_grid, roi, series.header)
-    vel, box_roi = _box_velocity(series, roi, params)
     moments = None
     if params.refine_threshold is not None:
+        ref = _staged("velocity", streamed_seed_reference, series, roi, params.flip_sign,
+                      params.anchor)
         grid = np.ones(roi.pixels.shape, dtype=bool)
-        moments = pixel_moments(series, grid, params.flip_sign, seed_reference(vel, box_roi),
-                                params.anchor)
+        moments = pixel_moments(series, grid, params.flip_sign, ref, params.anchor)
         roi = _staged("flow", refine_roi, moments, roi, params.refine_threshold)
-        vel, box_roi = _box_velocity(series, roi, params)
     offset = None
     if static is not None:
         # when refining, the static pixels' moments are part of the grid's
         static_moments = (
-            pixel_moments(series, static.pixels, params.flip_sign, anchor=params.anchor)
+            _staged("velocity", pixel_moments, series, static.pixels, params.flip_sign,
+                    anchor=params.anchor)
             if moments is None else moments.subset(static.pixels))
-        vel, offset = _staged("velocity", background_correct, vel, static_moments)
-    return vel, box_roi, offset
+        offset = _staged("velocity", static_offset, static_moments, series.header.venc)
+    flow = _staged("velocity", streamed_flow, series, roi, params.flip_sign, params.anchor,
+                   offset)
+    return flow, roi, offset
 
 
 def process_subject(
@@ -202,8 +205,7 @@ def process_subject(
     """
     params = params or PipelineParams()
     unit = _resolve_unit(params, roi.label)
-    vel, roi, offset = prepare_velocity(series, roi, static, params)
-    flow = _staged("flow", extract_flow, vel, roi)
+    flow, roi, offset = prepare_velocity(series, roi, static, params)
 
     boundaries = phases = None
     cycles: list[LabeledCycle] = []

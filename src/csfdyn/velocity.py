@@ -1,6 +1,6 @@
 """Phase-to-velocity conversion, temporal unwrapping of aliased
-velocities, per-pixel moments over time, and static-tissue background
-offset removal.
+velocities, per-pixel moments over time, per-frame sums over pixels, and
+static-tissue background offset removal.
 
 Velocity maps are a VelocitySeries with VELOCITY_CMPS encoding and
 float64 frames. Every function here returns a new result and leaves its
@@ -16,8 +16,10 @@ pixels that step beyond venc, and shifts only blocks that hold such a
 pixel or a carried count. ``pixel_moments`` folds the blocks into
 per-pixel moments, with no full-size array built: the static offset, the
 StaticTissueWarning and the refinement's correlation map come from
-those. ``velocities`` writes the blocks into velocity maps, which the
-pipeline computes only for the bounding box of the final ROI.
+those. ``pixel_sums`` folds them into per-frame sums over the pixels, the
+ROI's flow and the seed's reference time course. So the pipeline holds
+one block plus vectors with one value per frame or per pixel, and builds
+no velocity map. ``velocities`` writes the blocks into velocity maps.
 """
 
 from __future__ import annotations
@@ -179,20 +181,68 @@ def _unwrapped(series: VelocitySeries, pixels: np.ndarray, flip_sign: bool, anch
         yield start, at, xb, d, varies
 
 
+def _chunk_for(n_pixels: int) -> int:
+    """Frames per step of _unwrapped when its blocks are kept whole: where
+    chunks split does not change the unwrap, so few pixels take more
+    frames a step, up to a quarter of a _CHUNK x _BLOCK block."""
+    return max(_CHUNK, _CHUNK * _BLOCK // (4 * max(n_pixels, 1)))
+
+
 def velocities(series: VelocitySeries, flip_sign: bool = False, anchor: int = 0) -> VelocitySeries:
     """Velocity maps of series, phase- or velocity-encoded: converted to
     float64 cm/s, negated when flip_sign is set, and unwrapped in time as
     unwrap_temporal describes, with frame anchor trusted."""
     n, h, w = series.frames.shape
     out = np.empty((n, h * w))
-    # where chunks split does not change the unwrap, so a box of few pixels
-    # takes more frames a step, up to a quarter of a _CHUNK x _BLOCK block
     steps = _unwrapped(series, np.ones((h, w), dtype=bool), flip_sign, anchor,
-                       max(_CHUNK, _CHUNK * _BLOCK // (4 * h * w)))
+                       _chunk_for(h * w))
     for start, at, xb, _, _ in steps:
         out[start : start + xb.shape[0], at] = xb[:, : at.stop - at.start]
     return VelocitySeries(replace(series.header, encoding=Encoding.VELOCITY_CMPS),
                           out.reshape(n, h, w))
+
+
+def add_columns(columns: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
+    """Add the columns of a (frames, pixels) array onto the per-frame sums
+    (zeros of the columns' dtype when None), one column after another, and
+    return the sums.
+
+    This is the sum numpy takes along the pixel axis of a gather such as
+    frames[:, mask] of two or more frames: the gather is F-ordered, so
+    numpy adds its pixels in turn, where the row sum of a C-ordered block
+    would go pairwise and differ in the last bits. Blocks of columns added
+    in pixel order give the same bits as all the columns at once.
+    """
+    if sums is None:
+        sums = np.zeros(columns.shape[0], dtype=columns.dtype)
+    for column in columns.T:
+        sums += column
+    return sums
+
+
+def pixel_sums(
+    series: VelocitySeries,
+    pixels: np.ndarray,
+    flip_sign: bool = False,
+    anchor: int = 0,
+    offset: float | None = None,
+) -> np.ndarray:
+    """Per-frame sums, over the pixels that the boolean grid pixels
+    selects, of the velocities velocities(series, flip_sign, anchor)
+    gives, each less offset when one is given: to the bit,
+    add_columns(v[:, pixels]) of those velocities v.
+
+    One pass over the blocks of _unwrapped, each block's pixels added in
+    row-major order (add_columns) as it comes, so no velocity map is built.
+    """
+    sums = np.zeros(series.header.n_frames)
+    steps = _unwrapped(series, pixels, flip_sign, anchor, _chunk_for(np.count_nonzero(pixels)))
+    for start, at, xb, _, _ in steps:
+        block = xb[:, : at.stop - at.start]
+        if offset is not None:
+            block -= offset
+        add_columns(block, sums[start : start + block.shape[0]])
+    return sums
 
 
 @dataclass(frozen=True)
@@ -269,9 +319,8 @@ def background_correct(
     """Subtract the global static-tissue offset; returns (series, offset).
 
     ``static`` is the STATIC_TISSUE mask on the grid of series, or the
-    static pixels' moments already taken by pixel_moments; the pipeline
-    passes the latter, so that series need only hold the pixels whose
-    velocities are kept.
+    static pixels' moments already taken by pixel_moments, so that series
+    need only hold the pixels whose velocities are kept.
 
     The offset is one scalar, the mean velocity over static pixels and
     over all frames (the mean of the pixels' means). Per-frame
@@ -280,7 +329,9 @@ def background_correct(
 
     Warns with StaticTissueWarning when any static pixel's temporal
     standard deviation, sqrt(m2 / n), exceeds 10% of venc, which usually
-    means the mask leaks into moving fluid.
+    means the mask leaks into moving fluid. static_offset holds that rule;
+    the pipeline calls it directly and subtracts the offset as it sums the
+    ROI's velocities (velocity.pixel_sums).
 
     series must be velocity-encoded (WrongEncoding otherwise): the offset
     is in cm/s, and so are the moments.
@@ -289,10 +340,18 @@ def background_correct(
     if isinstance(static, RoiMask):
         check_static_mask(static, series.header)
         static = pixel_moments(series, static.pixels)
+    offset = static_offset(static, series.header.venc)
+    return VelocitySeries(series.header, series.frames - offset), offset
+
+
+def static_offset(static: PixelMoments, venc: float) -> float:
+    """The static-tissue offset in cm/s from the static pixels' moments:
+    the mean of their means. Warns with StaticTissueWarning when a static
+    pixel's temporal standard deviation, sqrt(m2 / n), exceeds 10% of
+    venc."""
     offset = float(static.mean.mean())
     worst_sd = float(np.sqrt(static.m2.max() / static.n_frames))
-    venc = series.header.venc
     if worst_sd > 0.1 * venc:
         warn(f"static mask pixel varies by {worst_sd:.3g} cm/s over time "
              f"(> 10% of venc {venc:g}); offset may be biased", StaticTissueWarning)
-    return VelocitySeries(series.header, series.frames - offset), offset
+    return offset

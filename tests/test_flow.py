@@ -171,4 +171,4 @@ def test_aliased_pixel_joins_after_unwrapping():
     series = VelocitySeries(header, phase.astype(np.float32))
     _, refined, _ = prepare_velocity(series, roi(9, 9, 4, 4), None,
                                      PipelineParams(refine_threshold=0.9))
-    assert refined.pixels.tolist() == [[True, True]]  # the box of (4, 4) and (4, 5)
+    assert np.argwhere(refined.pixels).tolist() == [[4, 4], [4, 5]]

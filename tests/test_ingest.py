@@ -9,6 +9,8 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csfdyn import (
     Encoding,
@@ -334,6 +336,150 @@ class TestPhysioFile:
     def test_trace_clock_must_be_finite(self, interval, t0):
         with pytest.raises(ValueOutOfRange):
             PhysioTrace(interval, t0, np.sin(np.linspace(0, 6, 250)), PhysioKind.RESP_BELT)
+
+
+def loop_read_physio(path, kind=PhysioKind.RESP_BELT):
+    """Reference physio reader: the whole text split into lines and each
+    row parsed with float(), as read_physio did before it used loadtxt."""
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: non-ASCII content: {exc}") from exc
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "t_ms,amplitude":
+        raise MalformedHeader(f"{path}: expected header line 't_ms,amplitude'")
+    times, amps = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise MalformedRow(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            t, a = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise MalformedRow(f"{path}:{lineno}: non-numeric field") from None
+        if not (math.isfinite(t) and math.isfinite(a)):
+            raise MalformedRow(f"{path}:{lineno}: non-finite value")
+        times.append(t)
+        amps.append(a)
+    if len(times) < 2:
+        raise MalformedRow(f"{path}: trace needs at least 2 samples")
+    t_arr = np.asarray(times, dtype=np.float64)
+    gaps = np.diff(t_arr)
+    interval = float(np.median(gaps))
+    if interval <= 0:
+        raise NonUniformSampling(f"{path}: timestamps not strictly increasing")
+    if np.any(np.abs(gaps - interval) > 0.01 * interval):
+        worst = int(np.argmax(np.abs(gaps - interval)))
+        raise NonUniformSampling(f"{path}: gap at row {worst + 2} is {gaps[worst]:g} ms, "
+                                 f"median interval {interval:g} ms")
+    return PhysioTrace(interval, float(t_arr[0]), np.asarray(amps), kind)
+
+
+def outcome(reader, path):
+    """What reader makes of path: its trace's clock and sample bytes, or
+    its exception's class and message."""
+    try:
+        trace = reader(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return trace.sample_interval, trace.t0, trace.samples.dtype, trace.samples.tobytes()
+
+
+def belt_rows(n, fmt="{!r}"):
+    rng = np.random.default_rng(n)
+    return [f"{fmt.format(40.0 * k)},{fmt.format(float(a))}"
+            for k, a in enumerate(rng.normal(0.0, 1.0, n))]
+
+
+HEADER = "t_ms,amplitude"
+PHYSIO_TEXTS = {
+    "plain": "\n".join([HEADER] + belt_rows(30)) + "\n",
+    "no-final-newline": "\n".join([HEADER] + belt_rows(5)),
+    "formats": "\n".join([HEADER, "0,+1.5", " 40 ,-2e-3 ", "80.0,.5", "\t120,5.", "1.6e2,1E2",
+                          "200,-0.0", "240,1e-400", "280,0.1000000000000000055511151231257827"]),
+    "blank-lines": "\n".join([HEADER, "", "0,1", "", "", "40,2", "80,3", ""]),
+    "whitespace-lines": "\n".join([HEADER, "0,1", "   ", "40,2", "\t", "80,3"]),
+    "crlf": "\r\n".join([HEADER] + belt_rows(6)) + "\r\n",
+    "cr": "\r".join([HEADER] + belt_rows(6)) + "\r",
+    "vt-line-ends": "\x0b".join([HEADER] + belt_rows(6)) + "\n",
+    "ff-line-ends": "\x0c".join([HEADER] + belt_rows(6)),
+    "vt-after-rows": "\n".join([HEADER] + [row + "\x0b" for row in belt_rows(6)]),
+    "ff-after-header": HEADER + "\x0c\n" + "\n".join(belt_rows(6)),
+    "vt-header-end": HEADER + "\x0b" + "\n".join(belt_rows(6)),
+    # loadtxt would read "0\x0b" as a number and join the two lines into one row
+    "vt-before-comma": "\n".join([HEADER, "0\x0b,1", "40,2", "80,3"]),
+    "fs-line-ends": "\x1c".join([HEADER] + belt_rows(6)),
+    "underscore": "\n".join([HEADER, "0,1_0", "40,2", "80,3"]),
+    "underscore-time": "\n".join([HEADER, "0,1", "4_0,2", "80,3"]),
+    "hex": "\n".join([HEADER, "0,0x10", "40,2", "80,3"]),
+    "inf": "\n".join([HEADER, "0,1", "40,inf", "80,3"]),
+    "minus-infinity": "\n".join([HEADER, "0,1", "40,-Infinity", "80,3"]),
+    "overflow": "\n".join([HEADER, "0,1", "40,1e400", "80,3"]),
+    "nan": "\n".join([HEADER, "0,nan", "40,2", "80,3"]),
+    "one-row": HEADER + "\n0,1\n",
+    "no-rows": HEADER + "\n",
+    "only-blank-rows": HEADER + "\n\n  \n",
+    "empty-file": "",
+    "three-fields": "\n".join([HEADER, "0,1,2", "40,2,3", "80,3,4"]),
+    "one-three-field-row": "\n".join([HEADER, "0,1", "40,2,3", "80,3"]),
+    "one-field": "\n".join([HEADER, "0", "40", "80"]),
+    "empty-field": "\n".join([HEADER, "0,", "40,2", "80,3"]),
+    "empty-time": "\n".join([HEADER, "0,1", ",2", "80,3"]),
+    "quoted": "\n".join([HEADER, '"0",1', "40,2", "80,3"]),
+    "quoted-header": '"t_ms","amplitude"\n0,1\n40,2\n',
+    "comment-line": "\n".join([HEADER, "# belt", "0,1", "40,2"]),
+    "trailing-comment": "\n".join([HEADER, "0,1 # first", "40,2", "80,3"]),
+    "padded-header": "  t_ms,amplitude \t\n" + "\n".join(belt_rows(4)),
+    "wrong-header": "time,amp\n0,1\n40,2\n",
+    "non-uniform": "\n".join([HEADER, "0,1", "40,2", "90,3", "120,4", "160,5"]),
+    "decreasing": "\n".join([HEADER, "80,1", "40,2", "0,3"]),
+}
+PHYSIO_BYTES = {
+    "latin-1": (HEADER + "\n0,1\n40,2\xe9\n").encode("latin-1"),
+    "utf-8-header": ("t_ms,amplitude\u00b5\n0,1\n40,2\n").encode("utf-8"),
+    "nul": (HEADER + "\n0,1\x00\n40,2\n80,3\n").encode("ascii"),
+}
+
+
+class TestPhysioReaders:
+    """read_physio parses rows with np.loadtxt and hands every file that
+    loadtxt refuses or may read otherwise to a line-at-a-time parser: the
+    two must accept the same files with the same values, and refuse the
+    rest with the same error."""
+
+    @pytest.mark.parametrize("name", sorted(PHYSIO_TEXTS) + sorted(PHYSIO_BYTES))
+    def test_agrees_with_loop(self, tmp_path, name):
+        path = tmp_path / "belt.csv"
+        if name in PHYSIO_BYTES:
+            path.write_bytes(PHYSIO_BYTES[name])
+        else:
+            path.write_bytes(PHYSIO_TEXTS[name].encode("ascii"))
+        assert outcome(read_physio, path) == outcome(loop_read_physio, path)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.sampled_from(
+        ["0", "40", "80", "120", " 160 ", "1.25", "-3e-2", "1_0", "0x10", "inf", "nan", "1e400",
+         "", '"1"', "#", ",", " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f"]),
+        max_size=24), st.booleans())
+    def test_agrees_with_loop_on_token_soup(self, tmp_path_factory, tokens, uniform_head):
+        # a run of uniform rows first, so that many soups parse
+        head = "\n".join([HEADER] + belt_rows(4 if uniform_head else 0))
+        path = tmp_path_factory.mktemp("soup") / "belt.csv"
+        path.write_bytes((head + "\n" + "".join(tokens)).encode("ascii"))
+        assert outcome(read_physio, path) == outcome(loop_read_physio, path)
+
+    def test_plain_file_is_read_by_loadtxt(self, tmp_path, monkeypatch):
+        path = tmp_path / "belt.csv"
+        path.write_text(PHYSIO_TEXTS["plain"], encoding="ascii")
+        expected = outcome(loop_read_physio, path)
+
+        def refuse(*args):
+            raise AssertionError("the line-at-a-time parser ran")
+
+        monkeypatch.setattr(ingest, "_loop_rows", refuse)
+        assert outcome(read_physio, path) == expected
 
 
 # every dataclass built from outside input: file headers, phantom spec

@@ -209,13 +209,14 @@ def full_grid_unwrapped(series, params):
 def full_grid_velocity(series, roi, static, params):
     """Reference velocity stage: every pixel of the grid converted,
     unwrapped and offset-corrected; the ROI refined, and the offset taken,
-    from the moments of the whole unwrapped grid."""
+    from the moments of the whole unwrapped grid; the flow extracted from
+    the corrected maps over the ROI on the full grid."""
     vel = full_grid_unwrapped(series, params)
     if params.refine_threshold is not None:
         roi = csfdyn.refine_roi(vel, roi, params.refine_threshold)
     with pytest.warns(csfdyn.StaticTissueWarning):
         vel, offset = csfdyn.background_correct(vel, static)
-    return vel, roi, offset
+    return csfdyn.extract_flow(vel, roi), roi, offset
 
 
 def pearson_roi(frames, seed, threshold):
@@ -235,7 +236,7 @@ def pearson_roi(frames, seed, threshold):
 
 class TestRoiFirstVelocity:
     """The chain takes per-pixel moments of the unwrapped velocities in one
-    streamed pass and computes velocities only for the ROI's bounding box;
+    streamed pass and sums the ROI's velocities per frame as they stream;
     its results must equal, to the bit, those of the velocity stage run
     over the whole grid."""
 
@@ -358,14 +359,30 @@ def peak_on_top(fn, *args, **kwargs):
 
 
 class TestPeakMemory:
-    """The velocity stage streams the input, unwrapping as it goes, and
-    converts only the ROI's box, so what process_subject allocates stays
-    under half the input series, however many pixels wrap."""
+    """The velocity and flow stages stream the input, unwrapping as they
+    go, and fold each block into per-pixel moments and per-frame sums, so
+    a job holds one block plus vectors with one value per frame or per
+    pixel: what process_subject allocates stays under half the input
+    series, however many pixels wrap and however long the recording."""
 
     @pytest.fixture(scope="class")
     @staticmethod
     def wide():
         return wide_phantom()
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def long():
+        # 16x16 pixels, 600 s: 6818 frames, 15,001 belt samples, about 525
+        # cycles with 5% RR jitter
+        base = csfdyn.default_aqueduct_spec()
+        return csfdyn.generate(replace(
+            base,
+            grid=replace(base.grid, width=16, height=16),
+            lumen=replace(base.lumen, center_row=8.0, center_col=8.0),
+            cardiac=replace(base.cardiac, rr_jitter_sd=0.05 * base.cardiac.rr_mean),
+            acquisition=replace(base.acquisition, duration=600000.0),
+        ))
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -380,6 +397,17 @@ class TestPeakMemory:
         peak = peak_on_top(process_subject, wide.series, wide.lumen, params,
                            static=wide.static, belt=wide.belt)
         assert size + peak < 1.5 * size, f"{peak / size:.2f}x the input on top of it"
+
+    def test_long_recording_peak_under_half_the_input(self, long, tmp_path):
+        assert long.series.frames.shape == (6818, 16, 16)
+        size = long.series.frames.nbytes
+        path = tmp_path / "belt.csv"
+        csfdyn.write_physio(long.belt, path)
+        peak = peak_on_top(csfdyn.read_physio, path)
+        assert peak < 0.5 * size, f"read_physio: {peak / size:.2f}x the series"
+        peak = peak_on_top(process_subject, long.series, long.lumen, static=long.static,
+                           belt=long.belt)
+        assert peak < 0.5 * size, f"process_subject: {peak / size:.2f}x the series"
 
     @pytest.mark.parametrize("params", [PipelineParams(), PipelineParams(refine_threshold=0.7)],
                              ids=["static", "refine"])

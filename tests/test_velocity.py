@@ -1,6 +1,7 @@
 """Phase-to-velocity mapping, temporal unwrapping, per-pixel moments,
 background offset."""
 
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -23,7 +24,8 @@ from csfdyn import (
     unwrap_temporal,
     write_series,
 )
-from csfdyn import velocity
+from csfdyn import extract_flow, velocity
+from csfdyn.flow import seed_reference, streamed_flow, streamed_seed_reference
 from csfdyn.velocity import pixel_moments
 from csfdyn.errors import ValueOutOfRange, WrongEncoding, WrongKind
 
@@ -281,6 +283,57 @@ def test_velocities_match_oracle(case, data):
     expected = unwrap_oracle(box, flip_sign, anchor)
     assert out.frames.dtype == np.float64 and out.frames.shape == expected.shape
     assert out.frames.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None)
+@given(moment_case(), st.booleans())
+def test_streamed_flow_matches_velocity_maps(case, corrected):
+    """The pipeline's flow and seed reference, summed over the ROI as the
+    streamed blocks come, equal to the bit those of the velocity maps:
+    extract_flow of velocities() corrected by background_correct (static
+    tissue: the other pixels, or all of them), and seed_reference of
+    velocities(), however _BLOCK splits the ROI."""
+    series, pixels, flip_sign, _, anchor, block = case
+    pixels[0, 0] = True  # an ROI is never empty
+    roi = RoiMask(pixels, RoiLabel.AQUEDUCT)
+    with mock.patch.object(velocity, "_BLOCK", block):
+        vel = velocity.velocities(series, flip_sign, anchor)
+        offset = None
+        if corrected:
+            static = RoiMask(~pixels if (~pixels).any() else pixels, RoiLabel.STATIC_TISSUE)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StaticTissueWarning)
+                corrected_vel, offset = background_correct(vel, static)
+        flow = streamed_flow(series, roi, flip_sign, anchor, offset)
+        ref = streamed_seed_reference(series, roi, flip_sign, anchor)
+    expected = extract_flow(corrected_vel if corrected else vel, roi)
+    assert flow.q.tobytes() == expected.q.tobytes()
+    assert flow.timestamps.tobytes() == expected.timestamps.tobytes()
+    assert (flow.n_roi_pixels, flow.pixel_area) == (expected.n_roi_pixels, expected.pixel_area)
+    assert ref.tobytes() == seed_reference(vel, roi).tobytes()
+
+
+@pytest.mark.parametrize("block", [2048, 300, 7])
+def test_streamed_flow_adds_pixels_in_turn(block):
+    """Over an ROI of about 800 pixels split into blocks, the streamed flow is
+    numpy's sum of the F-ordered gather of the corrected maps, to the bit:
+    pixel after pixel, not the pairwise row sum of a C-ordered block,
+    which differs in the last bits."""
+    rng = np.random.default_rng(5)
+    header = make_header(venc=5.0, n_frames=130, w=40, h=40, encoding=Encoding.VELOCITY_CMPS)
+    series = VelocitySeries(header, rng.uniform(-5.0, 5.0, (130, 40, 40)).astype(np.float32))
+    pixels = rng.random((40, 40)) < 0.5
+    vel = velocity.velocities(series, True, 60)
+    with pytest.warns(StaticTissueWarning):
+        vel, offset = background_correct(vel, RoiMask(~pixels, RoiLabel.STATIC_TISSUE))
+    with mock.patch.object(velocity, "_BLOCK", block):
+        flow = streamed_flow(series, RoiMask(pixels, RoiLabel.AQUEDUCT), True, 60, offset)
+    gather = vel.frames[:, pixels]
+    assert gather.flags.f_contiguous
+    q = gather.sum(axis=1) * (header.pixel_area * 0.01)
+    assert flow.q.tobytes() == q.tobytes()
+    pairwise = np.ascontiguousarray(gather).sum(axis=1) * (header.pixel_area * 0.01)
+    assert not np.array_equal(pairwise, q)
 
 
 def test_moments_refuse_anchor_out_of_range():
