@@ -35,6 +35,10 @@ MIN_SAMPLES = 4
 #: sv_modulation worse in 95% of the runs it touched.
 WRAP_KNOT_TOLERANCE = 0.01
 
+#: cycles interpolated per call of _periodic_interp: the spline's slope
+#: systems of one batch, (_BATCH, m, m) float64, bound the working set
+_BATCH = 64
+
 
 class CanonicalCycle(NamedTuple):
     """One cardiac cycle resampled to 32 flow values at phases k/32.
@@ -93,8 +97,10 @@ def resample_cycles(cycles: list[LabeledCycle], mode: str = "spline") -> list[Ca
     Cycles are checked in input order, and the first one with fewer than
     MIN_SAMPLES samples (TooFewSamples) or samples outside [start, end)
     (ValueOutOfRange) refuses the whole list. Cycles keeping the same
-    number of samples are interpolated together; each cycle's values do
-    not depend on the others in the list.
+    number of samples are interpolated together, in batches of up to
+    _BATCH, so the slope systems held at once do not grow with the cycle
+    count; each cycle's values do not depend on the others in the list or
+    on the batch it lands in.
     """
     if mode not in INTERP_MODES:
         raise ValueOutOfRange(f"mode must be one of {INTERP_MODES}, got {mode!r}")
@@ -115,8 +121,9 @@ def resample_cycles(cycles: list[LabeledCycle], mode: str = "spline") -> list[Ca
         groups.setdefault(u.size, []).append((pos, u, q))
     q32 = np.empty((len(cycles), GATED_FRAMES))
     for group in groups.values():
-        at, u, q = zip(*group)
-        q32[list(at)] = _periodic_interp(np.stack(u), np.stack(q), mode)
+        for b in range(0, len(group), _BATCH):
+            at, u, q = zip(*group[b : b + _BATCH])
+            q32[list(at)] = _periodic_interp(np.stack(u), np.stack(q), mode)
     return [CanonicalCycle(row, c.cycle_id, c.resp_label, c.rr) for c, row in zip(cycles, q32)]
 
 
@@ -194,7 +201,7 @@ def build_ensembles(cycles: list[CanonicalCycle]) -> EnsembleCurves:
         sel = np.array([label is None or c.resp_label is label for c in ordered])
         if not sel.any():
             return None, None, None, 0
-        rows = q[sel]
+        rows = q if sel.all() else q[sel]
         return rows.mean(axis=0), rows.std(axis=0), float(rr[sel].mean()), int(sel.sum())
 
     g_mean, g_sd, g_rr, n_global = stats(None)

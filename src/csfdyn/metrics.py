@@ -100,11 +100,11 @@ def stroke_volume(
 
 def sv_modulation(insp: SvReport, exp: SvReport) -> float:
     """Relative stroke volume excess of inspiration over expiration:
-    (sv_insp - sv_exp) / sv_exp."""
-    if insp.unit is not exp.unit:
-        raise ValueOutOfRange(
-            f"cannot compare {insp.unit.value} against {exp.unit.value}"
-        )
+    (sv_insp - sv_exp) / sv_exp. Both reports must share a unit and an
+    sv convention (ValueOutOfRange otherwise)."""
+    for a, b in ((insp.unit, exp.unit), (insp.convention, exp.convention)):
+        if a is not b:
+            raise ValueOutOfRange(f"cannot compare {a.value} against {b.value}")
     if exp.sv == 0.0:
         raise DivisionByZeroSv("expiration stroke volume is zero")
     return (insp.sv - exp.sv) / exp.sv

@@ -41,8 +41,9 @@ from .ingest import (
 
 #: frames per step of _unwrapped when it feeds pixel_moments
 _CHUNK = 64
-#: pixels per step of _unwrapped: a float64 block of _CHUNK frames is 1 MB
-_BLOCK = 2048
+#: pixels per step of _unwrapped: a float64 block of _CHUNK frames is
+#: 0.5 MB, and _unwrapped holds two (the block and its steps)
+_BLOCK = 1024
 
 
 class StaticTissueWarning(UserWarning):
@@ -286,11 +287,12 @@ def pixel_moments(
     exactly. Every sum runs down one pixel's column in frame order, so a
     pixel's moments do not depend on which other pixels are in the call.
     """
-    mean, m2, cross = (np.zeros(np.count_nonzero(pixels)) for _ in range(3))
+    mean, m2 = (np.zeros(np.count_nonzero(pixels)) for _ in range(2))
+    cross = None if ref is None else np.zeros(mean.size)
     varies = np.zeros(mean.size, dtype=bool)  # stays when no pixel is selected
     for start, at, xb, tmp, varies in _unwrapped(series, pixels, flip_sign, anchor):
         k, m = at.stop - at.start, xb.shape[0]
-        if ref is not None:
+        if cross is not None:
             np.multiply(xb, ref[start : start + m, None], out=tmp)
             cross[at] += tmp.sum(axis=0)[:k]
         chunk_mean = xb.sum(axis=0) / m
@@ -300,8 +302,7 @@ def pixel_moments(
         mean[at] += delta * (m / (start + m))
         m2[at] += xb.sum(axis=0)[:k] + delta * delta * (start * m / (start + m))
     m2[~varies] = 0.0
-    return PixelMoments(pixels, series.header.n_frames, mean, m2, ref,
-                        None if ref is None else cross)
+    return PixelMoments(pixels, series.header.n_frames, mean, m2, ref, cross)
 
 
 def check_static_mask(mask: RoiMask, header: SeriesHeader) -> None:

@@ -16,6 +16,7 @@ from csfdyn import (
     resample_cycle,
     resample_cycles,
 )
+from csfdyn import ensemble
 from csfdyn.ensemble import WRAP_KNOT_TOLERANCE
 from csfdyn.errors import EmptyEnsemble, TooFewSamples, ValueOutOfRange
 
@@ -143,13 +144,14 @@ def oracle_q32(cycle, mode="spline"):
     return CubicSpline(knots, vals, bc_type="periodic")(grid)
 
 
-def random_cycles(rng, n_cycles=60):
-    """Cycles of 4-24 jittered samples at random onsets and RRs, then
-    cycles whose last sample lies 0.9 and 1.1 WRAP_KNOT_TOLERANCE sample
-    steps before the wrap knot (just inside and just outside it)."""
+def random_cycles(rng, n_cycles=60, samples=(4, 24)):
+    """Cycles of samples[0]-samples[1] jittered samples at random onsets
+    and RRs, then cycles whose last sample lies 0.9 and 1.1
+    WRAP_KNOT_TOLERANCE sample steps before the wrap knot (just inside and
+    just outside it)."""
     cycles = []
     for cid in range(n_cycles):
-        n = int(rng.integers(4, 25))
+        n = int(rng.integers(samples[0], samples[1] + 1))
         rr = float(rng.uniform(600.0, 1400.0))
         start = float(rng.uniform(0.0, 5000.0))
         u = (np.arange(n) + rng.uniform(0.3, 0.4) + rng.uniform(-0.25, 0.25, n)) / n
@@ -186,6 +188,22 @@ class TestResampleCycles:
             assert np.array_equal(got.q32, batch[k])
         for cyc, q32 in zip(cycles, batch):
             assert np.array_equal(resample_cycle(cyc, mode).q32, q32)
+
+    @pytest.mark.parametrize("mode", ["spline", "linear"])
+    def test_bit_identical_for_every_batch_size(self, rng, mode, monkeypatch):
+        """Each sample-count group is interpolated in batches of _BATCH
+        cycles; np.linalg.solve factors every system on its own, so the
+        batch size does not change a bit of any row."""
+        # about 70 cycles per count of 12-14 samples, so a group spans
+        # batches of 64, among shuffled cycles of every other count
+        cycles = random_cycles(rng, n_cycles=200) + random_cycles(rng, 210, samples=(12, 14))
+        cycles = [cycles[k] for k in rng.permutation(len(cycles))]
+        assert max(sum(c.n_samples == n for c in cycles) for n in (12, 13, 14)) > 64
+        q32 = {}
+        for batch in (1, 7, 64, 10**6):
+            monkeypatch.setattr(ensemble, "_BATCH", batch)
+            q32[batch] = np.stack([c.q32 for c in resample_cycles(cycles, mode)]).tobytes()
+        assert all(q == q32[1] for q in q32.values())
 
     def test_first_bad_cycle_refuses(self, rng):
         good = random_cycles(rng, n_cycles=3)[:3]

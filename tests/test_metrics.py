@@ -128,9 +128,9 @@ class TestStrokeVolume:
 
 
 class TestModulation:
-    def rep(self, sv, unit=VolumeUnit.ML):
+    def rep(self, sv, unit=VolumeUnit.ML, convention=SvConvention.LOBE_MEAN):
         q = sine32(amp=sv / SINE_LOBE)
-        return stroke_volume(q, rr=1000.0, unit=unit)
+        return stroke_volume(q, rr=1000.0, unit=unit, convention=convention)
 
     def test_relative_difference(self):
         m = sv_modulation(self.rep(0.11), self.rep(0.10))
@@ -144,6 +144,16 @@ class TestModulation:
     def test_unit_mismatch(self):
         with pytest.raises(ValueOutOfRange):
             sv_modulation(self.rep(0.11, VolumeUnit.UL), self.rep(0.10))
+
+    @pytest.mark.parametrize("insp, exp", [
+        (SvConvention.FLUSH_LOBE, SvConvention.LOBE_MEAN),
+        (SvConvention.LOBE_MEAN, SvConvention.FLUSH_LOBE),
+    ], ids=["flush-against-lobe-mean", "lobe-mean-against-flush"])
+    def test_convention_mismatch(self, insp, exp):
+        with pytest.raises(ValueOutOfRange, match="cannot compare"):
+            sv_modulation(self.rep(0.11, convention=insp), self.rep(0.10, convention=exp))
+        m = sv_modulation(self.rep(0.11, convention=insp), self.rep(0.10, convention=insp))
+        assert m == pytest.approx(0.1, abs=1e-9)
 
 
 class TestReversalCheck:

@@ -360,9 +360,10 @@ def peak_on_top(fn, *args, **kwargs):
 
 class TestPeakMemory:
     """The velocity and flow stages stream the input, unwrapping as they
-    go, and fold each block into per-pixel moments and per-frame sums, so
-    a job holds one block plus vectors with one value per frame or per
-    pixel: what process_subject allocates stays under half the input
+    go, and fold each 0.5 MB block into per-pixel moments and per-frame
+    sums; the ensemble stage resamples cycles in fixed batches. So a job
+    holds one block plus vectors with one value per frame, pixel or
+    cycle: what process_subject allocates stays under half the input
     series, however many pixels wrap and however long the recording."""
 
     @pytest.fixture(scope="class")
@@ -408,6 +409,30 @@ class TestPeakMemory:
         peak = peak_on_top(process_subject, long.series, long.lumen, static=long.static,
                            belt=long.belt)
         assert peak < 0.5 * size, f"process_subject: {peak / size:.2f}x the series"
+
+    def test_resample_peak_bounded_by_one_batch(self, long):
+        # about 525 cycles, more than half of them with 13 samples: one
+        # dense slope system per sample count held 1.6 MB
+        result = process_subject(long.series, long.lumen, static=long.static, belt=long.belt)
+        cycles = [c for c in result.cycles if c.n_samples >= csfdyn.ensemble.MIN_SAMPLES]
+        assert len(cycles) > 500
+        peak = peak_on_top(csfdyn.resample_cycles, cycles)
+        assert peak < 1.0e6, f"resample_cycles: {peak / 1e6:.2f} MB"
+
+    def test_static_moment_pass_on_a_192_grid(self):
+        # the wide-fov grid, a few seconds long: the pass holds one chunk of
+        # frames, so its peak does not depend on the recording's length
+        base = csfdyn.default_aqueduct_spec()
+        ds = csfdyn.generate(replace(
+            base,
+            grid=replace(base.grid, width=192, height=192),
+            lumen=replace(base.lumen, center_row=96.0, center_col=96.0),
+            acquisition=replace(base.acquisition, duration=8000.0),
+        ))
+        assert ds.series.frames.shape[0] > 64 and ds.static.pixels.sum() > 36000
+        assert csfdyn.velocity.pixel_moments(ds.series, ds.static.pixels).cross is None
+        peak = peak_on_top(csfdyn.velocity.pixel_moments, ds.series, ds.static.pixels)
+        assert peak < 4.5e6, f"pixel_moments: {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("params", [PipelineParams(), PipelineParams(refine_threshold=0.7)],
                              ids=["static", "refine"])
