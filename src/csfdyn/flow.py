@@ -70,16 +70,15 @@ def extract_flow(series: VelocitySeries, roi: RoiMask) -> FlowSamples:
 def streamed_flow(
     series: VelocitySeries,
     roi: RoiMask,
-    flip_sign: bool = False,
     anchor: int = 0,
     offset: float | None = None,
 ) -> FlowSamples:
-    """extract_flow, to the bit, of the velocities
-    velocities(series, flip_sign, anchor) less offset when one is given,
-    as background_correct leaves them. Summed as the streamed blocks come
-    (velocity.pixel_sums), so no velocity map is built."""
+    """extract_flow, to the bit, of velocities(series, anchor) in the
+    series' own sign (pipeline.prepare_velocity applies the convention),
+    less offset when one is given, as background_correct leaves them.
+    Summed as the streamed blocks come (velocity.pixel_sums)."""
     ensure_same_grid(roi, series.header)
-    return _samples(series, roi, pixel_sums(series, roi.pixels, flip_sign, anchor, offset))
+    return _samples(series, roi, pixel_sums(series, roi.pixels, anchor, offset))
 
 
 def _centred_mean(sums: np.ndarray, n_pixels: int) -> np.ndarray:
@@ -94,13 +93,12 @@ def seed_reference(series: VelocitySeries, seed: RoiMask) -> np.ndarray:
     return _centred_mean(add_columns(series.frames[:, seed.pixels]), seed.n_pixels)
 
 
-def streamed_seed_reference(
-    series: VelocitySeries, seed: RoiMask, flip_sign: bool = False, anchor: int = 0
-) -> np.ndarray:
-    """seed_reference, to the bit, of velocities(series, flip_sign, anchor),
-    from the seed pixels' streamed sums (velocity.pixel_sums)."""
+def streamed_seed_reference(series: VelocitySeries, seed: RoiMask, anchor: int = 0) -> np.ndarray:
+    """seed_reference, to the bit, of velocities(series, anchor), from the
+    seed pixels' streamed sums (velocity.pixel_sums), in the series' own
+    sign: refinement's correlations are the same under either."""
     ensure_same_grid(seed, series.header)
-    return _centred_mean(pixel_sums(series, seed.pixels, flip_sign, anchor), seed.n_pixels)
+    return _centred_mean(pixel_sums(series, seed.pixels, anchor), seed.n_pixels)
 
 
 def refine_roi(

@@ -306,8 +306,7 @@ class GroundTruth:
 
     def inspiration(self, t) -> np.ndarray:
         """True respiratory state at time t (ms)."""
-        r = self.spec.resp
-        return np.mod(np.asarray(t, dtype=np.float64), r.period) < r.insp_fraction * r.period
+        return _in_inspiration(self.spec.resp, np.asarray(t, dtype=np.float64))
 
     def cardiac_phase(self, t) -> np.ndarray:
         """Phase in [0,1) within the cycle active at each time."""
@@ -364,6 +363,12 @@ def _draw_onsets(spec: PhantomSpec) -> np.ndarray:
     return np.asarray(onsets, dtype=np.float64)
 
 
+def _in_inspiration(resp: RespSpec, t: np.ndarray) -> np.ndarray:
+    """Whether each time t (ms) lies in inspiration: the first
+    insp_fraction of its breathing period."""
+    return np.mod(t, resp.period) < resp.insp_fraction * resp.period
+
+
 def _insp_time_in(spec: PhantomSpec, t0: float, t1: float) -> float:
     """Exact inspiration time within [t0, t1)."""
     p = spec.resp.period
@@ -394,8 +399,7 @@ def _make_truth(spec: PhantomSpec) -> GroundTruth:
     shape_abs = np.abs(waveform(u, harmonics))
     sv_cycle = np.empty(rr.size)
     for k, (o, r) in enumerate(zip(onsets[:-1], rr)):
-        insp = np.mod(o + u * r, spec.resp.period) < spec.resp.insp_fraction * spec.resp.period
-        gain = 1.0 + m * insp
+        gain = 1.0 + m * _in_inspiration(spec.resp, o + u * r)
         sv_cycle[k] = 0.5 * amp * float(np.mean(shape_abs * gain)) * r / 1000.0
 
     sv_exp = spec.cardiac.sv_true

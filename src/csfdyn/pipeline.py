@@ -152,8 +152,8 @@ def prepare_velocity(
     static: RoiMask | None,
     params: PipelineParams,
 ) -> tuple[FlowSamples, RoiMask, float | None]:
-    """Stages 1-2: encoding, sign convention, unwrap, background offset,
-    ROI refinement when refine_threshold is set, and the ROI's flow.
+    """Stages 1-2: encoding, unwrap, background offset, ROI refinement
+    when refine_threshold is set, the ROI's flow, and the sign convention.
 
     The static offset, and refinement's correlation of every pixel with
     the seed ROI's mean velocity, come from the moments of the unwrapped
@@ -164,27 +164,33 @@ def prepare_velocity(
     velocity map is built: a job holds one block plus vectors with one
     value per frame or per pixel. Returns the flow, the final ROI and the
     offset.
+
+    All of it runs in the series' own sign; the sign convention is applied
+    here alone, at the end. flip_sign negates the flow and the offset, an
+    exact zero kept positive: the same bits as negating every velocity,
+    and the same refined ROI, whose correlations do not change sign.
     """
     if static is not None:
         _staged("velocity", check_static_mask, static, series.header)
     _staged("flow", ensure_same_grid, roi, series.header)
     moments = None
     if params.refine_threshold is not None:
-        ref = _staged("velocity", streamed_seed_reference, series, roi, params.flip_sign,
-                      params.anchor)
+        ref = _staged("velocity", streamed_seed_reference, series, roi, params.anchor)
         grid = np.ones(roi.pixels.shape, dtype=bool)
-        moments = pixel_moments(series, grid, params.flip_sign, ref, params.anchor)
+        moments = pixel_moments(series, grid, ref, params.anchor)
         roi = _staged("flow", refine_roi, moments, roi, params.refine_threshold)
     offset = None
     if static is not None:
         # when refining, the static pixels' moments are part of the grid's
         static_moments = (
-            _staged("velocity", pixel_moments, series, static.pixels, params.flip_sign,
-                    anchor=params.anchor)
+            _staged("velocity", pixel_moments, series, static.pixels, anchor=params.anchor)
             if moments is None else moments.subset(static.pixels))
         offset = _staged("velocity", static_offset, static_moments, series.header.venc)
-    flow = _staged("velocity", streamed_flow, series, roi, params.flip_sign, params.anchor,
-                   offset)
+    flow = _staged("velocity", streamed_flow, series, roi, params.anchor, offset)
+    if params.flip_sign:
+        flow.q = -flow.q + 0.0
+        if offset is not None:
+            offset = -offset + 0.0
     return flow, roi, offset
 
 
@@ -214,7 +220,7 @@ def process_subject(
     if series.header.series_kind is SeriesKind.GATED_CONV:
         # already one reconstructed cycle: its 32 samples are adopted as
         # the global curve with no gating stage
-        rr = flow.timestamps.size * (flow.timestamps[1] - flow.timestamps[0])
+        rr = series.header.n_frames * series.header.frame_interval
         canonical = [CanonicalCycle(flow.q, 0, RespLabel.MIXED, float(rr))]
         notes.append("gated series: cardiac gating already applied at acquisition")
     else:

@@ -10,13 +10,13 @@ of the whole grid.
 
 The pipeline relies on that. One generator, ``_unwrapped``, reads the
 float32 input in chunks of frames (64 for moments) and yields them
-converted, signed and unwrapped, a block of pixels at a time. It carries
-each pixel's wrap count from chunk to chunk, counts wraps only in the
-pixels that step beyond venc, and shifts only blocks that hold such a
-pixel or a carried count. ``pixel_moments`` folds the blocks into
-per-pixel moments, with no full-size array built: the static offset, the
-StaticTissueWarning and the refinement's correlation map come from
-those. ``pixel_sums`` folds them into per-frame sums over the pixels, the
+converted and unwrapped, a block of pixels at a time, in the series' own
+sign. It carries each pixel's wrap count from chunk to chunk, counts
+wraps only in the pixels that step beyond venc, and shifts only blocks
+that hold such a pixel or a carried count. ``pixel_moments`` folds the
+blocks into per-pixel moments, with no full-size array built: the static
+offset, the StaticTissueWarning and the refinement's correlation map come
+from those. ``pixel_sums`` folds them into per-frame sums over the pixels, the
 ROI's flow and the seed's reference time course. So the pipeline holds
 one block plus vectors with one value per frame or per pixel, and builds
 no velocity map. ``velocities`` writes the blocks into velocity maps.
@@ -107,15 +107,14 @@ def _wrap_counts(d: np.ndarray, venc: float) -> np.ndarray:
     return k
 
 
-def _unwrapped(series: VelocitySeries, pixels: np.ndarray, flip_sign: bool, anchor: int,
-               chunk: int = _CHUNK):
+def _unwrapped(series: VelocitySeries, pixels: np.ndarray, anchor: int, chunk: int = _CHUNK):
     """Yield (start, at, xb, scratch, varies) per chunk of up to chunk
     frames from start and block of up to _BLOCK of the pixels that the
     boolean grid pixels selects; at is their slice in row-major order.
 
-    xb holds the block in float64 cm/s, negated when flip_sign is set and
-    unwrapped as unwrap_temporal describes (a lone pixel fills two columns,
-    of which the first counts); scratch has its shape. The caller may
+    xb holds the block in float64 cm/s and the series' own sign, unwrapped
+    as unwrap_temporal describes (a lone pixel fills two columns, of which
+    the first counts); scratch has its shape. The caller may
     overwrite both. varies tells whether each pixel's unwrapped velocity
     has changed so far. Each pixel's wraps since the anchor frame (counted
     first over frames 0..anchor) are carried from chunk to chunk.
@@ -123,7 +122,7 @@ def _unwrapped(series: VelocitySeries, pixels: np.ndarray, flip_sign: bool, anch
     n, venc = series.header.n_frames, series.header.venc
     if not 0 <= anchor < n:
         raise ValueOutOfRange(f"anchor frame {anchor} outside 0..{n - 1}")
-    scale = -_to_cmps(series.header) if flip_sign else _to_cmps(series.header)
+    scale = _to_cmps(series.header)
     idx = np.flatnonzero(pixels)
     # last: each pixel's last frame so far, converted; prev: the same,
     # unwrapped; wraps: its wraps since the anchor frame at that frame
@@ -189,14 +188,14 @@ def _chunk_for(n_pixels: int) -> int:
     return max(_CHUNK, _CHUNK * _BLOCK // (4 * max(n_pixels, 1)))
 
 
-def velocities(series: VelocitySeries, flip_sign: bool = False, anchor: int = 0) -> VelocitySeries:
+def velocities(series: VelocitySeries, anchor: int = 0) -> VelocitySeries:
     """Velocity maps of series, phase- or velocity-encoded: converted to
-    float64 cm/s, negated when flip_sign is set, and unwrapped in time as
-    unwrap_temporal describes, with frame anchor trusted."""
+    float64 cm/s in the series' own sign (pipeline.prepare_velocity applies
+    the convention) and unwrapped in time as unwrap_temporal describes,
+    with frame anchor trusted."""
     n, h, w = series.frames.shape
     out = np.empty((n, h * w))
-    steps = _unwrapped(series, np.ones((h, w), dtype=bool), flip_sign, anchor,
-                       _chunk_for(h * w))
+    steps = _unwrapped(series, np.ones((h, w), dtype=bool), anchor, _chunk_for(h * w))
     for start, at, xb, _, _ in steps:
         out[start : start + xb.shape[0], at] = xb[:, : at.stop - at.start]
     return VelocitySeries(replace(series.header, encoding=Encoding.VELOCITY_CMPS),
@@ -224,20 +223,19 @@ def add_columns(columns: np.ndarray, sums: np.ndarray | None = None) -> np.ndarr
 def pixel_sums(
     series: VelocitySeries,
     pixels: np.ndarray,
-    flip_sign: bool = False,
     anchor: int = 0,
     offset: float | None = None,
 ) -> np.ndarray:
     """Per-frame sums, over the pixels that the boolean grid pixels
-    selects, of the velocities velocities(series, flip_sign, anchor)
-    gives, each less offset when one is given: to the bit,
+    selects, of the velocities velocities(series, anchor) gives in the
+    series' own sign, each less offset when one is given: to the bit,
     add_columns(v[:, pixels]) of those velocities v.
 
     One pass over the blocks of _unwrapped, each block's pixels added in
     row-major order (add_columns) as it comes, so no velocity map is built.
     """
     sums = np.zeros(series.header.n_frames)
-    steps = _unwrapped(series, pixels, flip_sign, anchor, _chunk_for(np.count_nonzero(pixels)))
+    steps = _unwrapped(series, pixels, anchor, _chunk_for(np.count_nonzero(pixels)))
     for start, at, xb, _, _ in steps:
         block = xb[:, : at.stop - at.start]
         if offset is not None:
@@ -273,13 +271,12 @@ class PixelMoments:
 def pixel_moments(
     series: VelocitySeries,
     pixels: np.ndarray,
-    flip_sign: bool = False,
     ref: np.ndarray | None = None,
     anchor: int = 0,
 ) -> PixelMoments:
     """Per-pixel moments, equal to the bit for every subset of pixels, of
-    the velocities velocities(series, flip_sign, anchor) gives, for the
-    pixels that the boolean grid pixels selects.
+    the velocities velocities(series, anchor) gives in the series' own
+    sign, for the pixels that the boolean grid pixels selects.
 
     One pass over the blocks of _unwrapped: each block's mean and centred
     sum of squares are merged into the running ones (Chan, Golub & LeVeque
@@ -290,7 +287,7 @@ def pixel_moments(
     mean, m2 = (np.zeros(np.count_nonzero(pixels)) for _ in range(2))
     cross = None if ref is None else np.zeros(mean.size)
     varies = np.zeros(mean.size, dtype=bool)  # stays when no pixel is selected
-    for start, at, xb, tmp, varies in _unwrapped(series, pixels, flip_sign, anchor):
+    for start, at, xb, tmp, varies in _unwrapped(series, pixels, anchor):
         k, m = at.stop - at.start, xb.shape[0]
         if cross is not None:
             np.multiply(xb, ref[start : start + m, None], out=tmp)
@@ -314,14 +311,9 @@ def check_static_mask(mask: RoiMask, header: SeriesHeader) -> None:
     ensure_same_grid(mask, header)
 
 
-def background_correct(
-    series: VelocitySeries, static: RoiMask | PixelMoments
-) -> tuple[VelocitySeries, float]:
-    """Subtract the global static-tissue offset; returns (series, offset).
-
-    ``static`` is the STATIC_TISSUE mask on the grid of series, or the
-    static pixels' moments already taken by pixel_moments, so that series
-    need only hold the pixels whose velocities are kept.
+def background_correct(series: VelocitySeries, static: RoiMask) -> tuple[VelocitySeries, float]:
+    """Subtract the global static-tissue offset over the STATIC_TISSUE
+    mask static, on the grid of series; returns (series, offset).
 
     The offset is one scalar, the mean velocity over static pixels and
     over all frames (the mean of the pixels' means). Per-frame
@@ -338,10 +330,8 @@ def background_correct(
     is in cm/s, and so are the moments.
     """
     _expect(series, Encoding.VELOCITY_CMPS)
-    if isinstance(static, RoiMask):
-        check_static_mask(static, series.header)
-        static = pixel_moments(series, static.pixels)
-    offset = static_offset(static, series.header.venc)
+    check_static_mask(static, series.header)
+    offset = static_offset(pixel_moments(series, static.pixels), series.header.venc)
     return VelocitySeries(series.header, series.frames - offset), offset
 
 

@@ -4,6 +4,7 @@ config-over-flags precedence, exit codes."""
 import json
 import math
 import mmap
+import re
 import weakref
 from dataclasses import asdict
 
@@ -122,6 +123,28 @@ class TestProcess:
         rep = json.loads((tmp_path / "g" / "report.json").read_text())
         assert rep["gating"] is None
         assert rep["sv"]["global"]["sv"] > 0
+
+    @pytest.mark.parametrize("refine", [[], ["--refine-threshold", "0.5"]],
+                             ids=["box", "refine"])
+    def test_flip_sign_negates_the_offset(self, phantom_dir, processed_dir, tmp_path, refine):
+        # the sign is applied once, to the offset and the flow: the flipped
+        # report's offset is the unflipped one's with its sign turned, with
+        # or without refinement, which takes the same static moments
+        rc = main([
+            "process",
+            "--series", str(phantom_dir / "series.csfd"),
+            "--roi", str(phantom_dir / "lumen.pgm"),
+            "--static", str(phantom_dir / "static.pgm"),
+            "--belt", str(phantom_dir / "belt.csv"),
+            "--flip-sign",
+            "--out", str(tmp_path / "f"),
+        ] + refine)
+        assert rc == 0
+        key = re.compile(r'"background_offset_cmps": ([^,\n]+)')
+        plain, flipped = (key.search((d / "report.json").read_text()).group(1)
+                          for d in (processed_dir, tmp_path / "f"))
+        assert float(plain) != 0.0
+        assert flipped == (plain[1:] if plain.startswith("-") else "-" + plain)
 
     def test_config_overrides_flags(self, phantom_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -21,6 +21,7 @@ from csfdyn import (
 )
 from csfdyn.errors import DimensionMismatch, DivisionByZeroSv, InputError, InvalidSpec
 from csfdyn.phantom import AcquisitionSpec, RespSpec
+from csfdyn.pipeline import prepare_velocity
 
 
 class TestProcessSubject:
@@ -62,7 +63,7 @@ class TestProcessSubject:
         before = ds.series.frames.copy()
         r = process_subject(ds.series, ds.lumen, params=params,
                             static=ds.static, belt=ds.belt)
-        assert np.array_equal(ds.series.frames, before)  # the flip works on a copy
+        assert np.array_equal(ds.series.frames, before)  # the input is left as it is
         tru = 1000.0 * ds.truth.spec.cardiac.sv_true
         assert r.sv_global.sv == pytest.approx(tru, rel=0.02)
         assert r.curves.global_mean.min() < 0 < r.curves.global_mean.max()
@@ -299,6 +300,61 @@ class TestRoiFirstVelocity:
         assert exc_info.value.stage == "flow"
 
 
+class TestSignConvention:
+    """flip_sign is applied once, at the end of prepare_velocity. The
+    flipped run refines to the same ROI, and its flow and offset are the
+    unflipped ones negated, an exact zero kept positive. Both equal, to the
+    bit, the unflipped chain run on negated frames, which is what negating
+    each velocity as it is converted gives."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def aliased():
+        # venc 1.0 lies below the lumen's peak, so the lumen pixels wrap
+        base = csfdyn.default_aqueduct_spec()
+        ds = csfdyn.generate(replace(
+            base,
+            grid=replace(base.grid, width=32, height=32),
+            lumen=replace(base.lumen, center_row=16.0, center_col=16.0),
+            acquisition=replace(base.acquisition, venc=1.0, duration=20000.0),
+        ))
+        vel = converted(ds.series)
+        assert np.any(csfdyn.unwrap_temporal(vel, 17).frames != vel.frames)
+        return ds
+
+    @pytest.mark.parametrize("encoding", ["phase", "velocity", "still-static"])
+    @pytest.mark.parametrize("static", [True, False], ids=["static", "no-static"])
+    @pytest.mark.parametrize("refine", [None, 0.5], ids=["box", "refine"])
+    def test_flip_negates_flow_and_offset(self, aliased, encoding, static, refine):
+        ds = aliased
+        series = ds.series if encoding == "phase" else converted(ds.series)
+        if encoding == "still-static":
+            frames = series.frames.copy()
+            frames[:, ds.static.pixels] = 0.0
+            series = VelocitySeries(series.header, frames)
+        mask = ds.static if static else None
+        seed = ds.lumen
+        if refine is not None:  # refinement grows one pixel into the lumen
+            pixel = np.zeros_like(seed.pixels)
+            pixel[16, 16] = True
+            seed = csfdyn.RoiMask(pixel, RoiLabel.AQUEDUCT)
+        params = PipelineParams(anchor=17, refine_threshold=refine)
+        flow, roi, offset = prepare_velocity(series, seed, mask, params)
+        flipped = prepare_velocity(series, seed, mask, replace(params, flip_sign=True))
+        negated = prepare_velocity(VelocitySeries(series.header, -series.frames), seed, mask,
+                                   params)
+        assert roi.n_pixels > 1
+        for other_flow, other_roi, other_offset in (flipped, negated):
+            assert np.array_equal(other_roi.pixels, roi.pixels)
+            assert other_flow.q.tobytes() == (-flow.q + 0.0).tobytes()
+            if offset is None:
+                assert other_offset is None
+            else:
+                assert np.float64(other_offset).tobytes() == np.float64(-offset + 0.0).tobytes()
+        if encoding == "still-static" and static:
+            assert offset == 0.0 and np.float64(flipped[2]).tobytes() == bytes(8)
+
+
 class TestMappedInput:
     """A series read from a file is a read-only map of it, so any stage that
     wrote into its input would raise; every route must run on it and give
@@ -495,6 +551,21 @@ class TestGatedPassthrough:
         lo = min(modulated_result.sv_insp.sv, modulated_result.sv_exp.sv)
         hi = max(modulated_result.sv_insp.sv, modulated_result.sv_exp.sv)
         assert lo <= gated.sv_global.sv <= hi
+
+    def test_cycle_length_is_frames_times_interval(self, gated_pair):
+        # t0 + k * frame_interval rounds at a late t0: the cycle length, and
+        # the stroke volume with it, must not depend on the time origin
+        ds, _ = gated_pair
+        spec = ds.truth.spec
+        series = csfdyn.generate_gated(replace(spec, acquisition=replace(
+            spec.acquisition, series_kind=csfdyn.SeriesKind.GATED_CONV)))
+        results = [
+            process_subject(VelocitySeries(replace(series.header, t0=t0, frame_interval=35.7),
+                                           series.frames), ds.lumen, static=ds.static)
+            for t0 in (0.0, 1e9)
+        ]
+        assert [r.sv_global.mean_rr for r in results] == [32 * 35.7] * 2
+        assert results[0].sv_global.sv == results[1].sv_global.sv
 
 
 class TestReport:

@@ -41,7 +41,10 @@ def make_header(venc=10.0, n_frames=5, w=8, h=6, encoding=Encoding.PHASE_RADIANS
 def unwrap_oracle(series, flip_sign=False, anchor=0):
     """Reference velocities of series: converted to float64 cm/s, negated
     when flip_sign is set, and unwrapped over the whole array at once, 2 venc
-    off per wrap counted by np.cumsum from the anchor frame."""
+    off per wrap counted by np.cumsum from the anchor frame.
+
+    The streamed core never flips: negated, the flipped reference must give
+    its bits, which is what lets the pipeline apply the sign at the end."""
     header = series.header
     v = series.frames.astype(np.float64)
     if header.encoding is Encoding.PHASE_RADIANS:
@@ -242,12 +245,12 @@ def moment_case(draw):
 def test_moments_of_subset_are_subset_of_moments(case):
     """A pixel's moments do not depend on the other pixels of the call, so
     the pipeline may take them for any pixel set and get the same bits;
-    they are the moments of the reference unwrap's output."""
+    they are the moments of the reference unwrap's output (the flipped one
+    negated)."""
     series, subset, flip_sign, ref, anchor, block = case
     with mock.patch.object(velocity, "_BLOCK", block):
-        whole = pixel_moments(series, np.ones(subset.shape, dtype=bool), flip_sign, ref,
-                              anchor)
-        part = pixel_moments(series, subset, flip_sign, ref, anchor)
+        whole = pixel_moments(series, np.ones(subset.shape, dtype=bool), ref, anchor)
+        part = pixel_moments(series, subset, ref, anchor)
     picked = whole.subset(subset)
     for name in ("mean", "m2", "cross"):
         mine, theirs = getattr(part, name), getattr(picked, name)
@@ -255,7 +258,7 @@ def test_moments_of_subset_are_subset_of_moments(case):
         assert mine is None or mine.tobytes() == theirs.tobytes(), name
 
     v = unwrap_oracle(series, flip_sign, anchor)
-    v = v.reshape(v.shape[0], -1)
+    v = (-v if flip_sign else v).reshape(v.shape[0], -1)
     n, big = v.shape[0], np.abs(v).max()
     np.testing.assert_allclose(whole.mean, v.mean(axis=0), rtol=1e-12, atol=1e-12 * big)
     np.testing.assert_allclose(whole.m2, v.var(axis=0) * n, rtol=1e-12,
@@ -269,8 +272,9 @@ def test_moments_of_subset_are_subset_of_moments(case):
 @given(moment_case(), st.data())
 def test_velocities_match_oracle(case, data):
     """The streamed velocities of any box of the grid, a view that need not
-    be contiguous, equal the whole-array reference to the bit; a _BLOCK of
-    1-3 pixels also splits the frames into chunks of 64."""
+    be contiguous, equal the whole-array reference to the bit (the flipped
+    one negated); a _BLOCK of 1-3 pixels also splits the frames into chunks
+    of 64."""
     series, _, flip_sign, _, anchor, block = case
     _, h, w = series.frames.shape
     r0, c0 = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
@@ -278,9 +282,11 @@ def test_velocities_match_oracle(case, data):
     box = VelocitySeries(replace(series.header, height=r1 - r0, width=c1 - c0),
                          series.frames[:, r0:r1, c0:c1])
     with mock.patch.object(velocity, "_BLOCK", block):
-        out = velocity.velocities(box, flip_sign, anchor)
+        out = velocity.velocities(box, anchor)
     assert out.header == replace(box.header, encoding=Encoding.VELOCITY_CMPS)
     expected = unwrap_oracle(box, flip_sign, anchor)
+    if flip_sign:
+        expected = -expected
     assert out.frames.dtype == np.float64 and out.frames.shape == expected.shape
     assert out.frames.tobytes() == expected.tobytes()
 
@@ -292,25 +298,30 @@ def test_streamed_flow_matches_velocity_maps(case, corrected):
     streamed blocks come, equal to the bit those of the velocity maps:
     extract_flow of velocities() corrected by background_correct (static
     tissue: the other pixels, or all of them), and seed_reference of
-    velocities(), however _BLOCK splits the ROI."""
+    velocities(), however _BLOCK splits the ROI. With the sign drawn
+    flipped the maps are negated first, and the streamed results, negated
+    as prepare_velocity negates the flow (an exact zero kept positive),
+    must give their bits."""
     series, pixels, flip_sign, _, anchor, block = case
     pixels[0, 0] = True  # an ROI is never empty
     roi = RoiMask(pixels, RoiLabel.AQUEDUCT)
+    sign = -1.0 if flip_sign else 1.0
     with mock.patch.object(velocity, "_BLOCK", block):
-        vel = velocity.velocities(series, flip_sign, anchor)
+        vel = velocity.velocities(series, anchor)
+        vel = VelocitySeries(vel.header, sign * vel.frames)
         offset = None
         if corrected:
             static = RoiMask(~pixels if (~pixels).any() else pixels, RoiLabel.STATIC_TISSUE)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", StaticTissueWarning)
                 corrected_vel, offset = background_correct(vel, static)
-        flow = streamed_flow(series, roi, flip_sign, anchor, offset)
-        ref = streamed_seed_reference(series, roi, flip_sign, anchor)
+        flow = streamed_flow(series, roi, anchor, None if offset is None else sign * offset)
+        ref = streamed_seed_reference(series, roi, anchor)
     expected = extract_flow(corrected_vel if corrected else vel, roi)
-    assert flow.q.tobytes() == expected.q.tobytes()
+    assert (sign * flow.q + 0.0).tobytes() == expected.q.tobytes()
     assert flow.timestamps.tobytes() == expected.timestamps.tobytes()
     assert (flow.n_roi_pixels, flow.pixel_area) == (expected.n_roi_pixels, expected.pixel_area)
-    assert ref.tobytes() == seed_reference(vel, roi).tobytes()
+    assert (sign * ref + 0.0).tobytes() == seed_reference(vel, roi).tobytes()
 
 
 @pytest.mark.parametrize("block", [2048, 300, 7])
@@ -318,20 +329,22 @@ def test_streamed_flow_adds_pixels_in_turn(block):
     """Over an ROI of about 800 pixels split into blocks, the streamed flow is
     numpy's sum of the F-ordered gather of the corrected maps, to the bit:
     pixel after pixel, not the pairwise row sum of a C-ordered block,
-    which differs in the last bits."""
+    which differs in the last bits. The maps are negated, and so is the
+    flow, as prepare_velocity flips the sign."""
     rng = np.random.default_rng(5)
     header = make_header(venc=5.0, n_frames=130, w=40, h=40, encoding=Encoding.VELOCITY_CMPS)
     series = VelocitySeries(header, rng.uniform(-5.0, 5.0, (130, 40, 40)).astype(np.float32))
     pixels = rng.random((40, 40)) < 0.5
-    vel = velocity.velocities(series, True, 60)
+    vel = velocity.velocities(series, 60)
+    flipped = VelocitySeries(vel.header, -vel.frames)
     with pytest.warns(StaticTissueWarning):
-        vel, offset = background_correct(vel, RoiMask(~pixels, RoiLabel.STATIC_TISSUE))
+        flipped, offset = background_correct(flipped, RoiMask(~pixels, RoiLabel.STATIC_TISSUE))
     with mock.patch.object(velocity, "_BLOCK", block):
-        flow = streamed_flow(series, RoiMask(pixels, RoiLabel.AQUEDUCT), True, 60, offset)
-    gather = vel.frames[:, pixels]
+        flow = streamed_flow(series, RoiMask(pixels, RoiLabel.AQUEDUCT), 60, -offset)
+    gather = flipped.frames[:, pixels]
     assert gather.flags.f_contiguous
     q = gather.sum(axis=1) * (header.pixel_area * 0.01)
-    assert flow.q.tobytes() == q.tobytes()
+    assert (-flow.q + 0.0).tobytes() == q.tobytes()
     pairwise = np.ascontiguousarray(gather).sum(axis=1) * (header.pixel_area * 0.01)
     assert not np.array_equal(pairwise, q)
 
