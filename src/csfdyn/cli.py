@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from . import __version__
+from . import __version__, reporting
 from .errors import (
     CsfdynError,
     InputError,
@@ -23,8 +24,8 @@ from .errors import (
     TooFewPairs,
     UnpairedSubject,
 )
-from .ingest import RoiLabel, coerce, read_mask, read_physio, read_series, write_series
-from .ingest import PhysioKind
+from .ingest import (PhysioKind, RoiLabel, SeriesKind, coerce, read_mask, read_physio,
+                     read_series, series_map, write_series)
 from .metrics import SvConvention
 from .phantom import (
     PhantomSpec,
@@ -35,10 +36,10 @@ from .phantom import (
     generate_gated,
     save_dataset,
 )
-from .ingest import SeriesKind
 from .ensemble import INTERP_MODES
 from .pipeline import GATES, UNITS, PipelineParams, process_subject, result_to_report
 from .reporting import (
+    make_dir,
     sha256_of,
     write_curves_csv,
     write_curves_svg,
@@ -161,26 +162,30 @@ def _hash_entry(path: str) -> dict:
 def cmd_process(args: argparse.Namespace) -> int:
     params = PipelineParams(**{f.name: getattr(args, f.name) for f in fields(PipelineParams)})
     series = read_series(args.series)
-    roi = read_mask(args.roi)
-    static = read_mask(args.static, RoiLabel.STATIC_TISSUE) if args.static else None
-    belt = read_physio(args.belt, PhysioKind.RESP_BELT) if args.belt else None
-    pleth = (read_physio(args.plethysmo, PhysioKind.CARDIAC_PLETHYSMO)
-             if args.plethysmo else None)
+    # one worker thread hashes the series beside the pipeline's pass
+    # (hashlib releases the GIL), from the map the frames view: a second map
+    # would count the file's pages twice toward the resident set. It calls
+    # reporting.sha256_of, which bench/spans.py does not wrap. Leaving the
+    # block waits for the hash, on an error too.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        series_sha256 = pool.submit(reporting.sha256_of, series_map(series))
+        roi = read_mask(args.roi)
+        static = read_mask(args.static, RoiLabel.STATIC_TISSUE) if args.static else None
+        belt = read_physio(args.belt, PhysioKind.RESP_BELT) if args.belt else None
+        pleth = (read_physio(args.plethysmo, PhysioKind.CARDIAC_PLETHYSMO)
+                 if args.plethysmo else None)
 
-    result = process_subject(series, roi, params, static=static, belt=belt,
-                             plethysmo=pleth)
-    # the series maps its file; unmap it before the hash maps the file again,
-    # as each live map of the same pages counts toward the resident set
-    del series
+        result = process_subject(series, roi, params, static=static, belt=belt,
+                                 plethysmo=pleth)
 
-    inputs = {"series": _hash_entry(args.series), "roi": _hash_entry(args.roi)}
+    inputs = {"series": {"path": str(args.series), "sha256": series_sha256.result()},
+              "roi": _hash_entry(args.roi)}
     for name in ("static", "belt", "plethysmo", "config"):
         value = getattr(args, name)
         if value:
             inputs[name] = _hash_entry(value)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = make_dir(args.out)
     report = result_to_report(result, __version__, inputs)
     write_json(outdir / "report.json", report)
     write_curves_csv(outdir / "curves.csv", result.curves)
@@ -230,6 +235,10 @@ def cmd_cohort(args: argparse.Namespace) -> int:
         sid = entry.get("id")
         if not sid or "conv" not in entry or "epi" not in entry:
             raise UnpairedSubject(f"manifest entry {entry!r} needs id, conv, epi")
+        for key in ("conv", "epi"):
+            if not isinstance(entry[key], str):
+                raise UnpairedSubject(
+                    f"subject {sid}: {key} must be a report path, got {entry[key]!r}")
         conv = _load_subject_report(entry["conv"], sid)
         epi = _load_subject_report(entry["epi"], sid)
         if conv["roi_label"] != epi["roi_label"]:
@@ -290,8 +299,7 @@ def cmd_cohort(args: argparse.Namespace) -> int:
         block["modulation_n"] = len(mods)
         roi_reports[roi] = block
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = make_dir(args.out)
     for roi, block in roi_reports.items():
         write_scatter_svg(
             outdir / f"scatter_{roi.lower()}.svg",
@@ -354,7 +362,7 @@ def cmd_phantom(args: argparse.Namespace) -> int:
             _write_phantom_subject(subj.spec, subdir, args.gated)
             listing.append({"id": subj.subject_id, "dir": subj.subject_id,
                             "spec": asdict(subj.spec)})
-        outdir.mkdir(parents=True, exist_ok=True)
+        make_dir(outdir)
         write_json(outdir / "cohort_specs.json",
                    {"kind": "phantom_cohort", "version": __version__,
                     "seed": spec.seed, "subjects": listing})

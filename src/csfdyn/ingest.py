@@ -392,6 +392,20 @@ def read_series(path) -> VelocitySeries:
     return VelocitySeries(header, frames.reshape(header.n_frames, header.height, header.width))
 
 
+def series_map(series: VelocitySeries) -> mmap.mmap:
+    """The read-only map of the whole .csfd file, header and payload, that
+    the frames of a series from read_series view. It stays open as long as
+    the frames do. ValueError if the frames are not a view of a map."""
+    base = series.frames
+    # numpy links a view to its buffer through .base, and a memoryview
+    # to the object it exports through .obj
+    while isinstance(base, (np.ndarray, memoryview)):
+        base = base.base if isinstance(base, np.ndarray) else base.obj
+    if not isinstance(base, mmap.mmap):
+        raise ValueError("the series' frames are not a view of a mapped file")
+    return base
+
+
 # ---------------------------------------------------------------------------
 # .pgm ROI masks
 
@@ -490,10 +504,12 @@ def write_physio(trace: PhysioTrace, path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-#: line breaks of str.splitlines, besides "\n", that text read with
-#: universal newlines ("\r\n" and "\r" become "\n") can hold; loadtxt
-#: does not end a line at them
-_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+#: characters loadtxt reads otherwise than float() and str.splitlines: the
+#: line breaks, besides "\n", that text read with universal newlines
+#: ("\r\n" and "\r" become "\n") can hold, at which loadtxt does not end
+#: a line, and the unit separator, which loadtxt skips beside a number
+#: and float() refuses
+_LOOP_ONLY = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _loadtxt_rows(path) -> np.ndarray | None:
@@ -563,7 +579,7 @@ def read_physio(path, kind: PhysioKind = PhysioKind.RESP_BELT) -> PhysioTrace:
     rows = None
     end = text.find("\n")
     header = text if end < 0 else text[:end]
-    if header.strip() == "t_ms,amplitude" and not any(c in text for c in _OTHER_LINE_BREAKS):
+    if header.strip() == "t_ms,amplitude" and not any(c in text for c in _LOOP_ONLY):
         rows = _loadtxt_rows(path)
     if rows is None:
         t_arr, amps = _loop_rows(path, text)

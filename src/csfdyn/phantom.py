@@ -25,12 +25,10 @@ cohort parameter jitter.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +50,7 @@ from .ingest import (
     write_physio,
     write_series,
 )
+from .reporting import make_dir, write_json
 
 QUAD_POINTS = 1 << 17  # dense-grid quadrature resolution for truth values
 
@@ -607,8 +606,7 @@ def cohort(
 
 def save_dataset(ds: PhantomDataset, outdir) -> dict:
     """Write one subject's files; returns name -> path mapping."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = make_dir(outdir)
     paths = {
         "series": outdir / "series.csfd",
         "belt": outdir / "belt.csv",
@@ -622,8 +620,5 @@ def save_dataset(ds: PhantomDataset, outdir) -> dict:
     write_physio(ds.plethysmo, paths["plethysmo"])
     write_mask(ds.lumen, paths["lumen"])
     write_mask(ds.static, paths["static"])
-    paths["truth"].write_text(
-        json.dumps(ds.truth.to_json_dict(), sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    write_json(paths["truth"], ds.truth.to_json_dict())
     return {k: str(v) for k, v in paths.items()}

@@ -2,7 +2,8 @@
 
 Byte reproducibility rules: keys sorted, floats serialized by repr
 (shortest round-trip) in JSON and by fixed-precision formatting in SVG
-coordinates, no timestamps, no environment lookups.
+coordinates, no timestamps, no environment lookups. A file or directory
+that cannot be written raises IoFailure.
 """
 
 from __future__ import annotations
@@ -25,17 +26,39 @@ from .errors import IoFailure
 _MAP_FROM = 1 << 16
 
 
-def sha256_of(path) -> str:
-    """Hex SHA-256 of a file. A file of 64 KiB or more is hashed from a
-    read-only map of it, so no copy of it is made."""
+def sha256_of(source) -> str:
+    """Hex SHA-256 of a file, named by its path (a str or os.PathLike), or
+    of a buffer, such as the map of a series file (ingest.series_map). A
+    file of 64 KiB or more is hashed from a read-only map of it, and a
+    buffer where it lies, so no copy of either is made."""
+    if not isinstance(source, (str, os.PathLike)):
+        return hashlib.sha256(source).hexdigest()
     try:
-        with open(path, "rb") as fh:
+        with open(source, "rb") as fh:
             if os.fstat(fh.fileno()).st_size < _MAP_FROM:
                 return hashlib.sha256(fh.read()).hexdigest()
             with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
                 return hashlib.sha256(mapped).hexdigest()
     except (OSError, ValueError) as exc:
-        raise IoFailure(f"cannot hash {path}: {exc}") from exc
+        raise IoFailure(f"cannot hash {source}: {exc}") from exc
+
+
+def make_dir(path) -> Path:
+    """path as a Path, made with its parents if missing. IoFailure if it
+    cannot be made (a file in its place, say)."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return path
+
+
+def _write_text(path, text: str, encoding: str) -> None:
+    try:
+        Path(path).write_text(text, encoding=encoding)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path, payload: dict) -> None:
@@ -46,8 +69,7 @@ def write_json(path, payload: dict) -> None:
     its value. Anything else (a numpy array or integer, say) raises
     TypeError; nothing is converted.
     """
-    text = json.dumps(payload, sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n", "utf-8")
 
 
 def write_curves_csv(path, curves) -> None:
@@ -62,7 +84,7 @@ def write_curves_csv(path, curves) -> None:
             else:
                 cells += [repr(float(mean[k])), repr(float(sd[k]))]
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_text(path, "\n".join(lines) + "\n", "ascii")
 
 
 def _fmt(x: float) -> str:
@@ -175,7 +197,7 @@ class SvgCanvas:
         return "\n".join(parts)
 
     def write(self, path) -> None:
-        Path(path).write_text(self.render() + "\n", encoding="utf-8")
+        _write_text(path, self.render() + "\n", "utf-8")
 
 
 def _esc(s: str) -> str:

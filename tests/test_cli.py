@@ -1,16 +1,20 @@
 """Command line behavior: full phantom -> process -> cohort chain,
 config-over-flags precedence, exit codes."""
 
+import hashlib
 import json
 import math
 import mmap
+import os
 import re
+import threading
+import time
 import weakref
 from dataclasses import asdict
 
 import pytest
 
-from csfdyn import cli
+from csfdyn import reporting
 from csfdyn.cli import main
 
 
@@ -61,6 +65,14 @@ class TestPhantom:
         listing = json.loads((out / "cohort_specs.json").read_text())
         assert [s["id"] for s in listing["subjects"]] == ["S01", "S02", "S03"]
         assert (out / "S02" / "series.csfd").is_file()
+
+    @pytest.mark.parametrize("cohort", [[], ["--cohort", "2"]], ids=["one", "cohort"])
+    def test_out_under_a_file_is_input_error(self, tmp_path, capsys, cohort):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        assert main(["phantom", "--out", str(blocker / "x"), *cohort]) == 2
+        assert f"csfdyn: input error: cannot write {blocker / 'x'}" in \
+            capsys.readouterr().err
 
     def test_bad_spec_file(self, tmp_path):
         bad = tmp_path / "spec.json"
@@ -270,6 +282,19 @@ class TestProcess:
         assert rc == 2
         assert "gating" in capsys.readouterr().err
 
+    def test_out_that_is_a_file_is_input_error(self, phantom_dir, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        rc = main([
+            "process",
+            "--series", str(phantom_dir / "series.csfd"),
+            "--roi", str(phantom_dir / "lumen.pgm"),
+            "--belt", str(phantom_dir / "belt.csv"),
+            "--out", str(blocker),
+        ])
+        assert rc == 2
+        assert f"csfdyn: input error: cannot write {blocker}" in capsys.readouterr().err
+
     def test_refusal_exit_code(self, tmp_path, capsys):
         # a run too short for the requested cycle-length window cannot be
         # gated: that is a refusal, not an input error
@@ -307,32 +332,116 @@ class TestProcess:
         assert "refusing [flow]: no pixel met the correlation threshold" in \
             capsys.readouterr().err
 
-    def test_series_is_unmapped_before_it_is_hashed(self, phantom_dir, tmp_path, monkeypatch):
-        # each live map of the series file counts toward the resident set
-        maps, live = [], []
-        real_mmap, real_hash = mmap.mmap, cli.sha256_of
+    def test_series_is_mapped_once_and_hashed_from_its_map(self, phantom_dir, tmp_path,
+                                                           monkeypatch):
+        # each live map of the series file counts toward the resident set:
+        # the hash reads the one map read_series made, and no other exists
+        series_path = phantom_dir / "series.csfd"
+        ident = (series_path.stat().st_dev, series_path.stat().st_ino)
+        maps, at_hash = [], []
+        real_hash = reporting.sha256_of
 
-        def recording_mmap(*args, **kwargs):
-            mapped = real_mmap(*args, **kwargs)
-            maps.append(weakref.ref(mapped))
-            return mapped
+        class RecordingMmap(mmap.mmap):
+            def __new__(cls, fileno, *args, **kwargs):
+                mapped = super().__new__(cls, fileno, *args, **kwargs)
+                st = os.fstat(fileno)
+                if (st.st_dev, st.st_ino) == ident:
+                    maps.append(weakref.ref(mapped))
+                return mapped
 
-        def checking_hash(path):
-            live.append(sum(ref() is not None and not ref().closed for ref in maps))
-            return real_hash(path)
+        def checking_hash(source):
+            live = [ref() for ref in maps if ref() is not None and not ref().closed]
+            at_hash.append((len(live), live[0] is source if live else False))
+            return real_hash(source)
 
-        monkeypatch.setattr(mmap, "mmap", recording_mmap)
-        monkeypatch.setattr(cli, "sha256_of", checking_hash)
+        monkeypatch.setattr(mmap, "mmap", RecordingMmap)
+        monkeypatch.setattr(reporting, "sha256_of", checking_hash)
+        out = tmp_path / "x"
         rc = main([
             "process",
-            "--series", str(phantom_dir / "series.csfd"),
+            "--series", str(series_path),
             "--roi", str(phantom_dir / "lumen.pgm"),
             "--belt", str(phantom_dir / "belt.csv"),
-            "--out", str(tmp_path / "x"),
+            "--out", str(out),
         ])
         assert rc == 0
-        assert maps, "the series was not mapped"
-        assert live == [0, 0, 0]
+        assert len(maps) == 1, "the series file was not mapped exactly once"
+        assert at_hash == [(1, True)]
+        report = json.loads((out / "report.json").read_text())
+        assert report["inputs"]["series"]["sha256"] == \
+            hashlib.sha256(series_path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def noisy_dir(tmp_path_factory):
+    """At 0.6 rad of phase noise no seed pixel correlates at 0.5 with the
+    seed's mean, so --refine-threshold 0.5 is refused (exit 3)."""
+    base = tmp_path_factory.mktemp("noisy")
+    spec = base / "spec.json"
+    spec.write_text(json.dumps({"acquisition": {"noise_sd_phase": 0.6}}))
+    assert main(["phantom", "--out", str(base / "ph"), "--spec", str(spec),
+                 "--seed", "1"]) == 0
+    return base / "ph"
+
+
+class TestSeriesHashThread:
+    """The series is hashed in one worker thread; every exit waits for it."""
+
+    REFUSAL = "csfdyn: refusing [flow]: no pixel met the correlation threshold\n"
+
+    @staticmethod
+    def _argv(ph, out, case):
+        argv = ["process", "--series", str(ph / "series.csfd"),
+                "--roi", str(ph / "lumen.pgm"), "--static", str(ph / "static.pgm"),
+                "--belt", str(ph / "belt.csv"), "--out", str(out)]
+        if case == "unreadable-belt":
+            argv[argv.index("--belt") + 1] = str(out.parent / "missing.csv")
+        elif case == "refusal":
+            argv += ["--refine-threshold", "0.5", "--anchor", "100"]
+        return argv
+
+    @staticmethod
+    def _timed_hash(monkeypatch, delay_s=0.0):
+        """Record the start and end of each hash the worker makes."""
+        events = []
+        real_hash = reporting.sha256_of
+
+        def hash_(source):
+            events.append("start")
+            time.sleep(delay_s)
+            digest = real_hash(source)
+            events.append("end")
+            return digest
+
+        monkeypatch.setattr(reporting, "sha256_of", hash_)
+        return events
+
+    @pytest.mark.parametrize("case, rc", [("ok", 0), ("unreadable-belt", 2),
+                                          ("refusal", 3)])
+    def test_no_thread_outlives_the_command(self, phantom_dir, noisy_dir, tmp_path,
+                                            monkeypatch, capsys, case, rc):
+        events = self._timed_hash(monkeypatch)
+        ph = noisy_dir if case == "refusal" else phantom_dir
+        before = threading.active_count()
+        assert main(self._argv(ph, tmp_path / "x", case)) == rc
+        assert threading.active_count() == before
+        assert events == ["start", "end"]
+        err = capsys.readouterr().err
+        if case == "unreadable-belt":
+            assert err.startswith("csfdyn: input error: cannot read ") and "missing.csv" in err
+        elif case == "refusal":
+            assert err == self.REFUSAL
+
+    def test_refusal_waits_for_a_slow_hash(self, noisy_dir, tmp_path, monkeypatch, capsys):
+        events = self._timed_hash(monkeypatch, delay_s=0.5)
+        before = threading.active_count()
+        t0 = time.perf_counter()
+        assert main(self._argv(noisy_dir, tmp_path / "x", "refusal")) == 3
+        assert time.perf_counter() - t0 >= 0.5
+        assert threading.active_count() == before
+        assert events == ["start", "end"]
+        assert capsys.readouterr().err == self.REFUSAL
+        assert not (tmp_path / "x").exists()
 
 
 def _write_duration_cfg(tmp_path):
@@ -502,6 +611,29 @@ class TestCohort:
         assert main(["cohort", "--pairs", str(manifest), "--out", str(out), *flags]) == rc
         assert "SPINAL_CANAL" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_that_is_a_file_is_input_error(self, cohort_out, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        rc = main(["cohort", "--pairs", str(cohort_out.parent / "pairs.json"),
+                   "--out", str(blocker)])
+        assert rc == 2
+        assert f"csfdyn: input error: cannot write {blocker}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["conv", "epi"])
+    @pytest.mark.parametrize("value", [5, None, ["x"]], ids=["int", "null", "list"])
+    def test_manifest_path_must_be_a_string(self, tmp_path, capsys, key, value):
+        report = tmp_path / "S0.json"
+        report.write_text(json.dumps({"kind": "subject", "roi_label": "AQUEDUCT",
+                                      "unit": "uL", "sv": {"global": {"sv": 100.0}}}))
+        entry = {"id": "S0", "conv": str(report), "epi": str(report), key: value}
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"subjects": [entry] * 5}))
+        rc = main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"subject S0: {key} must be a report path" in err
+        assert "internal error" not in err
 
     def test_manifest_entries_must_be_objects(self, tmp_path):
         manifest = tmp_path / "pairs.json"

@@ -3,8 +3,9 @@
 import errno
 import json
 import math
+import mmap
 import tracemalloc
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -252,6 +253,23 @@ class TestSeriesFile:
         assert np.array_equal(first.frames, kept)
         assert read_series(p).header.n_frames == n_frames
 
+    def test_series_map_is_the_whole_file(self, tmp_path):
+        # the map the frames view holds the header too: its bytes are the file's
+        p = tmp_path / "s.csfd"
+        write_series(make_series(make_header(t0=10.0)), p)
+        back = read_series(p)
+        mapped = ingest.series_map(back)
+        assert isinstance(mapped, mmap.mmap) and not mapped.closed
+        assert mapped[:] == p.read_bytes()
+        assert ingest.series_map(back) is mapped
+        cropped = VelocitySeries(replace(back.header, height=back.header.height - 1),
+                                 back.frames[:, 1:])
+        assert ingest.series_map(cropped) is mapped
+
+    def test_series_map_of_frames_in_memory(self):
+        with pytest.raises(ValueError, match="not a view of a mapped file"):
+            ingest.series_map(make_series())
+
     def test_series_written_over_its_own_file(self, tmp_path):
         s = make_series()
         p = tmp_path / "s.csfd"
@@ -411,6 +429,9 @@ PHYSIO_TEXTS = {
     # loadtxt would read "0\x0b" as a number and join the two lines into one row
     "vt-before-comma": "\n".join([HEADER, "0\x0b,1", "40,2", "80,3"]),
     "fs-line-ends": "\x1c".join([HEADER] + belt_rows(6)),
+    # loadtxt would read "\x1f1" as 1; float() refuses it
+    "us-before-number": "\n".join([HEADER, "0,\x1f1", "40,2", "80,3"]),
+    "us-after-number": "\n".join([HEADER, "0,1", "40\x1f,2", "80,3"]),
     "underscore": "\n".join([HEADER, "0,1_0", "40,2", "80,3"]),
     "underscore-time": "\n".join([HEADER, "0,1", "4_0,2", "80,3"]),
     "hex": "\n".join([HEADER, "0,0x10", "40,2", "80,3"]),
