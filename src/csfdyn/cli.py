@@ -341,6 +341,7 @@ def _spec_from_args(args: argparse.Namespace) -> PhantomSpec:
 
 
 def _write_phantom_subject(spec: PhantomSpec, outdir: Path, gated: bool) -> None:
+    make_dir(outdir)  # an unwritable outdir fails before the phantom is built
     ds = generate(spec)
     save_dataset(ds, outdir)
     write_json(outdir / "spec.json", asdict(spec))

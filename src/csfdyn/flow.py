@@ -16,7 +16,7 @@ from scipy import ndimage
 
 from .errors import DimensionMismatch, InvalidThreshold, NoCorrelatedRegion
 from .ingest import RoiLabel, RoiMask, VelocitySeries, ensure_same_grid
-from .velocity import PixelMoments, add_columns, pixel_moments, pixel_sums
+from .velocity import PixelMoments, add_columns, pixel_sums
 
 
 @dataclass
@@ -73,10 +73,10 @@ def streamed_flow(
     anchor: int = 0,
     offset: float | None = None,
 ) -> FlowSamples:
-    """extract_flow, to the bit, of velocities(series, anchor) in the
-    series' own sign (pipeline.prepare_velocity applies the convention),
-    less offset when one is given, as background_correct leaves them.
-    Summed as the streamed blocks come (velocity.pixel_sums)."""
+    """extract_flow, to the bit, of the series' velocity maps at the anchor
+    frame, in its own sign (pipeline.prepare_velocity applies the
+    convention), less offset when one is given, as background_correct
+    leaves them. Summed as the streamed blocks come (velocity.pixel_sums)."""
     ensure_same_grid(roi, series.header)
     return _samples(series, roi, pixel_sums(series, roi.pixels, anchor, offset))
 
@@ -94,43 +94,35 @@ def seed_reference(series: VelocitySeries, seed: RoiMask) -> np.ndarray:
 
 
 def streamed_seed_reference(series: VelocitySeries, seed: RoiMask, anchor: int = 0) -> np.ndarray:
-    """seed_reference, to the bit, of velocities(series, anchor), from the
-    seed pixels' streamed sums (velocity.pixel_sums), in the series' own
-    sign: refinement's correlations are the same under either."""
+    """seed_reference, to the bit, of the series' velocity maps at the
+    anchor frame (in its own sign, under which refinement correlates the
+    same), from the seed pixels' streamed sums (velocity.pixel_sums)."""
     ensure_same_grid(seed, series.header)
     return _centred_mean(pixel_sums(series, seed.pixels, anchor), seed.n_pixels)
 
 
-def refine_roi(
-    series: VelocitySeries | PixelMoments, seed: RoiMask, threshold: float = 0.7
-) -> RoiMask:
+def refine_roi(moments: PixelMoments, seed: RoiMask, threshold: float = 0.7) -> RoiMask:
     """Grow the seed into the set of pixels that pulse with it.
 
     Each pixel's velocity-versus-time profile is correlated (Pearson)
-    against the seed's reference (seed_reference): r = cross /
-    (|ref| sqrt(m2)), from the pixel's moments (velocity.pixel_moments).
-    Pixels at or above the threshold that are 8-connected to qualifying
-    seed pixels form the refined mask. Constant-in-time pixels (m2 = 0)
-    have no defined correlation and never qualify, which is what keeps
-    static background out even at threshold 0.
-
-    ``series`` may also be pixel moments on the seed's grid, taken with
-    seed_reference as ref; only the pixels they cover can join. The
-    pipeline passes those for the whole grid, taken from the input series
-    in one pass.
+    against the seed's reference: r = cross / (|ref| sqrt(m2)), from the
+    pixel's moments. moments are velocity.pixel_moments on the seed's grid
+    (DimensionMismatch otherwise), taken with the seed's reference as ref
+    (seed_reference of velocity maps, or streamed_seed_reference of the
+    series); only the pixels they cover can join. The pipeline takes them
+    for the whole grid, from the input series in one pass. Pixels at or
+    above the threshold that are 8-connected to qualifying seed pixels
+    form the refined mask. Constant-in-time pixels (m2 = 0) have no
+    defined correlation and never qualify, which is what keeps static
+    background out even at threshold 0.
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidThreshold(f"correlation threshold must be in [0, 1], got {threshold}")
-    if isinstance(series, VelocitySeries):
-        moments = pixel_moments(series, np.ones(seed.pixels.shape, dtype=bool),
-                                ref=seed_reference(series, seed))
-    else:
-        moments = series
-        if moments.pixels.shape != seed.pixels.shape:
-            raise DimensionMismatch(
-                f"mask grid {seed.height}x{seed.width} does not match moments grid "
-                f"{moments.pixels.shape[0]}x{moments.pixels.shape[1]}"
-            )
+    if moments.pixels.shape != seed.pixels.shape:
+        raise DimensionMismatch(
+            f"mask grid {seed.height}x{seed.width} does not match moments grid "
+            f"{moments.pixels.shape[0]}x{moments.pixels.shape[1]}"
+        )
     ref_norm = float(np.sqrt((moments.ref**2).sum()))
     if ref_norm == 0.0 or moments.n_frames < 2:
         raise NoCorrelatedRegion("seed region has no temporal variation to correlate against")

@@ -164,7 +164,9 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average with edge shrinkage.
 
     window is in samples and forced odd so the filter stays zero-phase;
-    near the edges the window shrinks instead of padding.
+    near the edges the window shrinks instead of padding. A window of 2n+1
+    samples or more, for n samples, averages the whole signal at every
+    sample.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -173,7 +175,7 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
         w += 1
     if w == 1 or n == 1:
         return x.copy()
-    half = w // 2
+    half = min(w // 2, n)
     csum = np.concatenate([[0.0], np.cumsum(x)])
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half + 1, n)
@@ -182,7 +184,7 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
 
 def _smooth_for_peaks(x: np.ndarray, dt: float, max_rr: float) -> np.ndarray:
     """Detrend by a max_rr-wide moving average, then 3-sample smooth."""
-    detrend_w = max(3, int(round(max_rr / dt)))
+    detrend_w = max(3, int(round(min(max_rr / dt, 2 * x.size + 1))))
     resid = x - moving_average(x, detrend_w)
     return moving_average(resid, 3)
 
@@ -331,7 +333,8 @@ def classify_resp(trace: PhysioTrace, smoothing_window: float = DEFAULT_SMOOTHIN
             f"trace spans {trace.duration:g} ms, need at least one breath (2000 ms)"
         )
     dt = trace.sample_interval
-    s = moving_average(trace.samples, int(round(smoothing_window / dt)))
+    s = moving_average(trace.samples,
+                       int(round(min(smoothing_window / dt, 2 * trace.samples.size + 1))))
     rng = float(s.max() - s.min())
     noise = _noise_floor(trace.samples)
     if rng < 10.0 * noise or rng <= 0.0:

@@ -150,6 +150,10 @@ class PhantomSpec:
             or lu.center_col + lu.radius_px > g.width - 1
         ):
             raise InvalidSpec("lumen exceeds the grid")
+        # _pixel_distances of the lattice point nearest the centre
+        dr, dc = round(lu.center_row) - lu.center_row, round(lu.center_col) - lu.center_col
+        if np.sqrt(dr * dr + dc * dc) > lu.radius_px:
+            raise InvalidSpec("lumen covers no pixel centre")
         if lu.profile is FlowProfile.POISEUILLE and g.spacing_x != g.spacing_y:
             raise InvalidSpec("POISEUILLE profile requires isotropic pixel spacing")
         if c.rr_mean <= 0 or c.rr_jitter_sd < 0:

@@ -177,15 +177,15 @@ def prepare_velocity(
     if params.refine_threshold is not None:
         ref = _staged("velocity", streamed_seed_reference, series, roi, params.anchor)
         grid = np.ones(roi.pixels.shape, dtype=bool)
-        moments = pixel_moments(series, grid, ref, params.anchor)
+        moments = _staged("velocity", pixel_moments, series, grid, ref, params.anchor)
         roi = _staged("flow", refine_roi, moments, roi, params.refine_threshold)
     offset = None
     if static is not None:
         # when refining, the static pixels' moments are part of the grid's
-        static_moments = (
-            _staged("velocity", pixel_moments, series, static.pixels, anchor=params.anchor)
-            if moments is None else moments.subset(static.pixels))
-        offset = _staged("velocity", static_offset, static_moments, series.header.venc)
+        if moments is None:
+            moments = _staged("velocity", pixel_moments, series, static.pixels,
+                              anchor=params.anchor)
+        offset = _staged("velocity", static_offset, moments, static.pixels, series.header.venc)
     flow = _staged("velocity", streamed_flow, series, roi, params.anchor, offset)
     if params.flip_sign:
         flow.q = -flow.q + 0.0

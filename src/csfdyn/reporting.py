@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 from pathlib import Path
 
@@ -20,27 +19,23 @@ from .ensemble import PHASE_GRID
 from .errors import IoFailure
 
 
-#: files from this size on are hashed from a map, which copies nothing and
-#: from 64 KiB costs about what a read does; smaller ones (the empty file,
-#: which cannot be mapped, among them) are read whole
-_MAP_FROM = 1 << 16
-
-
 def sha256_of(source) -> str:
     """Hex SHA-256 of a file, named by its path (a str or os.PathLike), or
     of a buffer, such as the map of a series file (ingest.series_map). A
-    file of 64 KiB or more is hashed from a read-only map of it, and a
-    buffer where it lies, so no copy of either is made."""
+    file is read 64 KiB at a time into one buffer, so what the call holds
+    stays small whatever the file's size; a file that another program
+    truncates meanwhile gives the digest of what is left. A buffer is
+    hashed where it lies, with no copy made."""
     if not isinstance(source, (str, os.PathLike)):
         return hashlib.sha256(source).hexdigest()
+    digest, buf = hashlib.sha256(), memoryview(bytearray(1 << 16))
     try:
-        with open(source, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size < _MAP_FROM:
-                return hashlib.sha256(fh.read()).hexdigest()
-            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-                return hashlib.sha256(mapped).hexdigest()
-    except (OSError, ValueError) as exc:
+        with open(source, "rb", buffering=0) as fh:
+            while n := fh.readinto(buf):
+                digest.update(buf[:n])
+    except OSError as exc:
         raise IoFailure(f"cannot hash {source}: {exc}") from exc
+    return digest.hexdigest()
 
 
 def make_dir(path) -> Path:

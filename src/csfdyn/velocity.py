@@ -8,6 +8,13 @@ input unchanged. Each works on every pixel's time course on its own, so a
 subset of the grid gets the same values, to the bit, as the same pixels
 of the whole grid.
 
+A series' velocity maps at anchor frame a are unwrap_temporal(v, a) of
+v, the series or, when it holds phase, phase_to_velocity of it: float64
+cm/s in the series' own sign (pipeline.prepare_velocity applies the sign
+convention). The streamed pass below gives their bits from either
+encoding: it converts phase x to float64(x) * venc/pi, correctly rounded
+as phase_to_velocity does, and scales velocity by exactly 1.0.
+
 The pipeline relies on that. One generator, ``_unwrapped``, reads the
 float32 input in chunks of frames (64 for moments) and yields them
 converted and unwrapped, a block of pixels at a time, in the series' own
@@ -19,7 +26,7 @@ offset, the StaticTissueWarning and the refinement's correlation map come
 from those. ``pixel_sums`` folds them into per-frame sums over the pixels, the
 ROI's flow and the seed's reference time course. So the pipeline holds
 one block plus vectors with one value per frame or per pixel, and builds
-no velocity map. ``velocities`` writes the blocks into velocity maps.
+no velocity map. ``unwrap_temporal`` writes the blocks into velocity maps.
 """
 
 from __future__ import annotations
@@ -92,10 +99,17 @@ def unwrap_temporal(series: VelocitySeries, anchor: int = 0) -> VelocitySeries:
     idempotent. A velocity that is constantly aliased (no jump ever) is
     left as is; that ambiguity cannot be resolved from one series.
 
-    series must be velocity-encoded, in cm/s like venc (WrongEncoding otherwise).
+    series must be velocity-encoded, in cm/s like venc (WrongEncoding
+    otherwise). Returns float64 velocity maps, written from the blocks of
+    _unwrapped that the pipeline's moments and sums fold.
     """
     _expect(series, Encoding.VELOCITY_CMPS)
-    return velocities(series, anchor=anchor)
+    n, h, w = series.frames.shape
+    out = np.empty((n, h * w))
+    steps = _unwrapped(series, np.ones((h, w), dtype=bool), anchor, _chunk_for(h * w))
+    for start, at, xb, _, _ in steps:
+        out[start : start + xb.shape[0], at] = xb[:, : at.stop - at.start]
+    return VelocitySeries(series.header, out.reshape(n, h, w))
 
 
 def _wrap_counts(d: np.ndarray, venc: float) -> np.ndarray:
@@ -188,20 +202,6 @@ def _chunk_for(n_pixels: int) -> int:
     return max(_CHUNK, _CHUNK * _BLOCK // (4 * max(n_pixels, 1)))
 
 
-def velocities(series: VelocitySeries, anchor: int = 0) -> VelocitySeries:
-    """Velocity maps of series, phase- or velocity-encoded: converted to
-    float64 cm/s in the series' own sign (pipeline.prepare_velocity applies
-    the convention) and unwrapped in time as unwrap_temporal describes,
-    with frame anchor trusted."""
-    n, h, w = series.frames.shape
-    out = np.empty((n, h * w))
-    steps = _unwrapped(series, np.ones((h, w), dtype=bool), anchor, _chunk_for(h * w))
-    for start, at, xb, _, _ in steps:
-        out[start : start + xb.shape[0], at] = xb[:, : at.stop - at.start]
-    return VelocitySeries(replace(series.header, encoding=Encoding.VELOCITY_CMPS),
-                          out.reshape(n, h, w))
-
-
 def add_columns(columns: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
     """Add the columns of a (frames, pixels) array onto the per-frame sums
     (zeros of the columns' dtype when None), one column after another, and
@@ -227,9 +227,8 @@ def pixel_sums(
     offset: float | None = None,
 ) -> np.ndarray:
     """Per-frame sums, over the pixels that the boolean grid pixels
-    selects, of the velocities velocities(series, anchor) gives in the
-    series' own sign, each less offset when one is given: to the bit,
-    add_columns(v[:, pixels]) of those velocities v.
+    selects, of the series' velocity maps v at the anchor frame, each less
+    offset when one is given: to the bit, add_columns(v[:, pixels]).
 
     One pass over the blocks of _unwrapped, each block's pixels added in
     row-major order (add_columns) as it comes, so no velocity map is built.
@@ -261,12 +260,6 @@ class PixelMoments:
     ref: np.ndarray | None = None
     cross: np.ndarray | None = None
 
-    def subset(self, mask: np.ndarray) -> PixelMoments:
-        """The moments of the pixels of mask, which must lie within pixels."""
-        at = mask[self.pixels]
-        return PixelMoments(mask, self.n_frames, self.mean[at], self.m2[at], self.ref,
-                            None if self.cross is None else self.cross[at])
-
 
 def pixel_moments(
     series: VelocitySeries,
@@ -274,9 +267,9 @@ def pixel_moments(
     ref: np.ndarray | None = None,
     anchor: int = 0,
 ) -> PixelMoments:
-    """Per-pixel moments, equal to the bit for every subset of pixels, of
-    the velocities velocities(series, anchor) gives in the series' own
-    sign, for the pixels that the boolean grid pixels selects.
+    """Per-pixel moments of the series' velocity maps at the anchor frame,
+    for the pixels that the boolean grid pixels selects; equal to the bit
+    for every subset of pixels.
 
     One pass over the blocks of _unwrapped: each block's mean and centred
     sum of squares are merged into the running ones (Chan, Golub & LeVeque
@@ -331,17 +324,20 @@ def background_correct(series: VelocitySeries, static: RoiMask) -> tuple[Velocit
     """
     _expect(series, Encoding.VELOCITY_CMPS)
     check_static_mask(static, series.header)
-    offset = static_offset(pixel_moments(series, static.pixels), series.header.venc)
+    moments = pixel_moments(series, static.pixels)
+    offset = static_offset(moments, static.pixels, series.header.venc)
     return VelocitySeries(series.header, series.frames - offset), offset
 
 
-def static_offset(static: PixelMoments, venc: float) -> float:
-    """The static-tissue offset in cm/s from the static pixels' moments:
-    the mean of their means. Warns with StaticTissueWarning when a static
-    pixel's temporal standard deviation, sqrt(m2 / n), exceeds 10% of
-    venc."""
-    offset = float(static.mean.mean())
-    worst_sd = float(np.sqrt(static.m2.max() / static.n_frames))
+def static_offset(moments: PixelMoments, static: np.ndarray, venc: float) -> float:
+    """The static-tissue offset in cm/s: the mean of the means of the
+    pixels that the boolean grid static selects, taken from moments over
+    any pixels that hold them (the static pixels alone, or the whole grid
+    when refining). Warns with StaticTissueWarning when a static pixel's
+    temporal standard deviation, sqrt(m2 / n), exceeds 10% of venc."""
+    at = static[moments.pixels]
+    offset = float(moments.mean[at].mean())
+    worst_sd = float(np.sqrt(moments.m2[at].max() / moments.n_frames))
     if worst_sd > 0.1 * venc:
         warn(f"static mask pixel varies by {worst_sd:.3g} cm/s over time "
              f"(> 10% of venc {venc:g}); offset may be biased", StaticTissueWarning)

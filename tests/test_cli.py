@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import pytest
 
-from csfdyn import reporting
+from csfdyn import cli, reporting
 from csfdyn.cli import main
 
 
@@ -67,7 +67,12 @@ class TestPhantom:
         assert (out / "S02" / "series.csfd").is_file()
 
     @pytest.mark.parametrize("cohort", [[], ["--cohort", "2"]], ids=["one", "cohort"])
-    def test_out_under_a_file_is_input_error(self, tmp_path, capsys, cohort):
+    def test_out_under_a_file_is_input_error(self, tmp_path, capsys, monkeypatch, cohort):
+        # refused before any phantom is built
+        def unreachable(spec):
+            raise AssertionError("generate ran")
+
+        monkeypatch.setattr(cli, "generate", unreachable)
         blocker = tmp_path / "afile"
         blocker.write_text("")
         assert main(["phantom", "--out", str(blocker / "x"), *cohort]) == 2
@@ -262,6 +267,20 @@ class TestProcess:
         ])
         assert rc == 2
         assert "smoothing_window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, rc", [("--max-rr", 0), ("--smoothing-window", 3)])
+    def test_window_longer_than_the_recording(self, phantom_dir, tmp_path, capsys, flag, rc):
+        # a max_rr detrend that long removes only the mean; a belt smoothed
+        # that long is flat, a refusal. Neither is an internal error
+        assert main([
+            "process",
+            "--series", str(phantom_dir / "series.csfd"),
+            "--roi", str(phantom_dir / "lumen.pgm"),
+            "--belt", str(phantom_dir / "belt.csv"),
+            flag, "1e300",
+            "--out", str(tmp_path / "x"),
+        ]) == rc
+        assert "internal error" not in capsys.readouterr().err
 
     def test_missing_series_is_input_error(self, phantom_dir, tmp_path):
         rc = main([

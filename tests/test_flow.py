@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from csfdyn import (
     Encoding,
@@ -35,6 +36,14 @@ def roi(h, w, rows, cols, label=RoiLabel.AQUEDUCT):
     pix = np.zeros((h, w), dtype=bool)
     pix[rows, cols] = True
     return RoiMask(pix, label)
+
+
+def refined(f, seed, threshold=0.7):
+    """refine_roi of the whole grid's moments of the velocity maps f, taken
+    with the seed's reference."""
+    moments = pixel_moments(f, np.ones(seed.pixels.shape, dtype=bool),
+                            ref=seed_reference(f, seed))
+    return refine_roi(moments, seed, threshold)
 
 
 class TestExtractFlow:
@@ -96,7 +105,7 @@ class TestRefineRoi:
 
     def test_keeps_connected_correlated(self):
         f = self.build()
-        out = refine_roi(f, roi(9, 9, 4, 4), threshold=0.7)
+        out = refined(f, roi(9, 9, 4, 4), threshold=0.7)
         assert out.pixels[4, 4] and out.pixels[4, 5] and out.pixels[5, 4]
         assert out.pixels[3, 3]  # 8-connected through the corner
         assert not out.pixels[3, 4]
@@ -106,16 +115,16 @@ class TestRefineRoi:
     def test_threshold_validation(self):
         f = self.build()
         with pytest.raises(InvalidThreshold):
-            refine_roi(f, roi(9, 9, 4, 4), threshold=1.5)
+            refined(f, roi(9, 9, 4, 4), threshold=1.5)
         with pytest.raises(InvalidThreshold):
-            refine_roi(f, roi(9, 9, 4, 4), threshold=-0.1)
+            refined(f, roi(9, 9, 4, 4), threshold=-0.1)
 
     def test_constant_pixels_never_qualify(self):
         # a dead (constant) pixel has undefined correlation; it must not
         # be swept into the region
         f = self.build()
         f.frames[:, 5, 5] = 2.0
-        out = refine_roi(f, roi(9, 9, 4, 4), threshold=0.5)
+        out = refined(f, roi(9, 9, 4, 4), threshold=0.5)
         assert not out.pixels[5, 5]
 
     def test_inexact_constant_pixels_never_qualify(self):
@@ -126,14 +135,22 @@ class TestRefineRoi:
         f = self.build()
         f.frames[:, 5, 5] = 0.1
         f.frames[:, 5, 3] = -0.1
-        out = refine_roi(f, roi(9, 9, 4, 4), threshold=0.0)
+        out = refined(f, roi(9, 9, 4, 4), threshold=0.0)
         assert not out.pixels[5, 5] and not out.pixels[5, 3]
 
     def test_moments_give_the_series_result(self):
+        """The ROI refined from the moments is the one the series' frames
+        give by definition: each pixel's Pearson r against the seed pixels'
+        mean time course, thresholded, in the 8-connected parts that hold
+        a qualifying seed pixel."""
         f = self.build()
         seed = roi(9, 9, 4, 4)
-        moments = pixel_moments(f, np.ones((9, 9), dtype=bool), ref=seed_reference(f, seed))
-        assert np.array_equal(refine_roi(moments, seed).pixels, refine_roi(f, seed).pixels)
+        v = f.frames.reshape(f.frames.shape[0], -1)
+        mean = v[:, seed.pixels.ravel()].mean(axis=1)
+        r = np.corrcoef(mean, v, rowvar=False)[0, 1:].reshape(9, 9)
+        parts, _ = ndimage.label(r >= 0.7, structure=np.ones((3, 3), dtype=bool))
+        expected = np.isin(parts, parts[seed.pixels & (r >= 0.7)])
+        assert np.array_equal(refined(f, seed).pixels, expected)
 
     def test_moments_of_another_grid_are_refused(self):
         f = self.build()
@@ -146,7 +163,7 @@ class TestRefineRoi:
         rng = np.random.default_rng(11)
         f = make_field(rng.normal(0, 1, (40, 6, 6)))
         seed = roi(6, 6, 2, 2)
-        out = refine_roi(f, seed, threshold=0.99)
+        out = refined(f, seed, threshold=0.99)
         # a pixel correlates perfectly with itself, so the seed survives
         assert out.pixels[2, 2]
 

@@ -293,6 +293,14 @@ class TestMovingAverage:
         ref = np.convolve(x, np.ones(9) / 9, mode="valid")
         assert np.allclose(out[4:-4], ref, atol=1e-12)
 
+    def test_window_beyond_the_signal_averages_it_all(self):
+        # 2n + 1 samples reach every sample from every other; a longer
+        # window, however long, is the same filter
+        x = np.arange(10.0)
+        whole = moving_average(x, 21)
+        assert np.all(whole == 4.5)
+        assert moving_average(x, 10**30).tobytes() == whole.tobytes()
+
     def test_edges_shrink(self):
         x = np.arange(10.0)
         out = moving_average(x, 5)

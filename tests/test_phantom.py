@@ -1,6 +1,7 @@
 """Synthetic phantom: analytic ground truth, determinism, file layout."""
 
 import json
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -55,6 +56,16 @@ class TestSpecValidation:
     def test_lumen_must_fit_grid(self):
         with pytest.raises(InvalidSpec):
             PhantomSpec(lumen=replace(LumenSpec(), center_col=62, radius_px=3))
+
+    def test_lumen_must_cover_a_pixel_centre(self):
+        # nearest pixel centres lie 0.5 * sqrt(2) from (10.5, 10.5): a radius
+        # of that gives four lumen pixels, a shorter one none
+        with pytest.raises(InvalidSpec, match="pixel centre"):
+            PhantomSpec.from_json_dict(
+                {"lumen": {"center_row": 10.5, "center_col": 10.5, "radius_px": 0.7}})
+        spec = PhantomSpec(lumen=replace(LumenSpec(), center_row=10.5, center_col=10.5,
+                                         radius_px=math.sqrt(0.5)))
+        assert csfdyn.lumen_mask(spec).n_pixels == 4
 
     def test_poiseuille_needs_isotropic_grid(self):
         with pytest.raises(InvalidSpec):

@@ -214,7 +214,9 @@ def full_grid_velocity(series, roi, static, params):
     the corrected maps over the ROI on the full grid."""
     vel = full_grid_unwrapped(series, params)
     if params.refine_threshold is not None:
-        roi = csfdyn.refine_roi(vel, roi, params.refine_threshold)
+        moments = csfdyn.velocity.pixel_moments(vel, np.ones(roi.pixels.shape, dtype=bool),
+                                                ref=csfdyn.flow.seed_reference(vel, roi))
+        roi = csfdyn.refine_roi(moments, roi, params.refine_threshold)
     with pytest.warns(csfdyn.StaticTissueWarning):
         vel, offset = csfdyn.background_correct(vel, static)
     return csfdyn.extract_flow(vel, roi), roi, offset

@@ -10,7 +10,10 @@ import pytest
 from csfdyn import reporting
 from csfdyn.ensemble import EnsembleCurves
 from csfdyn.errors import IoFailure
-from csfdyn.reporting import _MAP_FROM, make_dir, sha256_of
+from csfdyn.reporting import make_dir, sha256_of
+
+#: the size of sha256_of's reads
+READ = 1 << 16
 
 
 def test_sha256_of_matches_whole_file_digest(tmp_path):
@@ -21,10 +24,10 @@ def test_sha256_of_matches_whole_file_digest(tmp_path):
     assert sha256_of(p) == hashlib.sha256(blob).hexdigest()
 
 
-@pytest.mark.parametrize("size", [0, 1, _MAP_FROM - 1, _MAP_FROM],
-                         ids=["empty", "one-byte", "read-below-the-cutoff", "mapped-from-it"])
-def test_sha256_of_either_side_of_the_map_cutoff(tmp_path, size):
-    # an empty file cannot be mapped; it is read, as every file under _MAP_FROM
+@pytest.mark.parametrize("size", [0, 1, READ - 1, READ, READ + 1],
+                         ids=["empty", "one-byte", "one-short-of-a-read", "one-read",
+                              "one-past-a-read"])
+def test_sha256_of_either_side_of_a_read(tmp_path, size):
     blob = np.random.default_rng(size).bytes(size)
     p = tmp_path / "blob.bin"
     p.write_bytes(blob)
@@ -33,7 +36,7 @@ def test_sha256_of_either_side_of_the_map_cutoff(tmp_path, size):
 
 def test_sha256_of_copies_no_half_megabyte_file(tmp_path):
     """A 0.5 MB file, the size of a long recording's belt trace, is hashed
-    from a map: what the call allocates stays far below the file."""
+    a read at a time: what the call allocates stays far below the file."""
     blob = np.random.default_rng(1).bytes(1 << 19)
     p = tmp_path / "belt.bin"
     p.write_bytes(blob)

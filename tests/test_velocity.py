@@ -62,6 +62,14 @@ def unwrap_oracle(series, flip_sign=False, anchor=0):
     return out
 
 
+def velocity_maps(series, anchor=0):
+    """The series' velocity maps: unwrap_temporal of the series, converted
+    by phase_to_velocity first when it holds phase."""
+    if series.header.encoding is Encoding.PHASE_RADIANS:
+        series = phase_to_velocity(series)
+    return unwrap_temporal(series, anchor)
+
+
 def wrap_to_phase(v, venc):
     """Scanner-side aliasing: velocity -> phase folded into [-pi, pi)."""
     phi = v * np.pi / venc
@@ -246,16 +254,28 @@ def test_moments_of_subset_are_subset_of_moments(case):
     """A pixel's moments do not depend on the other pixels of the call, so
     the pipeline may take them for any pixel set and get the same bits;
     they are the moments of the reference unwrap's output (the flipped one
-    negated)."""
+    negated). So static_offset picks the same offset, and the same
+    StaticTissueWarning, from the whole grid's moments as from the static
+    pixels' own."""
     series, subset, flip_sign, ref, anchor, block = case
     with mock.patch.object(velocity, "_BLOCK", block):
         whole = pixel_moments(series, np.ones(subset.shape, dtype=bool), ref, anchor)
         part = pixel_moments(series, subset, ref, anchor)
-    picked = whole.subset(subset)
+    at = subset[whole.pixels]
     for name in ("mean", "m2", "cross"):
-        mine, theirs = getattr(part, name), getattr(picked, name)
+        mine, theirs = getattr(part, name), getattr(whole, name)
         assert (mine is None) == (theirs is None), name
-        assert mine is None or mine.tobytes() == theirs.tobytes(), name
+        assert mine is None or mine.tobytes() == theirs[at].tobytes(), name
+
+    if subset.any():
+        offsets = []
+        for moments in (whole, part):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                offset = velocity.static_offset(moments, subset, series.header.venc)
+            warned = any(issubclass(w.category, StaticTissueWarning) for w in caught)
+            offsets.append((np.float64(offset).tobytes(), warned))
+        assert offsets[0] == offsets[1]
 
     v = unwrap_oracle(series, flip_sign, anchor)
     v = (-v if flip_sign else v).reshape(v.shape[0], -1)
@@ -282,7 +302,7 @@ def test_velocities_match_oracle(case, data):
     box = VelocitySeries(replace(series.header, height=r1 - r0, width=c1 - c0),
                          series.frames[:, r0:r1, c0:c1])
     with mock.patch.object(velocity, "_BLOCK", block):
-        out = velocity.velocities(box, anchor)
+        out = velocity_maps(box, anchor)
     assert out.header == replace(box.header, encoding=Encoding.VELOCITY_CMPS)
     expected = unwrap_oracle(box, flip_sign, anchor)
     if flip_sign:
@@ -296,9 +316,9 @@ def test_velocities_match_oracle(case, data):
 def test_streamed_flow_matches_velocity_maps(case, corrected):
     """The pipeline's flow and seed reference, summed over the ROI as the
     streamed blocks come, equal to the bit those of the velocity maps:
-    extract_flow of velocities() corrected by background_correct (static
-    tissue: the other pixels, or all of them), and seed_reference of
-    velocities(), however _BLOCK splits the ROI. With the sign drawn
+    extract_flow of velocity_maps() corrected by background_correct
+    (static tissue: the other pixels, or all of them), and seed_reference
+    of velocity_maps(), however _BLOCK splits the ROI. With the sign drawn
     flipped the maps are negated first, and the streamed results, negated
     as prepare_velocity negates the flow (an exact zero kept positive),
     must give their bits."""
@@ -307,7 +327,7 @@ def test_streamed_flow_matches_velocity_maps(case, corrected):
     roi = RoiMask(pixels, RoiLabel.AQUEDUCT)
     sign = -1.0 if flip_sign else 1.0
     with mock.patch.object(velocity, "_BLOCK", block):
-        vel = velocity.velocities(series, anchor)
+        vel = velocity_maps(series, anchor)
         vel = VelocitySeries(vel.header, sign * vel.frames)
         offset = None
         if corrected:
@@ -335,7 +355,7 @@ def test_streamed_flow_adds_pixels_in_turn(block):
     header = make_header(venc=5.0, n_frames=130, w=40, h=40, encoding=Encoding.VELOCITY_CMPS)
     series = VelocitySeries(header, rng.uniform(-5.0, 5.0, (130, 40, 40)).astype(np.float32))
     pixels = rng.random((40, 40)) < 0.5
-    vel = velocity.velocities(series, 60)
+    vel = velocity_maps(series, 60)
     flipped = VelocitySeries(vel.header, -vel.frames)
     with pytest.warns(StaticTissueWarning):
         flipped, offset = background_correct(flipped, RoiMask(~pixels, RoiLabel.STATIC_TISSUE))
