@@ -110,8 +110,9 @@ def refine_roi(moments: PixelMoments, seed: RoiMask, threshold: float = 0.7) -> 
     (DimensionMismatch otherwise), taken with the seed's reference as ref
     (seed_reference of velocity maps, or streamed_seed_reference of the
     series); only the pixels they cover can join. The pipeline takes them
-    for the whole grid, from the input series in one pass. Pixels at or
-    above the threshold that are 8-connected to qualifying seed pixels
+    for a box around the seed, grown until no kept pixel has a neighbour
+    outside it, which gives the whole grid's result to the bit. Pixels at
+    or above the threshold that are 8-connected to qualifying seed pixels
     form the refined mask. Constant-in-time pixels (m2 = 0) have no
     defined correlation and never qualify, which is what keeps static
     background out even at threshold 0.

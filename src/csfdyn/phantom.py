@@ -150,10 +150,6 @@ class PhantomSpec:
             or lu.center_col + lu.radius_px > g.width - 1
         ):
             raise InvalidSpec("lumen exceeds the grid")
-        # _pixel_distances of the lattice point nearest the centre
-        dr, dc = round(lu.center_row) - lu.center_row, round(lu.center_col) - lu.center_col
-        if np.sqrt(dr * dr + dc * dc) > lu.radius_px:
-            raise InvalidSpec("lumen covers no pixel centre")
         if lu.profile is FlowProfile.POISEUILLE and g.spacing_x != g.spacing_y:
             raise InvalidSpec("POISEUILLE profile requires isotropic pixel spacing")
         if c.rr_mean <= 0 or c.rr_jitter_sd < 0:
@@ -176,6 +172,7 @@ class PhantomSpec:
             raise InvalidSpec("duration must cover at least 5 cardiac cycles")
         if not 0 <= self.seed < 2**63:
             raise InvalidSpec("seed must fit in 63 bits")
+        _profile_weights(self)  # refuses a lumen that would carry no flow
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PhantomSpec":
@@ -270,18 +267,22 @@ def _profile_weights(spec: PhantomSpec) -> tuple[np.ndarray, float]:
     POISEUILLE uses the analytic centerline velocity of a parabolic
     profile over the nominal circular area; its discrete flux carries a
     small pixelization error that shrinks with radius. Cached, so the
-    gated route's per-cycle calls reuse one read-only w.
+    gated route's per-cycle calls reuse one read-only w. A lumen that gives
+    no pixel centre a positive weight would carry no flow: InvalidSpec,
+    which PhantomSpec raises on construction.
     """
     dist = _pixel_distances(spec)
     inside = dist <= spec.lumen.radius_px
     area = spec.grid.spacing_x * spec.grid.spacing_y
-    if spec.lumen.profile is FlowProfile.PLUG:
+    plug = spec.lumen.profile is FlowProfile.PLUG
+    if plug:
         w = inside.astype(np.float64)
-        scale = 1.0 / (float(inside.sum()) * area * 0.01)
     else:
         w = np.where(inside, 1.0 - (dist / spec.lumen.radius_px) ** 2, 0.0)
-        radius_mm = spec.lumen.radius_px * spec.grid.spacing_x
-        scale = 200.0 / (np.pi * radius_mm**2)
+    if not (w > 0.0).any():
+        raise InvalidSpec("lumen gives no pixel centre a positive flow weight")
+    radius_mm = spec.lumen.radius_px * spec.grid.spacing_x
+    scale = 1.0 / (float(w.sum()) * area * 0.01) if plug else 200.0 / (np.pi * radius_mm**2)
     w.flags.writeable = False
     return w, scale
 

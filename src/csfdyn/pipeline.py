@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from .ensemble import (
     INTERP_MODES,
@@ -68,6 +69,7 @@ from .velocity import (
     as_velocity_field,  # noqa: F401 -- bench/spans.py looks it up in this module
     background_correct,  # noqa: F401 -- bench/spans.py looks it up in this module
     check_static_mask,
+    offset_pixels,
     phase_to_velocity,  # noqa: F401 -- bench/spans.py looks it up in this module
     pixel_moments,
     static_offset,
@@ -77,6 +79,9 @@ from .velocity import (
 
 GATES = ("flow", "plethysmo")
 UNITS = ("auto",) + tuple(u.value for u in VolumeUnit)  # auto: uL for AQUEDUCT, mL otherwise
+#: pixels the seed's bounding box is first padded by when refining
+_PAD = 4
+_EIGHT = np.ones((3, 3), dtype=bool)  # 8-connectivity, as refine_roi's
 
 
 @dataclass(frozen=True)
@@ -155,13 +160,18 @@ def prepare_velocity(
     """Stages 1-2: encoding, unwrap, background offset, ROI refinement
     when refine_threshold is set, the ROI's flow, and the sign convention.
 
-    The static offset, and refinement's correlation of every pixel with
-    the seed ROI's mean velocity, come from the moments of the unwrapped
-    velocities, taken in one streamed pass over series (pixel_moments),
-    wrapped pixels included. The seed's mean velocity and the flow are
-    per-frame sums over the ROI of the same streamed velocities
-    (pixel_sums), the offset taken off each as it is added, so no
-    velocity map is built: a job holds one block plus vectors with one
+    Each pass streams the input series (pixel_moments, pixel_sums) and
+    reads only the pixels it needs, wrapped pixels included, so its cost
+    follows the ROI, not the field of view:
+    - refinement correlates the pixels of a box around the seed with the
+      seed's mean velocity (_grown_refinement), and gets the whole grid's
+      refined ROI to the bit;
+    - the static offset and the StaticTissueWarning come from the moments
+      of the pixels offset_pixels picks: a bounded lattice of the static
+      mask, plus the static pixels whose values span enough to warn;
+    - the seed's mean velocity and the flow are per-frame sums over the
+      ROI, the offset taken off each velocity as it is added.
+    No velocity map is built: a job holds one block plus vectors with one
     value per frame or per pixel. Returns the flow, the final ROI and the
     offset.
 
@@ -173,18 +183,12 @@ def prepare_velocity(
     if static is not None:
         _staged("velocity", check_static_mask, static, series.header)
     _staged("flow", ensure_same_grid, roi, series.header)
-    moments = None
     if params.refine_threshold is not None:
-        ref = _staged("velocity", streamed_seed_reference, series, roi, params.anchor)
-        grid = np.ones(roi.pixels.shape, dtype=bool)
-        moments = _staged("velocity", pixel_moments, series, grid, ref, params.anchor)
-        roi = _staged("flow", refine_roi, moments, roi, params.refine_threshold)
+        roi = _grown_refinement(series, roi, params.refine_threshold, params.anchor)
     offset = None
     if static is not None:
-        # when refining, the static pixels' moments are part of the grid's
-        if moments is None:
-            moments = _staged("velocity", pixel_moments, series, static.pixels,
-                              anchor=params.anchor)
+        pixels = _staged("velocity", offset_pixels, series, static.pixels)
+        moments = _staged("velocity", pixel_moments, series, pixels, anchor=params.anchor)
         offset = _staged("velocity", static_offset, moments, static.pixels, series.header.venc)
     flow = _staged("velocity", streamed_flow, series, roi, params.anchor, offset)
     if params.flip_sign:
@@ -192,6 +196,30 @@ def prepare_velocity(
         if offset is not None:
             offset = -offset + 0.0
     return flow, roi, offset
+
+
+def _grown_refinement(series: VelocitySeries, seed: RoiMask, threshold: float,
+                      anchor: int) -> RoiMask:
+    """refine_roi of the whole grid's moments, to the bit, from the moments
+    of the seed's bounding box padded by _PAD pixels.
+
+    A pixel's moments do not depend on the other pixels of the pass, so a
+    kept 8-connected component with no neighbour outside the box is the
+    whole grid's component. While a kept pixel has one, the pad doubles
+    and the box is read again, until the box is the whole grid.
+    """
+    ref = _staged("velocity", streamed_seed_reference, series, seed, anchor)
+    rows, cols = ndimage.find_objects(seed.pixels.astype(np.int8))[0]
+    pad = _PAD
+    while True:
+        box = np.zeros_like(seed.pixels)
+        box[max(rows.start - pad, 0) : rows.stop + pad,
+            max(cols.start - pad, 0) : cols.stop + pad] = True
+        moments = _staged("velocity", pixel_moments, series, box, ref, anchor)
+        roi = _staged("flow", refine_roi, moments, seed, threshold)
+        if not (ndimage.binary_dilation(roi.pixels, _EIGHT) & ~box).any():
+            return roi
+        pad *= 2
 
 
 def process_subject(

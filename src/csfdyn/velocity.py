@@ -27,6 +27,15 @@ from those. ``pixel_sums`` folds them into per-frame sums over the pixels, the
 ROI's flow and the seed's reference time course. So the pipeline holds
 one block plus vectors with one value per frame or per pixel, and builds
 no velocity map. ``unwrap_temporal`` writes the blocks into velocity maps.
+
+Each pass reads only the pixels it needs, so the pipeline's cost follows
+the ROI, not the field of view. The static offset is the mean over a
+lattice of the static mask that holds at least _LATTICE pixels and, on a
+large mask, fewer than about four times that (static_lattice); the
+StaticTissueWarning reads the lattice plus the static pixels whose
+stored values span more than 0.2 venc, found by one min/max pass
+(offset_pixels): no other static pixel can be unwrapped or warn.
+Refinement reads a box around the seed (pipeline.prepare_velocity).
 """
 
 from __future__ import annotations
@@ -51,6 +60,8 @@ _CHUNK = 64
 #: pixels per step of _unwrapped: a float64 block of _CHUNK frames is
 #: 0.5 MB, and _unwrapped holds two (the block and its steps)
 _BLOCK = 1024
+#: static pixels the lattice static[::k, ::k] of static_lattice holds at least
+_LATTICE = 2048
 
 
 class StaticTissueWarning(UserWarning):
@@ -308,15 +319,16 @@ def background_correct(series: VelocitySeries, static: RoiMask) -> tuple[Velocit
     """Subtract the global static-tissue offset over the STATIC_TISSUE
     mask static, on the grid of series; returns (series, offset).
 
-    The offset is one scalar, the mean velocity over static pixels and
-    over all frames (the mean of the pixels' means). Per-frame
-    subtraction would remove the real respiratory modulation, so it is
-    deliberately not done here.
+    The offset is one scalar, the mean velocity over the lattice of static
+    pixels (static_lattice) and over all frames (the mean of the pixels'
+    means). Per-frame subtraction would remove the real respiratory
+    modulation, so it is deliberately not done here.
 
     Warns with StaticTissueWarning when any static pixel's temporal
     standard deviation, sqrt(m2 / n), exceeds 10% of venc, which usually
-    means the mask leaks into moving fluid. static_offset holds that rule;
-    the pipeline calls it directly and subtracts the offset as it sums the
+    means the mask leaks into moving fluid. static_offset holds that rule,
+    and offset_pixels picks the pixels whose moments it needs; the
+    pipeline calls both directly and subtracts the offset as it sums the
     ROI's velocities (velocity.pixel_sums).
 
     series must be velocity-encoded (WrongEncoding otherwise): the offset
@@ -324,19 +336,58 @@ def background_correct(series: VelocitySeries, static: RoiMask) -> tuple[Velocit
     """
     _expect(series, Encoding.VELOCITY_CMPS)
     check_static_mask(static, series.header)
-    moments = pixel_moments(series, static.pixels)
+    moments = pixel_moments(series, offset_pixels(series, static.pixels))
     offset = static_offset(moments, static.pixels, series.header.venc)
     return VelocitySeries(series.header, series.frames - offset), offset
 
 
+def static_lattice(static: np.ndarray) -> np.ndarray:
+    """The static pixels of the lattice static[::k, ::k], as a boolean
+    grid: k is the largest power of two whose lattice still holds _LATTICE
+    static pixels, 1 (the whole mask) when no larger power does. A lattice
+    keeps the mask's spread at a bounded cost."""
+    k = 1
+    while np.count_nonzero(static[:: 2 * k, :: 2 * k]) >= _LATTICE:
+        k *= 2
+    lattice = np.zeros_like(static)
+    lattice[::k, ::k] = static[::k, ::k]
+    return lattice
+
+
+def offset_pixels(series: VelocitySeries, static: np.ndarray) -> np.ndarray:
+    """The pixels whose moments static_offset needs, as a boolean grid: the
+    lattice of the static pixels (static_lattice), and every other static
+    pixel whose values in series span more than 0.2 venc.
+
+    A pixel whose values span at most 0.2 venc never steps beyond venc,
+    so the unwrap leaves it as it is, and its temporal SD is at most half
+    its span (Popoviciu's inequality): it can neither raise the
+    StaticTissueWarning nor be the worst pixel it names. So the warning
+    over these pixels is the warning over the whole mask. The span comes
+    from one per-frame min/max pass over the stored values, and pixels
+    within a relative 1e-6 of the bound go in, for rounding. When the
+    lattice is the whole mask, no such pass runs.
+    """
+    lattice = static_lattice(static)
+    if np.array_equal(lattice, static):
+        return static
+    lo, hi = series.frames[0].copy(), series.frames[0].copy()
+    for frame in series.frames[1:]:
+        np.minimum(lo, frame, out=lo)
+        np.maximum(hi, frame, out=hi)
+    span = (hi.astype(np.float64) - lo) * _to_cmps(series.header)
+    return lattice | (static & (span > 0.2 * series.header.venc * (1.0 - 1e-6)))
+
+
 def static_offset(moments: PixelMoments, static: np.ndarray, venc: float) -> float:
     """The static-tissue offset in cm/s: the mean of the means of the
-    pixels that the boolean grid static selects, taken from moments over
-    any pixels that hold them (the static pixels alone, or the whole grid
-    when refining). Warns with StaticTissueWarning when a static pixel's
-    temporal standard deviation, sqrt(m2 / n), exceeds 10% of venc."""
+    lattice of the pixels that the boolean grid static selects
+    (static_lattice), taken from moments over any pixels that hold them
+    (offset_pixels picks them). Warns with StaticTissueWarning when a
+    static pixel that moments hold has a temporal standard deviation,
+    sqrt(m2 / n), above 10% of venc."""
+    offset = float(moments.mean[static_lattice(static)[moments.pixels]].mean())
     at = static[moments.pixels]
-    offset = float(moments.mean[at].mean())
     worst_sd = float(np.sqrt(moments.m2[at].max() / moments.n_frames))
     if worst_sd > 0.1 * venc:
         warn(f"static mask pixel varies by {worst_sd:.3g} cm/s over time "

@@ -93,6 +93,18 @@ class TestPhantom:
         assert rc == 2
         assert "duration" in capsys.readouterr().err
 
+    def test_flowless_lumen_is_input_error(self, tmp_path, capsys):
+        # every lumen pixel centre lies on the radius, where POISEUILLE
+        # weights are 0: no series is written beside a truth it cannot hold
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"lumen": {
+            "center_row": 10.5, "center_col": 10.5, "radius_px": 0.7071067811865476,
+            "profile": "POISEUILLE"}}))
+        rc = main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec)])
+        assert rc == 2
+        assert "positive flow weight" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestProcess:
     def test_outputs(self, processed_dir):

@@ -67,6 +67,17 @@ class TestSpecValidation:
                                          radius_px=math.sqrt(0.5)))
         assert csfdyn.lumen_mask(spec).n_pixels == 4
 
+    def test_poiseuille_lumen_must_weight_a_pixel_centre(self):
+        # the four pixel centres lie on the radius, where the parabolic
+        # profile is 0: the series would carry no flow
+        with pytest.raises(InvalidSpec, match="pixel centre a positive flow weight"):
+            PhantomSpec.from_json_dict(
+                {"lumen": {"center_row": 10.5, "center_col": 10.5,
+                           "radius_px": 0.7071067811865476, "profile": "POISEUILLE"}})
+        spec = PhantomSpec(lumen=replace(LumenSpec(), center_row=10.5, center_col=10.5,
+                                         radius_px=0.71, profile=FlowProfile.POISEUILLE))
+        assert csfdyn.lumen_mask(spec).n_pixels == 4
+
     def test_poiseuille_needs_isotropic_grid(self):
         with pytest.raises(InvalidSpec):
             PhantomSpec(

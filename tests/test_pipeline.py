@@ -1,6 +1,7 @@
 """End-to-end subject processing on phantom data."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -300,6 +301,138 @@ class TestRoiFirstVelocity:
         with pytest.raises(DimensionMismatch) as exc_info:
             process_subject(ds.series, roi, static=static, belt=ds.belt)
         assert exc_info.value.stage == "flow"
+
+
+def short_192(base, lumen=(96.0, 96.0), **acquisition):
+    """base phantom spec on a 192x192 grid, 8 s long, lumen centred at
+    lumen (row, column)."""
+    return csfdyn.generate(replace(
+        base,
+        grid=replace(base.grid, width=192, height=192),
+        lumen=replace(base.lumen, center_row=lumen[0], center_col=lumen[1]),
+        acquisition=replace(base.acquisition, duration=8000.0, **acquisition),
+    ))
+
+
+def spy_on_reads(monkeypatch):
+    """The pixel masks of every pixel_moments pass the pipeline makes."""
+    reads = []
+    moments = csfdyn.pipeline.pixel_moments
+
+    def spy(series, pixels, *args, **kwargs):
+        reads.append(pixels.copy())
+        return moments(series, pixels, *args, **kwargs)
+
+    monkeypatch.setattr(csfdyn.pipeline, "pixel_moments", spy)
+    return reads
+
+
+class TestBoxGrownRefinement:
+    """Refinement reads a box around the seed, its pad doubled while a kept
+    pixel has a neighbour outside it; its ROI must equal, to the bit, that
+    of the whole grid's moments."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def centred():
+        return short_192(csfdyn.default_spinal_spec())
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def at_edge():
+        # radius 8 from row 8: the seed holds pixels of row 0
+        return short_192(csfdyn.default_spinal_spec(), lumen=(8.0, 120.0))
+
+    @pytest.mark.parametrize("where, threshold", [
+        ("centred", 0.7), ("centred", 0.05), ("centred", 0.0),
+        ("at_edge", 0.7), ("at_edge", 0.05),
+    ])
+    def test_matches_full_grid(self, request, where, threshold, monkeypatch):
+        ds = request.getfixturevalue(where)
+        grid = np.ones(ds.lumen.pixels.shape, dtype=bool)
+        ref = csfdyn.flow.streamed_seed_reference(ds.series, ds.lumen)
+        whole = csfdyn.refine_roi(csfdyn.velocity.pixel_moments(ds.series, grid, ref),
+                                  ds.lumen, threshold)
+        reads = spy_on_reads(monkeypatch)
+        params = PipelineParams(refine_threshold=threshold)
+        _, roi, _ = prepare_velocity(ds.series, ds.lumen, None, params)
+        assert np.array_equal(roi.pixels, whole.pixels)
+        expected = pearson_roi(full_grid_unwrapped(ds.series, params).frames,
+                               ds.lumen.pixels, threshold)
+        assert np.array_equal(roi.pixels, expected)
+
+        if where == "at_edge":
+            assert ds.lumen.pixels[0].any()
+        if threshold < 0.7:
+            assert roi.n_pixels > ds.lumen.n_pixels
+        if threshold == 0.0:
+            # the ROI reaches the grid's edges: the last box is the grid
+            assert roi.pixels[0].any() and roi.pixels[-1].any()
+            assert reads[-1].all() and not reads[0].all()
+        else:
+            assert not reads[-1].all()
+
+    def test_reads_follow_the_roi(self, centred, monkeypatch):
+        # the seed's box, the static lattice and the few static pixels
+        # whose values span 0.2 venc: a fraction of the grid's 36,864
+        reads = spy_on_reads(monkeypatch)
+        prepare_velocity(centred.series, centred.lumen, centred.static,
+                         PipelineParams(refine_threshold=0.7))
+        assert len(reads) == 2
+        assert sum(np.count_nonzero(pixels) for pixels in reads) < 5000
+
+
+class TestStaticLattice:
+    """The offset comes from a lattice of the static mask, and the
+    StaticTissueWarning from every static pixel whose values span enough
+    to raise it: the warning fires, with the same text, as it would from
+    the moments of the whole mask."""
+
+    @staticmethod
+    def with_column(ds):
+        # one lumen column off the stride-4 lattice of the 192x192 mask
+        column = np.zeros_like(ds.static.pixels)
+        column[:, 97] = True
+        return csfdyn.RoiMask(ds.static.pixels | (ds.lumen.pixels & column),
+                              RoiLabel.STATIC_TISSUE)
+
+    @staticmethod
+    def messages(fn, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = fn(*args)
+        return value, [str(w.message) for w in caught
+                       if issubclass(w.category, csfdyn.StaticTissueWarning)]
+
+    @pytest.mark.parametrize("venc, noise, message", [
+        (5.0, AcquisitionSpec().noise_sd_phase, "varies by 0.721 cm/s"),
+        # every static pixel spans more than 0.2 venc: the whole mask is read
+        (10.0, 0.2, "varies by 1.04 cm/s"),
+    ], ids=["default-noise", "noisy"])
+    def test_warning_as_from_the_whole_mask(self, venc, noise, message):
+        ds = short_192(csfdyn.default_aqueduct_spec(), venc=venc, noise_sd_phase=noise)
+        leaky = self.with_column(ds)
+        lattice = csfdyn.velocity.static_lattice(leaky.pixels)
+        assert not (lattice & ~ds.static.pixels).any()
+        for static, expected in ((ds.static, []), (leaky, [message])):
+            (_, _, offset), caught = self.messages(
+                prepare_velocity, ds.series, ds.lumen, static, PipelineParams())
+            moments = csfdyn.velocity.pixel_moments(ds.series, static.pixels)
+            whole, theirs = self.messages(csfdyn.velocity.static_offset, moments,
+                                          static.pixels, venc)
+            assert caught == theirs
+            assert len(caught) == len(expected)
+            assert all(part in text for part, text in zip(expected, caught))
+            assert offset == whole
+
+    def test_background_correct_gives_the_pipeline_offset(self):
+        ds = short_192(csfdyn.default_aqueduct_spec())
+        _, _, offset = prepare_velocity(ds.series, ds.lumen, ds.static, PipelineParams())
+        vel = full_grid_unwrapped(ds.series, PipelineParams())
+        _, theirs = csfdyn.background_correct(vel, ds.static)
+        assert np.float64(offset).tobytes() == np.float64(theirs).tobytes()
+        whole = vel.frames[:, ds.static.pixels].mean()
+        assert offset == pytest.approx(whole, abs=1e-4)
 
 
 class TestSignConvention:

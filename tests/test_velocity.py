@@ -19,8 +19,10 @@ from csfdyn import (
     VelocitySeries,
     as_velocity_field,
     background_correct,
+    default_aqueduct_spec,
     phase_to_velocity,
     read_series,
+    static_mask,
     unwrap_temporal,
     write_series,
 )
@@ -451,3 +453,49 @@ class TestBackgroundCorrect:
             background_correct(field, RoiMask(pix, RoiLabel.STATIC_TISSUE))
         # the warning names the caller of background_correct
         assert [w.filename for w in record] == [__file__]
+
+
+class TestStaticLattice:
+    """The offset's pixels: a lattice of the static mask with at least
+    _LATTICE pixels, and the static pixels whose values span more than
+    0.2 venc, which alone can be unwrapped or raise the warning."""
+
+    @staticmethod
+    def static(size):
+        base = default_aqueduct_spec()
+        return static_mask(replace(
+            base, grid=replace(base.grid, width=size, height=size),
+            lumen=replace(base.lumen, center_row=size / 2, center_col=size / 2))).pixels
+
+    def test_default_mask_is_its_own_lattice(self):
+        static = self.static(64)
+        assert np.array_equal(velocity.static_lattice(static), static)
+        # no min/max pass: the mask itself
+        assert velocity.offset_pixels(None, static) is static
+
+    def test_192_grid_takes_every_fourth_row_and_column(self):
+        static = self.static(192)
+        lattice = velocity.static_lattice(static)
+        expected = np.zeros_like(static)
+        expected[::4, ::4] = static[::4, ::4]
+        assert np.array_equal(lattice, expected)
+        assert np.count_nonzero(lattice) >= velocity._LATTICE
+        assert np.count_nonzero(static[::8, ::8]) < velocity._LATTICE
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_pixels_spanning_a_fifth_of_venc_join(self, encoding):
+        # a 128x128 mask has a stride-2 lattice; (1, 1), (1, 3) and (3, 1)
+        # lie off it and span 0.2, 0.19 and 0.21 venc
+        venc = 5.0
+        to_stored = np.pi / venc if encoding is Encoding.PHASE_RADIANS else 1.0
+        frames = np.zeros((3, 128, 128), dtype=np.float32)
+        frames[1, 1, 1], frames[2, 1, 3], frames[1, 3, 1] = (
+            np.float32(f * venc * to_stored) for f in (0.2, 0.19, 0.21))
+        series = VelocitySeries(make_header(venc=venc, n_frames=3, w=128, h=128,
+                                            encoding=encoding), frames)
+        static = np.ones((128, 128), dtype=bool)
+        pixels = velocity.offset_pixels(series, static)
+        expected = velocity.static_lattice(static)
+        assert np.count_nonzero(expected) == 64 * 64
+        expected[1, 1] = expected[3, 1] = True
+        assert np.array_equal(pixels, expected)
