@@ -14,6 +14,7 @@ import numpy as np
 
 import csfdyn
 from csfdyn.phantom import RespSpec
+from csfdyn.pipeline import prepare_velocity
 
 spec = csfdyn.default_aqueduct_spec(resp=replace(RespSpec(), modulation_insp=0.09))
 ds = csfdyn.generate(spec)
@@ -32,16 +33,15 @@ print(f"  state transitions   : {flips}"
       f"  (~{ds.belt.duration / spec.resp.period:.0f} breaths simulated)")
 
 # ------------------------------------------------------------------
-# 2. Phase maps -> velocity -> ROI flow -> cycle boundaries -> labeled
-#    cycles. A cycle is INSPIRATION if at least 70% of its duration
-#    overlaps inspiration, EXPIRATION below 30%, MIXED in between.
+# 2. Phase maps -> ROI flow -> cycle boundaries -> labeled cycles. The
+#    velocity stage streams the phase maps, unwraps them and takes off the
+#    static-tissue offset as it sums the ROI's flow. A cycle is
+#    INSPIRATION if at least 70% of its duration overlaps inspiration,
+#    EXPIRATION below 30%, MIXED in between.
 
-field = csfdyn.phase_to_velocity(ds.series)
-field = csfdyn.unwrap_temporal(field)
-field, offset = csfdyn.background_correct(field, ds.static)
+flow, _, offset = prepare_velocity(ds.series, ds.lumen, ds.static, csfdyn.PipelineParams())
 print(f"\nstatic-tissue offset  : {offset:+.4f} cm/s")
 
-flow = csfdyn.extract_flow(field, ds.lumen)
 bounds = csfdyn.detect_cycles_from_flow(flow)
 cycles = csfdyn.label_cycles(bounds, phases, flow)
 

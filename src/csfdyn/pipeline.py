@@ -68,8 +68,6 @@ from .metrics import (
 from .velocity import (
     as_velocity_field,  # noqa: F401 -- bench/spans.py looks it up in this module
     background_correct,  # noqa: F401 -- bench/spans.py looks it up in this module
-    check_static_mask,
-    offset_pixels,
     phase_to_velocity,  # noqa: F401 -- bench/spans.py looks it up in this module
     pixel_moments,
     static_offset,
@@ -163,12 +161,13 @@ def prepare_velocity(
     Each pass streams the input series (pixel_moments, pixel_sums) and
     reads only the pixels it needs, wrapped pixels included, so its cost
     follows the ROI, not the field of view:
+    - the static offset and the StaticTissueWarning come from one
+      static_offset call (its docstring says which pixels it reads),
+      made first, so a bad static mask is refused before any pass reads
+      the series;
     - refinement correlates the pixels of a box around the seed with the
       seed's mean velocity (_grown_refinement), and gets the whole grid's
       refined ROI to the bit;
-    - the static offset and the StaticTissueWarning come from the moments
-      of the pixels offset_pixels picks: a bounded lattice of the static
-      mask, plus the static pixels whose values span enough to warn;
     - the seed's mean velocity and the flow are per-frame sums over the
       ROI, the offset taken off each velocity as it is added.
     No velocity map is built: a job holds one block plus vectors with one
@@ -180,16 +179,12 @@ def prepare_velocity(
     exact zero kept positive: the same bits as negating every velocity,
     and the same refined ROI, whose correlations do not change sign.
     """
+    offset = None
     if static is not None:
-        _staged("velocity", check_static_mask, static, series.header)
+        offset = _staged("velocity", static_offset, series, static, params.anchor)
     _staged("flow", ensure_same_grid, roi, series.header)
     if params.refine_threshold is not None:
         roi = _grown_refinement(series, roi, params.refine_threshold, params.anchor)
-    offset = None
-    if static is not None:
-        pixels = _staged("velocity", offset_pixels, series, static.pixels)
-        moments = _staged("velocity", pixel_moments, series, pixels, anchor=params.anchor)
-        offset = _staged("velocity", static_offset, moments, static.pixels, series.header.venc)
     flow = _staged("velocity", streamed_flow, series, roi, params.anchor, offset)
     if params.flip_sign:
         flow.q = -flow.q + 0.0

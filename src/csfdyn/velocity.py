@@ -29,13 +29,9 @@ one block plus vectors with one value per frame or per pixel, and builds
 no velocity map. ``unwrap_temporal`` writes the blocks into velocity maps.
 
 Each pass reads only the pixels it needs, so the pipeline's cost follows
-the ROI, not the field of view. The static offset is the mean over a
-lattice of the static mask that holds at least _LATTICE pixels and, on a
-large mask, fewer than about four times that (static_lattice); the
-StaticTissueWarning reads the lattice plus the static pixels whose
-stored values span more than 0.2 venc, found by one min/max pass
-(offset_pixels): no other static pixel can be unwrapped or warn.
-Refinement reads a box around the seed (pipeline.prepare_velocity).
+the ROI, not the field of view: static_offset reads a bounded lattice of
+the static mask plus the few static pixels that could warn, and
+refinement a box around the seed (pipeline.prepare_velocity).
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ _CHUNK = 64
 #: pixels per step of _unwrapped: a float64 block of _CHUNK frames is
 #: 0.5 MB, and _unwrapped holds two (the block and its steps)
 _BLOCK = 1024
-#: static pixels the lattice static[::k, ::k] of static_lattice holds at least
+#: static pixels the lattice static[::k, ::k] of static_offset holds at least
 _LATTICE = 2048
 
 
@@ -306,90 +302,74 @@ def pixel_moments(
     return PixelMoments(pixels, series.header.n_frames, mean, m2, ref, cross)
 
 
-def check_static_mask(mask: RoiMask, header: SeriesHeader) -> None:
-    """Raise unless mask is a STATIC_TISSUE mask on the grid of header."""
-    if mask.label is not RoiLabel.STATIC_TISSUE:
-        raise WrongKind(
-            f"background correction needs a STATIC_TISSUE mask, got {mask.label.value}"
-        )
-    ensure_same_grid(mask, header)
-
-
 def background_correct(series: VelocitySeries, static: RoiMask) -> tuple[VelocitySeries, float]:
-    """Subtract the global static-tissue offset over the STATIC_TISSUE
-    mask static, on the grid of series; returns (series, offset).
-
-    The offset is one scalar, the mean velocity over the lattice of static
-    pixels (static_lattice) and over all frames (the mean of the pixels'
-    means). Per-frame subtraction would remove the real respiratory
-    modulation, so it is deliberately not done here.
-
-    Warns with StaticTissueWarning when any static pixel's temporal
-    standard deviation, sqrt(m2 / n), exceeds 10% of venc, which usually
-    means the mask leaks into moving fluid. static_offset holds that rule,
-    and offset_pixels picks the pixels whose moments it needs; the
-    pipeline calls both directly and subtracts the offset as it sums the
-    ROI's velocities (velocity.pixel_sums).
+    """Subtract the static-tissue offset of series over the STATIC_TISSUE
+    mask static (static_offset) from every velocity; returns (series,
+    offset). One scalar: per-frame subtraction would remove the real
+    respiratory modulation, so it is deliberately not done here.
 
     series must be velocity-encoded (WrongEncoding otherwise): the offset
-    is in cm/s, and so are the moments.
+    is in cm/s. The pipeline calls static_offset directly and subtracts
+    the offset as it sums the ROI's velocities (velocity.pixel_sums).
     """
     _expect(series, Encoding.VELOCITY_CMPS)
-    check_static_mask(static, series.header)
-    moments = pixel_moments(series, offset_pixels(series, static.pixels))
-    offset = static_offset(moments, static.pixels, series.header.venc)
+    offset = static_offset(series, static)
     return VelocitySeries(series.header, series.frames - offset), offset
 
 
-def static_lattice(static: np.ndarray) -> np.ndarray:
-    """The static pixels of the lattice static[::k, ::k], as a boolean
-    grid: k is the largest power of two whose lattice still holds _LATTICE
-    static pixels, 1 (the whole mask) when no larger power does. A lattice
-    keeps the mask's spread at a bounded cost."""
-    k = 1
-    while np.count_nonzero(static[:: 2 * k, :: 2 * k]) >= _LATTICE:
-        k *= 2
-    lattice = np.zeros_like(static)
-    lattice[::k, ::k] = static[::k, ::k]
-    return lattice
+def static_offset(series: VelocitySeries, static: RoiMask, anchor: int = 0) -> float:
+    """The static-tissue offset in cm/s of the series' velocity maps at the
+    anchor frame, over the STATIC_TISSUE mask static on the series' grid
+    (WrongKind, DimensionMismatch otherwise).
 
+    The offset is the mean over all frames of the static pixels of the
+    lattice static[::k, ::k]: k is the largest power of two whose lattice
+    still holds _LATTICE static pixels, 1 (the whole mask) when no larger
+    power does, so the mask's spread is kept at a bounded cost.
 
-def offset_pixels(series: VelocitySeries, static: np.ndarray) -> np.ndarray:
-    """The pixels whose moments static_offset needs, as a boolean grid: the
-    lattice of the static pixels (static_lattice), and every other static
-    pixel whose values in series span more than 0.2 venc.
-
-    A pixel whose values span at most 0.2 venc never steps beyond venc,
-    so the unwrap leaves it as it is, and its temporal SD is at most half
-    its span (Popoviciu's inequality): it can neither raise the
-    StaticTissueWarning nor be the worst pixel it names. So the warning
-    over these pixels is the warning over the whole mask. The span comes
-    from one per-frame min/max pass over the stored values, and pixels
-    within a relative 1e-6 of the bound go in, for rounding. When the
-    lattice is the whole mask, no such pass runs.
+    Warns with StaticTissueWarning when a static pixel's temporal standard
+    deviation, sqrt(m2 / n), exceeds 10% of venc, which usually means the
+    mask leaks into moving fluid; it quotes the worst pixel's SD.
+    Moments are read for the lattice and for every other static pixel whose
+    stored values span more than 0.2 venc. A pixel that spans at most that
+    never steps beyond venc, so the unwrap leaves it as it is, and its SD
+    is at most half its span (Popoviciu's inequality): it can neither warn
+    nor be the worst pixel. So the warning is the whole mask's. The spans
+    come from one per-frame min/max pass over the stored values (none when
+    the lattice is the whole mask), and pixels within a relative 1e-6 of
+    the bound go in, for rounding.
     """
-    lattice = static_lattice(static)
-    if np.array_equal(lattice, static):
-        return static
-    lo, hi = series.frames[0].copy(), series.frames[0].copy()
-    for frame in series.frames[1:]:
-        np.minimum(lo, frame, out=lo)
-        np.maximum(hi, frame, out=hi)
-    span = (hi.astype(np.float64) - lo) * _to_cmps(series.header)
-    return lattice | (static & (span > 0.2 * series.header.venc * (1.0 - 1e-6)))
-
-
-def static_offset(moments: PixelMoments, static: np.ndarray, venc: float) -> float:
-    """The static-tissue offset in cm/s: the mean of the means of the
-    lattice of the pixels that the boolean grid static selects
-    (static_lattice), taken from moments over any pixels that hold them
-    (offset_pixels picks them). Warns with StaticTissueWarning when a
-    static pixel that moments hold has a temporal standard deviation,
-    sqrt(m2 / n), above 10% of venc."""
-    offset = float(moments.mean[static_lattice(static)[moments.pixels]].mean())
-    at = static[moments.pixels]
-    worst_sd = float(np.sqrt(moments.m2[at].max() / moments.n_frames))
+    if static.label is not RoiLabel.STATIC_TISSUE:
+        raise WrongKind(
+            f"background correction needs a STATIC_TISSUE mask, got {static.label.value}"
+        )
+    ensure_same_grid(static, series.header)
+    mask, venc = static.pixels, series.header.venc
+    k = 1
+    while np.count_nonzero(mask[:: 2 * k, :: 2 * k]) >= _LATTICE:
+        k *= 2
+    lattice = np.zeros_like(mask)
+    lattice[::k, ::k] = mask[::k, ::k]
+    if np.array_equal(lattice, mask):
+        pixels = mask
+    else:
+        pixels = lattice | (mask & (_spans(series) > 0.2 * venc * (1.0 - 1e-6)))
+    del lattice  # only the pixel grid is held through the moment pass
+    moments = pixel_moments(series, pixels, anchor=anchor)
+    rows, cols = np.nonzero(pixels)
+    offset = float(moments.mean[(rows % k == 0) & (cols % k == 0)].mean())
+    worst_sd = float(np.sqrt(moments.m2.max() / moments.n_frames))
     if worst_sd > 0.1 * venc:
         warn(f"static mask pixel varies by {worst_sd:.3g} cm/s over time "
              f"(> 10% of venc {venc:g}); offset may be biased", StaticTissueWarning)
     return offset
+
+
+def _spans(series: VelocitySeries) -> np.ndarray:
+    """Each pixel's span, max - min over the frames of its stored values,
+    in cm/s."""
+    lo, hi = series.frames[0].copy(), series.frames[0].copy()
+    for frame in series.frames[1:]:
+        np.minimum(lo, frame, out=lo)
+        np.maximum(hi, frame, out=hi)
+    return (hi.astype(np.float64) - lo) * _to_cmps(series.header)

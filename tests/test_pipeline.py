@@ -20,7 +20,13 @@ from csfdyn import (
     process_subject,
     result_to_report,
 )
-from csfdyn.errors import DimensionMismatch, DivisionByZeroSv, InputError, InvalidSpec
+from csfdyn.errors import (
+    DimensionMismatch,
+    DivisionByZeroSv,
+    InputError,
+    InvalidSpec,
+    WrongKind,
+)
 from csfdyn.phantom import AcquisitionSpec, RespSpec
 from csfdyn.pipeline import prepare_velocity
 
@@ -315,15 +321,17 @@ def short_192(base, lumen=(96.0, 96.0), **acquisition):
 
 
 def spy_on_reads(monkeypatch):
-    """The pixel masks of every pixel_moments pass the pipeline makes."""
+    """The pixel masks of every pixel_moments pass the pipeline makes,
+    static_offset's included."""
     reads = []
-    moments = csfdyn.pipeline.pixel_moments
+    moments = csfdyn.velocity.pixel_moments
 
     def spy(series, pixels, *args, **kwargs):
         reads.append(pixels.copy())
         return moments(series, pixels, *args, **kwargs)
 
-    monkeypatch.setattr(csfdyn.pipeline, "pixel_moments", spy)
+    for module in (csfdyn.pipeline, csfdyn.velocity):
+        monkeypatch.setattr(module, "pixel_moments", spy)
     return reads
 
 
@@ -373,8 +381,8 @@ class TestBoxGrownRefinement:
             assert not reads[-1].all()
 
     def test_reads_follow_the_roi(self, centred, monkeypatch):
-        # the seed's box, the static lattice and the few static pixels
-        # whose values span 0.2 venc: a fraction of the grid's 36,864
+        # the static lattice and the few static pixels whose values span
+        # 0.2 venc, then the seed's box: a fraction of the grid's 36,864
         reads = spy_on_reads(monkeypatch)
         prepare_velocity(centred.series, centred.lumen, centred.static,
                          PipelineParams(refine_threshold=0.7))
@@ -404,6 +412,21 @@ class TestStaticLattice:
         return value, [str(w.message) for w in caught
                        if issubclass(w.category, csfdyn.StaticTissueWarning)]
 
+    @staticmethod
+    def whole_mask(series, static):
+        """The offset and the warning from the moments of the whole mask:
+        the mean of the means of its stride-4 lattice, and the worst
+        pixel's temporal SD when it tops 10% of venc."""
+        moments = csfdyn.velocity.pixel_moments(series, static.pixels)
+        lattice = np.zeros_like(static.pixels)
+        lattice[::4, ::4] = static.pixels[::4, ::4]
+        venc = series.header.venc
+        worst_sd = np.sqrt(moments.m2.max() / moments.n_frames)
+        messages = [f"static mask pixel varies by {worst_sd:.3g} cm/s over time "
+                    f"(> 10% of venc {venc:g}); offset may be biased"]
+        return (float(moments.mean[lattice[static.pixels]].mean()),
+                messages if worst_sd > 0.1 * venc else [])
+
     @pytest.mark.parametrize("venc, noise, message", [
         (5.0, AcquisitionSpec().noise_sd_phase, "varies by 0.721 cm/s"),
         # every static pixel spans more than 0.2 venc: the whole mask is read
@@ -412,14 +435,11 @@ class TestStaticLattice:
     def test_warning_as_from_the_whole_mask(self, venc, noise, message):
         ds = short_192(csfdyn.default_aqueduct_spec(), venc=venc, noise_sd_phase=noise)
         leaky = self.with_column(ds)
-        lattice = csfdyn.velocity.static_lattice(leaky.pixels)
-        assert not (lattice & ~ds.static.pixels).any()
+        assert not (leaky.pixels[::4, ::4] & ~ds.static.pixels[::4, ::4]).any()
         for static, expected in ((ds.static, []), (leaky, [message])):
             (_, _, offset), caught = self.messages(
                 prepare_velocity, ds.series, ds.lumen, static, PipelineParams())
-            moments = csfdyn.velocity.pixel_moments(ds.series, static.pixels)
-            whole, theirs = self.messages(csfdyn.velocity.static_offset, moments,
-                                          static.pixels, venc)
+            whole, theirs = self.whole_mask(ds.series, static)
             assert caught == theirs
             assert len(caught) == len(expected)
             assert all(part in text for part, text in zip(expected, caught))
@@ -433,6 +453,41 @@ class TestStaticLattice:
         assert np.float64(offset).tobytes() == np.float64(theirs).tobytes()
         whole = vel.frames[:, ds.static.pixels].mean()
         assert offset == pytest.approx(whole, abs=1e-4)
+
+
+class TestRefusalOrder:
+    """A bad static mask is refused at the velocity stage before any pass
+    reads the series, and before the ROI's grid is checked."""
+
+    @pytest.mark.parametrize("static, roi_grid, error, text", [
+        ("other", None, WrongKind, "needs a STATIC_TISSUE mask, got OTHER"),
+        ("off-grid", None, DimensionMismatch, "mask grid 8x8 does not match"),
+        ("off-grid", (4, 4), DimensionMismatch, "mask grid 8x8 does not match"),
+    ], ids=["other-label", "static-off-grid", "both-off-grid"])
+    def test_static_mask_refused_before_any_read(self, default_dataset, static, roi_grid,
+                                                 error, text, monkeypatch):
+        ds = default_dataset
+        reads = []
+
+        def spy(name):
+            return lambda *args, **kwargs: reads.append(name)
+
+        for module, name in ((csfdyn.pipeline, "pixel_moments"),
+                             (csfdyn.velocity, "pixel_moments"),
+                             (csfdyn.flow, "pixel_sums"),
+                             (csfdyn.velocity, "pixel_sums")):
+            monkeypatch.setattr(module, name, spy(name))
+        if static == "other":
+            mask = csfdyn.RoiMask(ds.static.pixels, RoiLabel.OTHER)
+        else:
+            mask = csfdyn.RoiMask(np.ones((8, 8), dtype=bool), RoiLabel.STATIC_TISSUE)
+        roi = ds.lumen if roi_grid is None else csfdyn.RoiMask(
+            np.ones(roi_grid, dtype=bool), RoiLabel.AQUEDUCT)
+        with pytest.raises(error) as exc_info:
+            prepare_velocity(ds.series, roi, mask, PipelineParams(refine_threshold=0.5))
+        assert exc_info.value.stage == "velocity"
+        assert text in str(exc_info.value)
+        assert reads == []
 
 
 class TestSignConvention:

@@ -256,9 +256,8 @@ def test_moments_of_subset_are_subset_of_moments(case):
     """A pixel's moments do not depend on the other pixels of the call, so
     the pipeline may take them for any pixel set and get the same bits;
     they are the moments of the reference unwrap's output (the flipped one
-    negated). So static_offset picks the same offset, and the same
-    StaticTissueWarning, from the whole grid's moments as from the static
-    pixels' own."""
+    negated). So static_offset over the subset gives the offset, and the
+    StaticTissueWarning, of the whole grid's moments."""
     series, subset, flip_sign, ref, anchor, block = case
     with mock.patch.object(velocity, "_BLOCK", block):
         whole = pixel_moments(series, np.ones(subset.shape, dtype=bool), ref, anchor)
@@ -270,14 +269,16 @@ def test_moments_of_subset_are_subset_of_moments(case):
         assert mine is None or mine.tobytes() == theirs[at].tobytes(), name
 
     if subset.any():
-        offsets = []
-        for moments in (whole, part):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                offset = velocity.static_offset(moments, subset, series.header.venc)
-            warned = any(issubclass(w.category, StaticTissueWarning) for w in caught)
-            offsets.append((np.float64(offset).tobytes(), warned))
-        assert offsets[0] == offsets[1]
+        # the whole-mask oracle: on a grid this small the lattice is the mask
+        static = RoiMask(subset, RoiLabel.STATIC_TISSUE)
+        with mock.patch.object(velocity, "_BLOCK", block), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            offset = velocity.static_offset(series, static, anchor)
+        warned = any(issubclass(w.category, StaticTissueWarning) for w in caught)
+        assert np.float64(offset).tobytes() == np.float64(whole.mean[at].mean()).tobytes()
+        worst_sd = np.sqrt(whole.m2[at].max() / series.header.n_frames)
+        assert warned == (worst_sd > 0.1 * series.header.venc)
 
     v = unwrap_oracle(series, flip_sign, anchor)
     v = (-v if flip_sign else v).reshape(v.shape[0], -1)
@@ -465,37 +466,60 @@ class TestStaticLattice:
         base = default_aqueduct_spec()
         return static_mask(replace(
             base, grid=replace(base.grid, width=size, height=size),
-            lumen=replace(base.lumen, center_row=size / 2, center_col=size / 2))).pixels
+            lumen=replace(base.lumen, center_row=size / 2, center_col=size / 2)))
 
-    def test_default_mask_is_its_own_lattice(self):
+    @staticmethod
+    def reads(monkeypatch):
+        """The pixel grids of every pixel_moments pass static_offset makes."""
+        reads = []
+        moments = velocity.pixel_moments
+
+        def spy(series, pixels, *args, **kwargs):
+            reads.append(pixels)
+            return moments(series, pixels, *args, **kwargs)
+
+        monkeypatch.setattr(velocity, "pixel_moments", spy)
+        return reads
+
+    @staticmethod
+    def still(size, venc=10.0, encoding=Encoding.VELOCITY_CMPS, n_frames=2):
+        return VelocitySeries(make_header(venc=venc, n_frames=n_frames, w=size, h=size,
+                                          encoding=encoding),
+                              np.zeros((n_frames, size, size), dtype=np.float32))
+
+    def test_default_mask_is_its_own_lattice(self, monkeypatch):
         static = self.static(64)
-        assert np.array_equal(velocity.static_lattice(static), static)
+        reads = self.reads(monkeypatch)
         # no min/max pass: the mask itself
-        assert velocity.offset_pixels(None, static) is static
+        monkeypatch.setattr(velocity, "_spans", None)
+        velocity.static_offset(self.still(64), static)
+        assert len(reads) == 1 and reads[0] is static.pixels
 
-    def test_192_grid_takes_every_fourth_row_and_column(self):
-        static = self.static(192)
-        lattice = velocity.static_lattice(static)
+    def test_192_grid_takes_every_fourth_row_and_column(self, monkeypatch):
+        static = self.static(192).pixels
+        reads = self.reads(monkeypatch)
+        # a still series: no pixel spans anything, so the lattice alone is read
+        velocity.static_offset(self.still(192), RoiMask(static, RoiLabel.STATIC_TISSUE))
         expected = np.zeros_like(static)
         expected[::4, ::4] = static[::4, ::4]
-        assert np.array_equal(lattice, expected)
-        assert np.count_nonzero(lattice) >= velocity._LATTICE
+        assert len(reads) == 1 and np.array_equal(reads[0], expected)
+        assert np.count_nonzero(expected) >= velocity._LATTICE
         assert np.count_nonzero(static[::8, ::8]) < velocity._LATTICE
 
     @pytest.mark.parametrize("encoding", list(Encoding))
-    def test_pixels_spanning_a_fifth_of_venc_join(self, encoding):
+    def test_pixels_spanning_a_fifth_of_venc_join(self, encoding, monkeypatch):
         # a 128x128 mask has a stride-2 lattice; (1, 1), (1, 3) and (3, 1)
         # lie off it and span 0.2, 0.19 and 0.21 venc
         venc = 5.0
         to_stored = np.pi / venc if encoding is Encoding.PHASE_RADIANS else 1.0
-        frames = np.zeros((3, 128, 128), dtype=np.float32)
-        frames[1, 1, 1], frames[2, 1, 3], frames[1, 3, 1] = (
+        series = self.still(128, venc, encoding, n_frames=3)
+        series.frames[1, 1, 1], series.frames[2, 1, 3], series.frames[1, 3, 1] = (
             np.float32(f * venc * to_stored) for f in (0.2, 0.19, 0.21))
-        series = VelocitySeries(make_header(venc=venc, n_frames=3, w=128, h=128,
-                                            encoding=encoding), frames)
-        static = np.ones((128, 128), dtype=bool)
-        pixels = velocity.offset_pixels(series, static)
-        expected = velocity.static_lattice(static)
+        reads = self.reads(monkeypatch)
+        velocity.static_offset(series, RoiMask(np.ones((128, 128), dtype=bool),
+                                               RoiLabel.STATIC_TISSUE))
+        expected = np.zeros((128, 128), dtype=bool)
+        expected[::2, ::2] = True
         assert np.count_nonzero(expected) == 64 * 64
         expected[1, 1] = expected[3, 1] = True
-        assert np.array_equal(pixels, expected)
+        assert len(reads) == 1 and np.array_equal(reads[0], expected)
