@@ -24,8 +24,9 @@ from .errors import (
     TooFewPairs,
     UnpairedSubject,
 )
-from .ingest import (PhysioKind, RoiLabel, SeriesKind, coerce, read_mask, read_physio,
-                     read_series, series_map, write_series)
+from .ingest import (PhysioKind, RoiLabel, SeriesKind, coerce, map_series, read_mask,
+                     read_physio, write_series)
+from .ingest import read_series  # noqa: F401 -- bench/spans.py looks it up in this module
 from .metrics import SvConvention
 from .phantom import (
     PhantomSpec,
@@ -161,14 +162,17 @@ def _hash_entry(path: str) -> dict:
 
 def cmd_process(args: argparse.Namespace) -> int:
     params = PipelineParams(**{f.name: getattr(args, f.name) for f in fields(PipelineParams)})
-    series = read_series(args.series)
-    # one worker thread hashes the series beside the pipeline's pass
-    # (hashlib releases the GIL), from the map the frames view: a second map
-    # would count the file's pages twice toward the resident set. It calls
-    # reporting.sha256_of, which bench/spans.py does not wrap. Leaving the
-    # block waits for the hash, on an error too.
+    series_file = map_series(args.series)
+    # one worker thread hashes the series beside everything else
+    # (hashlib releases the GIL), from the moment its header, size and map
+    # are checked: the value check, the other inputs and the pipeline all
+    # run meanwhile. It reads the one map the frames view, since a second
+    # map would count the file's pages twice toward the resident set. It
+    # calls reporting.sha256_of, which bench/spans.py does not wrap.
+    # Leaving the block waits for the hash, on an error too.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        series_sha256 = pool.submit(reporting.sha256_of, series_map(series))
+        series_sha256 = pool.submit(reporting.sha256_of, series_file.mapped)
+        series = series_file.series()
         roi = read_mask(args.roi)
         static = read_mask(args.static, RoiLabel.STATIC_TISSUE) if args.static else None
         belt = read_physio(args.belt, PhysioKind.RESP_BELT) if args.belt else None

@@ -210,7 +210,7 @@ class VelocitySeries:
     radians within [-pi, pi) or velocity in cm/s according to
     ``header.encoding``. float32 and float64 are both accepted in
     memory; the on-disk container always stores float32. Frames read
-    from a file are a read-only map of it (read_series), so no stage may
+    from a file are a read-only map of it (map_series), so no stage may
     write into its input.
     """
 
@@ -343,13 +343,32 @@ def write_series(series: VelocitySeries, path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def read_series(path) -> VelocitySeries:
-    """Read a .csfd container into a validated VelocitySeries.
+@dataclass(frozen=True)
+class SeriesFile:
+    """A .csfd container mapped read-only by map_series: its header, size
+    and map are checked, its values not yet."""
 
-    After the header checks the file is mapped read-only and the frames
-    are a view of the map: nothing is copied, and the frames are not
-    writeable. The map lives as long as the frames do. See the module
-    docstring for what another program's truncation of the file does.
+    header: SeriesHeader
+    #: the whole file, header and payload; open as long as it or a view
+    #: of it lives
+    mapped: mmap.mmap
+    #: the payload as a (n_frames, height, width) float32 view of mapped
+    frames: np.ndarray
+
+    def series(self) -> VelocitySeries:
+        """The frames as a VelocitySeries, whose construction checks their
+        values; nothing is copied."""
+        return VelocitySeries(self.header, self.frames)
+
+
+def map_series(path) -> SeriesFile:
+    """Check the header and size of a .csfd container and map it read-only.
+
+    The frames are a view of the map: nothing is copied, they are not
+    writeable, and the map lives as long as they do. Their values are
+    checked only by SeriesFile.series, so the map can be read (hashed,
+    say) meanwhile. See the module docstring for what another program's
+    truncation of the file does.
     """
     try:
         with open(path, "rb") as fh:
@@ -389,21 +408,14 @@ def read_series(path) -> VelocitySeries:
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     frames = np.frombuffer(mapped, dtype="<f4", count=n_values, offset=offset)
-    return VelocitySeries(header, frames.reshape(header.n_frames, header.height, header.width))
+    return SeriesFile(header, mapped,
+                      frames.reshape(header.n_frames, header.height, header.width))
 
 
-def series_map(series: VelocitySeries) -> mmap.mmap:
-    """The read-only map of the whole .csfd file, header and payload, that
-    the frames of a series from read_series view. It stays open as long as
-    the frames do. ValueError if the frames are not a view of a map."""
-    base = series.frames
-    # numpy links a view to its buffer through .base, and a memoryview
-    # to the object it exports through .obj
-    while isinstance(base, (np.ndarray, memoryview)):
-        base = base.base if isinstance(base, np.ndarray) else base.obj
-    if not isinstance(base, mmap.mmap):
-        raise ValueError("the series' frames are not a view of a mapped file")
-    return base
+def read_series(path) -> VelocitySeries:
+    """Read a .csfd container into a validated VelocitySeries whose frames
+    are a read-only map of the file (map_series)."""
+    return map_series(path).series()
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ from .metrics import (
 from .velocity import (
     as_velocity_field,  # noqa: F401 -- bench/spans.py looks it up in this module
     background_correct,  # noqa: F401 -- bench/spans.py looks it up in this module
+    check_static_mask,
     phase_to_velocity,  # noqa: F401 -- bench/spans.py looks it up in this module
     pixel_moments,
     static_offset,
@@ -161,10 +162,12 @@ def prepare_velocity(
     Each pass streams the input series (pixel_moments, pixel_sums) and
     reads only the pixels it needs, wrapped pixels included, so its cost
     follows the ROI, not the field of view:
+    - both masks are checked before any pass reads the series, the
+      static mask first, so a mask that does not fit is refused before
+      any pass has run or warned;
     - the static offset and the StaticTissueWarning come from one
       static_offset call (its docstring says which pixels it reads),
-      made first, so a bad static mask is refused before any pass reads
-      the series;
+      made before refinement;
     - refinement correlates the pixels of a box around the seed with the
       seed's mean velocity (_grown_refinement), and gets the whole grid's
       refined ROI to the bit;
@@ -179,10 +182,12 @@ def prepare_velocity(
     exact zero kept positive: the same bits as negating every velocity,
     and the same refined ROI, whose correlations do not change sign.
     """
+    if static is not None:
+        _staged("velocity", check_static_mask, static, series.header)
+    _staged("flow", ensure_same_grid, roi, series.header)
     offset = None
     if static is not None:
         offset = _staged("velocity", static_offset, series, static, params.anchor)
-    _staged("flow", ensure_same_grid, roi, series.header)
     if params.refine_threshold is not None:
         roi = _grown_refinement(series, roi, params.refine_threshold, params.anchor)
     flow = _staged("velocity", streamed_flow, series, roi, params.anchor, offset)

@@ -21,7 +21,7 @@ from .errors import IoFailure
 
 def sha256_of(source) -> str:
     """Hex SHA-256 of a file, named by its path (a str or os.PathLike), or
-    of a buffer, such as the map of a series file (ingest.series_map). A
+    of a buffer, such as the map of a series file (ingest.map_series). A
     file is read 64 KiB at a time into one buffer, so what the call holds
     stays small whatever the file's size; a file that another program
     truncates meanwhile gives the digest of what is left. A buffer is

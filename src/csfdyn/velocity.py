@@ -317,10 +317,21 @@ def background_correct(series: VelocitySeries, static: RoiMask) -> tuple[Velocit
     return VelocitySeries(series.header, series.frames - offset), offset
 
 
+def check_static_mask(static: RoiMask, header: SeriesHeader) -> None:
+    """WrongKind unless static is a STATIC_TISSUE mask, DimensionMismatch
+    unless it is on the header's grid: static_offset's refusals, which
+    read nothing of the series."""
+    if static.label is not RoiLabel.STATIC_TISSUE:
+        raise WrongKind(
+            f"background correction needs a STATIC_TISSUE mask, got {static.label.value}"
+        )
+    ensure_same_grid(static, header)
+
+
 def static_offset(series: VelocitySeries, static: RoiMask, anchor: int = 0) -> float:
     """The static-tissue offset in cm/s of the series' velocity maps at the
     anchor frame, over the STATIC_TISSUE mask static on the series' grid
-    (WrongKind, DimensionMismatch otherwise).
+    (check_static_mask refuses any other before the series is read).
 
     The offset is the mean over all frames of the static pixels of the
     lattice static[::k, ::k]: k is the largest power of two whose lattice
@@ -339,11 +350,7 @@ def static_offset(series: VelocitySeries, static: RoiMask, anchor: int = 0) -> f
     the lattice is the whole mask), and pixels within a relative 1e-6 of
     the bound go in, for rounding.
     """
-    if static.label is not RoiLabel.STATIC_TISSUE:
-        raise WrongKind(
-            f"background correction needs a STATIC_TISSUE mask, got {static.label.value}"
-        )
-    ensure_same_grid(static, series.header)
+    check_static_mask(static, series.header)
     mask, venc = static.pixels, series.header.venc
     k = 1
     while np.count_nonzero(mask[:: 2 * k, :: 2 * k]) >= _LATTICE:

@@ -10,11 +10,13 @@ import re
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from csfdyn import cli, reporting
+from csfdyn import VelocitySeries, cli, ingest, reporting
 from csfdyn.cli import main
 
 
@@ -366,7 +368,7 @@ class TestProcess:
     def test_series_is_mapped_once_and_hashed_from_its_map(self, phantom_dir, tmp_path,
                                                            monkeypatch):
         # each live map of the series file counts toward the resident set:
-        # the hash reads the one map read_series made, and no other exists
+        # the hash reads the one map map_series made, and no other exists
         series_path = phantom_dir / "series.csfd"
         ident = (series_path.stat().st_dev, series_path.stat().st_ino)
         maps, at_hash = [], []
@@ -473,6 +475,112 @@ class TestSeriesHashThread:
         assert events == ["start", "end"]
         assert capsys.readouterr().err == self.REFUSAL
         assert not (tmp_path / "x").exists()
+
+
+class TestSeriesFileOrder:
+    """The series is hashed from the moment map_series has checked its
+    header and size and mapped it. Those faults exit 2 before any hash
+    starts; a bad value exits 2 after the hash is submitted, before any
+    mask is read, and writes no output."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        """Record each hash and each mask read, in the order they start."""
+        events = []
+        real_hash, real_mask = reporting.sha256_of, cli.read_mask
+
+        def hash_(source):
+            events.append("hash")
+            return real_hash(source)
+
+        def read_mask(*args, **kwargs):
+            events.append("mask")
+            return real_mask(*args, **kwargs)
+
+        monkeypatch.setattr(reporting, "sha256_of", hash_)
+        monkeypatch.setattr(cli, "sha256_of", hash_)
+        monkeypatch.setattr(cli, "read_mask", read_mask)
+        return events
+
+    @staticmethod
+    def _argv(ph, series, out):
+        return ["process", "--series", str(series), "--roi", str(ph / "lumen.pgm"),
+                "--static", str(ph / "static.pgm"), "--belt", str(ph / "belt.csv"),
+                "--out", str(out)]
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "frames contain non-finite values"),
+        (math.pi, "phase values must lie in [-pi, pi)"),
+    ], ids=["nan", "pi"])
+    def test_bad_value_refused_before_any_mask(self, phantom_dir, tmp_path, monkeypatch,
+                                               capsys, value, message):
+        # 4 payload bytes of the valid phase series become a bad float32
+        blob = bytearray((phantom_dir / "series.csfd").read_bytes())
+        at = len(blob) - 4 * 1000
+        blob[at : at + 4] = np.float32(value).astype("<f4").tobytes()
+        series = tmp_path / "bad.csfd"
+        series.write_bytes(bytes(blob))
+        events = self._recorded(monkeypatch)
+        out = tmp_path / "x"
+        assert main(self._argv(phantom_dir, series, out)) == 2
+        assert capsys.readouterr().err == f"csfdyn: input error: {message}\n"
+        assert events == ["hash"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("bad-magic", "not a CSFDYN01 container"),
+        ("truncated-header", "truncated header"),
+        ("not-json", "header is not valid JSON"),
+        ("short-payload", "header promises"),
+        ("unmappable", "cannot map"),
+    ])
+    def test_file_fault_refused_before_any_hash(self, phantom_dir, tmp_path, monkeypatch,
+                                                capsys, case, message):
+        blob = (phantom_dir / "series.csfd").read_bytes()
+        hlen = int.from_bytes(blob[8:12], "little")
+        blob = {
+            "bad-magic": b"NOTMAGIC" + blob[8:],
+            "truncated-header": blob[: 12 + hlen // 2],
+            "not-json": blob[:12] + b"{" * hlen + blob[12 + hlen :],
+            "short-payload": blob[:-4],
+            "unmappable": blob,
+        }[case]
+        series = tmp_path / "bad.csfd"
+        series.write_bytes(blob)
+        if case == "unmappable":
+            def refuse(*args, **kwargs):
+                raise OSError("No such device")
+
+            monkeypatch.setattr(ingest.mmap, "mmap", refuse)
+        events = self._recorded(monkeypatch)
+        out = tmp_path / "x"
+        assert main(self._argv(phantom_dir, series, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("csfdyn: input error: ") and message in err
+        assert events == []
+        assert not out.exists()
+
+    def test_hash_submitted_before_the_value_check(self, phantom_dir, tmp_path, monkeypatch):
+        # the order of the calls, not their timing: the worker's own hash
+        # may start at any point after its submission, so it is left out
+        events = self._recorded(monkeypatch)
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                events.append("submit")
+                return super().submit(fn, *args, **kwargs)
+
+        check = VelocitySeries.__post_init__
+
+        def checking(series):
+            events.append("check")
+            check(series)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(VelocitySeries, "__post_init__", checking)
+        argv = self._argv(phantom_dir, phantom_dir / "series.csfd", tmp_path / "x")
+        assert main(argv) == 0
+        assert [e for e in events if e != "hash"][:4] == ["submit", "check", "mask", "mask"]
 
 
 def _write_duration_cfg(tmp_path):

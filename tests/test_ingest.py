@@ -5,7 +5,7 @@ import json
 import math
 import mmap
 import tracemalloc
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -253,22 +253,33 @@ class TestSeriesFile:
         assert np.array_equal(first.frames, kept)
         assert read_series(p).header.n_frames == n_frames
 
-    def test_series_map_is_the_whole_file(self, tmp_path):
+    def test_map_series_maps_the_whole_file(self, tmp_path):
         # the map the frames view holds the header too: its bytes are the file's
         p = tmp_path / "s.csfd"
         write_series(make_series(make_header(t0=10.0)), p)
-        back = read_series(p)
-        mapped = ingest.series_map(back)
-        assert isinstance(mapped, mmap.mmap) and not mapped.closed
-        assert mapped[:] == p.read_bytes()
-        assert ingest.series_map(back) is mapped
-        cropped = VelocitySeries(replace(back.header, height=back.header.height - 1),
-                                 back.frames[:, 1:])
-        assert ingest.series_map(cropped) is mapped
+        mapped = ingest.map_series(p)
+        assert isinstance(mapped.mapped, mmap.mmap) and not mapped.mapped.closed
+        assert mapped.mapped[:] == p.read_bytes()
+        series = mapped.series()
+        assert series.header == mapped.header
+        assert series.frames is mapped.frames
+        assert np.shares_memory(series.frames, np.frombuffer(mapped.mapped, np.uint8))
 
-    def test_series_map_of_frames_in_memory(self):
-        with pytest.raises(ValueError, match="not a view of a mapped file"):
-            ingest.series_map(make_series())
+    @pytest.mark.parametrize("value, text", [
+        (np.nan, "non-finite"), (np.float32(np.pi), r"\[-pi, pi\)"),
+    ], ids=["nan", "pi"])
+    def test_map_series_leaves_the_values_to_the_series(self, tmp_path, value, text):
+        # the last value of a valid file becomes a bad one
+        p = tmp_path / "s.csfd"
+        write_series(make_series(), p)
+        blob = bytearray(p.read_bytes())
+        blob[-4:] = np.float32(value).astype("<f4").tobytes()
+        p.write_bytes(bytes(blob))
+        mapped = ingest.map_series(p)
+        assert mapped.mapped[:] == bytes(blob)
+        for read in (mapped.series, lambda: read_series(p)):
+            with pytest.raises(ValueOutOfRange, match=text):
+                read()
 
     def test_series_written_over_its_own_file(self, tmp_path):
         s = make_series()

@@ -301,12 +301,32 @@ class TestRoiFirstVelocity:
             assert (mine is None) == (theirs is None), name
             assert mine is None or np.array_equal(mine, theirs), name
 
-    def test_roi_on_another_grid_is_flow_refusal(self, aliased):
+    def test_roi_on_another_grid_is_flow_refusal(self, aliased, monkeypatch):
+        # the static mask leaks into the lumen: a static pass would warn
         ds, _, static = aliased
+        passes = spy_on_passes(monkeypatch)
         roi = csfdyn.RoiMask(np.ones((8, 8), dtype=bool), RoiLabel.AQUEDUCT)
-        with pytest.raises(DimensionMismatch) as exc_info:
-            process_subject(ds.series, roi, static=static, belt=ds.belt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DimensionMismatch) as exc_info:
+                process_subject(ds.series, roi, static=static, belt=ds.belt)
         assert exc_info.value.stage == "flow"
+        assert passes == []
+        assert caught == []
+
+
+def spy_on_passes(monkeypatch):
+    """The names of the passes over the series that the velocity and flow
+    stages start; the spies stand in for them and read nothing."""
+    passes = []
+    for module, name in ((csfdyn.pipeline, "pixel_moments"),
+                         (csfdyn.velocity, "pixel_moments"),
+                         (csfdyn.flow, "pixel_sums"),
+                         (csfdyn.velocity, "pixel_sums"),
+                         (csfdyn.velocity, "_spans")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, **kwargs: passes.append(name))
+    return passes
 
 
 def short_192(base, lumen=(96.0, 96.0), **acquisition):
@@ -456,8 +476,22 @@ class TestStaticLattice:
 
 
 class TestRefusalOrder:
-    """A bad static mask is refused at the velocity stage before any pass
-    reads the series, and before the ROI's grid is checked."""
+    """Both masks are checked before any pass reads the series or warns: a
+    bad static mask is refused at the velocity stage, before the ROI's grid
+    is checked, and an ROI on another grid at the flow stage."""
+
+    @staticmethod
+    def refused(series, roi, static, monkeypatch):
+        """prepare_velocity's error, after checking that no pass started
+        and no warning fired."""
+        passes = spy_on_passes(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(csfdyn.CsfdynError) as exc_info:
+                prepare_velocity(series, roi, static, PipelineParams(refine_threshold=0.5))
+        assert passes == []
+        assert caught == []
+        return exc_info.value
 
     @pytest.mark.parametrize("static, roi_grid, error, text", [
         ("other", None, WrongKind, "needs a STATIC_TISSUE mask, got OTHER"),
@@ -467,27 +501,31 @@ class TestRefusalOrder:
     def test_static_mask_refused_before_any_read(self, default_dataset, static, roi_grid,
                                                  error, text, monkeypatch):
         ds = default_dataset
-        reads = []
-
-        def spy(name):
-            return lambda *args, **kwargs: reads.append(name)
-
-        for module, name in ((csfdyn.pipeline, "pixel_moments"),
-                             (csfdyn.velocity, "pixel_moments"),
-                             (csfdyn.flow, "pixel_sums"),
-                             (csfdyn.velocity, "pixel_sums")):
-            monkeypatch.setattr(module, name, spy(name))
         if static == "other":
             mask = csfdyn.RoiMask(ds.static.pixels, RoiLabel.OTHER)
         else:
             mask = csfdyn.RoiMask(np.ones((8, 8), dtype=bool), RoiLabel.STATIC_TISSUE)
         roi = ds.lumen if roi_grid is None else csfdyn.RoiMask(
             np.ones(roi_grid, dtype=bool), RoiLabel.AQUEDUCT)
-        with pytest.raises(error) as exc_info:
-            prepare_velocity(ds.series, roi, mask, PipelineParams(refine_threshold=0.5))
-        assert exc_info.value.stage == "velocity"
-        assert text in str(exc_info.value)
-        assert reads == []
+        exc = self.refused(ds.series, roi, mask, monkeypatch)
+        assert type(exc) is error
+        assert exc.stage == "velocity"
+        assert text in str(exc)
+
+    def test_roi_off_grid_refused_before_the_static_pass(self, default_dataset, monkeypatch):
+        # one static pixel flickers by 1 rad, so the static pass would warn
+        ds = default_dataset
+        frames = ds.series.frames.copy()
+        row, col = np.argwhere(ds.static.pixels)[0]
+        frames[::2, row, col] += 1.0
+        flicker = VelocitySeries(ds.series.header, frames)
+        with pytest.warns(csfdyn.StaticTissueWarning):
+            prepare_velocity(flicker, ds.lumen, ds.static, PipelineParams())
+        roi = csfdyn.RoiMask(np.ones((4, 4), dtype=bool), RoiLabel.AQUEDUCT)
+        exc = self.refused(flicker, roi, ds.static, monkeypatch)
+        assert type(exc) is DimensionMismatch
+        assert exc.stage == "flow"
+        assert "mask grid 4x4 does not match" in str(exc)
 
 
 class TestSignConvention:
