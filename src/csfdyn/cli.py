@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -169,18 +170,24 @@ def cmd_process(args: argparse.Namespace) -> int:
     # run meanwhile. It reads the one map the frames view, since a second
     # map would count the file's pages twice toward the resident set. It
     # calls reporting.sha256_of, which bench/spans.py does not wrap.
-    # Leaving the block waits for the hash, on an error too.
+    # Leaving the block waits for the hash; on an error, only until its
+    # current slice is digested, since a refused input needs no digest.
+    stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as pool:
-        series_sha256 = pool.submit(reporting.sha256_of, series_file.mapped)
-        series = series_file.series()
-        roi = read_mask(args.roi)
-        static = read_mask(args.static, RoiLabel.STATIC_TISSUE) if args.static else None
-        belt = read_physio(args.belt, PhysioKind.RESP_BELT) if args.belt else None
-        pleth = (read_physio(args.plethysmo, PhysioKind.CARDIAC_PLETHYSMO)
-                 if args.plethysmo else None)
+        series_sha256 = pool.submit(reporting.sha256_of, series_file.mapped, stop=stop)
+        try:
+            series = series_file.series()
+            roi = read_mask(args.roi)
+            static = read_mask(args.static, RoiLabel.STATIC_TISSUE) if args.static else None
+            belt = read_physio(args.belt, PhysioKind.RESP_BELT) if args.belt else None
+            pleth = (read_physio(args.plethysmo, PhysioKind.CARDIAC_PLETHYSMO)
+                     if args.plethysmo else None)
 
-        result = process_subject(series, roi, params, static=static, belt=belt,
-                                 plethysmo=pleth)
+            result = process_subject(series, roi, params, static=static, belt=belt,
+                                     plethysmo=pleth)
+        except BaseException:
+            stop.set()
+            raise
 
     inputs = {"series": {"path": str(args.series), "sha256": series_sha256.result()},
               "roi": _hash_entry(args.roi)}

@@ -11,24 +11,32 @@ Both acquisition routes sample one forward model, _phase: the continuous
 route (generate) at each frame time, the cine-gated route
 (generate_gated) at 32 phase bins of every cycle, which it then averages.
 A term added to the model therefore reaches both routes. Neither builds
-the whole float64 phase cube: generate fills its float32 frames one block
-of about _BLOCK_VALUES values at a time, generate_gated one cycle at a
-time, and both wrap each block in place with _wrap.
+the whole float64 phase cube: generate fills its float32 frames in blocks
+of about _BLOCK_VALUES values, generate_gated builds one cycle per task,
+and both wrap each block in place with _wrap. Blocks and cycles are built
+on every CPU the process may use (_cpus), one worker thread each; numpy
+releases the interpreter lock in its noise draws and large ufuncs.
 
 All randomness comes from counter-based Philox streams keyed as
 (seed, stream_id), so any part of a dataset can be regenerated
 independently and bit-identically: stream 1 cycle-length jitter,
 stream 2 belt noise, streams 16+k per-frame phase noise, streams
 2^20+k per-cycle noise of the gated reconstruction, streams 1000+k
-cohort parameter jitter.
+cohort parameter jitter. Since each frame and each cycle draws from its
+own stream, and the gated cycles are summed in cycle order, the bits do
+not depend on the worker count or the block size.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -355,6 +363,53 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
+def _streams(seed: int, ids) -> Iterator[np.random.Generator]:
+    """For each stream id in ids, a Generator that draws what _rng(seed, id)
+    draws. It is one Generator, re-keyed before each id (counter 0, empty
+    buffer) through its bit generator's state: building a Philox seeds and
+    discards a SeedSequence from the OS, which costs more than a small
+    frame's noise draw. Use each Generator before taking the next."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    for stream in ids:
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([seed, stream], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        yield rng
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _in_order(build: Callable[[int], object], n_tasks: int, workers: int,
+              take: Callable[[object], None]) -> None:
+    """take(build(i)) for i = 0 .. n_tasks - 1, in that order, with each
+    build(i) run on a pool of `workers` threads. Task i is submitted only
+    after task i - workers has been taken, so at most `workers` results
+    are held at once, and tasks i, i + workers, i + 2 workers ... run one
+    after another: they may share state, such as one _streams iterator.
+    An exception from a task is raised here once the tasks in flight have
+    finished, and the pool's threads have ended on return either way."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for i in range(n_tasks):
+            if len(pending) == workers:
+                take(pending.popleft().result())
+            pending.append(pool.submit(build, i))
+        while pending:
+            take(pending.popleft().result())
+
+
 def _draw_onsets(spec: PhantomSpec) -> np.ndarray:
     """Cycle start times from 0 until one full cycle past the duration."""
     c = spec.cardiac
@@ -469,7 +524,8 @@ def generate(spec: PhantomSpec) -> PhantomDataset:
     like a real reconstruction would. Frames are built in blocks of about
     _BLOCK_VALUES float64 values, each wrapped in place and cast into the
     preallocated float32 frames, so no float64 array of the whole series
-    is ever held; the frames are the same bits at any block size.
+    is ever held: one block per worker, on every CPU the process may use.
+    The frames are the same bits at any block size and worker count.
     """
     if spec.acquisition.series_kind is not SeriesKind.CONTINUOUS_EPI:
         raise InvalidSpec("generate() builds CONTINUOUS_EPI series; "
@@ -482,17 +538,26 @@ def generate(spec: PhantomSpec) -> PhantomDataset:
     q = truth.q(t)
     frames = np.empty((n_frames, spec.grid.height, spec.grid.width), dtype=np.float32)
     step = max(1, _BLOCK_VALUES // (spec.grid.height * spec.grid.width))
-    for start in range(0, n_frames, step):
-        blk = slice(start, start + step)
+    starts = range(0, n_frames, step)
+    workers = _cpus()
+    # blocks b, b + workers, ... run one after another: one iterator of
+    # their frames' streams serves them all
+    stream_ids = range(16, 16 + n_frames)
+    streams = [_streams(spec.seed, (i for start in starts[j::workers]
+                                    for i in stream_ids[start : start + step]))
+               for j in range(workers)]
+
+    def fill(b: int) -> None:
+        blk = slice(starts[b], starts[b] + step)
         phase = _phase(spec, t[blk], q[blk])
         if a.noise_sd_phase > 0:
-            for k, frame in enumerate(phase, start):
-                frame += _rng(spec.seed, 16 + k).normal(
-                    0.0, a.noise_sd_phase, size=frame.shape
-                )
+            for frame, rng in zip(phase, streams[b % workers]):
+                frame += rng.normal(0.0, a.noise_sd_phase, size=frame.shape)
         frames[blk] = _wrap(phase)
         # float32 rounding can land exactly on +-pi: clip back inside
         np.clip(frames[blk], _PHASE32_LO, _PHASE32_HI, out=frames[blk])
+
+    _in_order(fill, len(starts), workers, lambda _: None)
     header = _header(spec, n_frames, a.frame_interval, Encoding.PHASE_RADIANS)
 
     r = spec.resp
@@ -531,7 +596,9 @@ def generate_gated(spec: PhantomSpec) -> VelocitySeries:
     Each bin b collects one noisy velocity sample per simulated cycle at
     phase b/32 and averages them, exactly as cine gating would; the
     respiratory modulation therefore blurs into the mean instead of
-    appearing as two distinct states.
+    appearing as two distinct states. Cycles are built on every CPU the
+    process may use, about one cycle per worker at a time, and summed in
+    cycle order, so the mean is the same bits at any worker count.
     """
     if spec.acquisition.series_kind is not SeriesKind.GATED_CONV:
         raise InvalidSpec("generate_gated() needs series_kind = GATED_CONV")
@@ -542,15 +609,21 @@ def generate_gated(spec: PhantomSpec) -> VelocitySeries:
         raise InvalidSpec("duration holds no complete cardiac cycle")
     q_card = truth.amplitude * waveform(PHASE_GRID, spec.cardiac.harmonics)
 
-    mean = np.zeros((GATED_FRAMES, spec.grid.height, spec.grid.width), dtype=np.float64)
-    for k in range(n_cycles):
+    workers = _cpus()
+    # cycles k, k + workers, ... run one after another: one iterator of
+    # their streams serves them all
+    streams = [_streams(spec.seed, ((1 << 20) + k for k in range(j, n_cycles, workers)))
+               for j in range(workers)]
+
+    def cycle(k: int) -> np.ndarray:
         t_kb = truth.onsets[k] + PHASE_GRID * truth.rr[k]
         phase = _phase(spec, t_kb, q_card * (1.0 + truth.modulation * truth.inspiration(t_kb)))
         if a.noise_sd_phase > 0:
-            phase += _rng(spec.seed, (1 << 20) + k).normal(
-                0.0, a.noise_sd_phase, size=phase.shape
-            )
-        mean += _wrap(phase) * (a.venc / np.pi)
+            phase += next(streams[k % workers]).normal(0.0, a.noise_sd_phase, size=phase.shape)
+        return _wrap(phase) * (a.venc / np.pi)
+
+    mean = np.zeros((GATED_FRAMES, spec.grid.height, spec.grid.width), dtype=np.float64)
+    _in_order(cycle, n_cycles, workers, lambda velocity: np.add(mean, velocity, out=mean))
     mean /= n_cycles
     header = _header(spec, GATED_FRAMES, spec.cardiac.rr_mean / GATED_FRAMES,
                      Encoding.VELOCITY_CMPS)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +20,27 @@ from .ensemble import PHASE_GRID
 from .errors import IoFailure
 
 
-def sha256_of(source) -> str:
+#: bytes of a buffer sha256_of digests between two looks at its stop event
+_HASH_SLICE = 1 << 24
+
+
+def sha256_of(source, stop: threading.Event | None = None) -> str | None:
     """Hex SHA-256 of a file, named by its path (a str or os.PathLike), or
     of a buffer, such as the map of a series file (ingest.map_series). A
     file is read 64 KiB at a time into one buffer, so what the call holds
     stays small whatever the file's size; a file that another program
     truncates meanwhile gives the digest of what is left. A buffer is
-    hashed where it lies, with no copy made."""
+    hashed where it lies, with no copy made, _HASH_SLICE bytes at a time;
+    once `stop` is set, the buffer's digest is dropped at the next slice
+    and None returned."""
     if not isinstance(source, (str, os.PathLike)):
-        return hashlib.sha256(source).hexdigest()
+        digest = hashlib.sha256()
+        with memoryview(source) as view:
+            for start in range(0, len(view), _HASH_SLICE):
+                if stop is not None and stop.is_set():
+                    return None
+                digest.update(view[start : start + _HASH_SLICE])
+        return digest.hexdigest()
     digest, buf = hashlib.sha256(), memoryview(bytearray(1 << 16))
     try:
         with open(source, "rb", buffering=0) as fh:

@@ -382,10 +382,10 @@ class TestProcess:
                     maps.append(weakref.ref(mapped))
                 return mapped
 
-        def checking_hash(source):
+        def checking_hash(source, **kwargs):
             live = [ref() for ref in maps if ref() is not None and not ref().closed]
             at_hash.append((len(live), live[0] is source if live else False))
-            return real_hash(source)
+            return real_hash(source, **kwargs)
 
         monkeypatch.setattr(mmap, "mmap", RecordingMmap)
         monkeypatch.setattr(reporting, "sha256_of", checking_hash)
@@ -439,10 +439,10 @@ class TestSeriesHashThread:
         events = []
         real_hash = reporting.sha256_of
 
-        def hash_(source):
+        def hash_(source, **kwargs):
             events.append("start")
             time.sleep(delay_s)
-            digest = real_hash(source)
+            digest = real_hash(source, **kwargs)
             events.append("end")
             return digest
 
@@ -489,9 +489,9 @@ class TestSeriesFileOrder:
         events = []
         real_hash, real_mask = reporting.sha256_of, cli.read_mask
 
-        def hash_(source):
+        def hash_(source, **kwargs):
             events.append("hash")
-            return real_hash(source)
+            return real_hash(source, **kwargs)
 
         def read_mask(*args, **kwargs):
             events.append("mask")
@@ -526,6 +526,40 @@ class TestSeriesFileOrder:
         assert capsys.readouterr().err == f"csfdyn: input error: {message}\n"
         assert events == ["hash"]
         assert not out.exists()
+
+    def test_refused_series_is_not_hashed_to_the_end(self, phantom_dir, tmp_path,
+                                                     monkeypatch, capsys):
+        # 1 MiB slices, and the first one is digested only once the command
+        # has stopped the hash, so the refusal always lands mid-digest
+        blob = bytearray((phantom_dir / "series.csfd").read_bytes())
+        blob[-4000:-3996] = np.float32(math.nan).astype("<f4").tobytes()
+        series = tmp_path / "bad.csfd"
+        series.write_bytes(bytes(blob))
+        stops, digested = [], []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                stops.append(kwargs["stop"])
+                return super().submit(fn, *args, **kwargs)
+
+        class Digest:
+            def __init__(self):
+                self.real = hashlib.sha256()
+
+            def update(self, data):
+                assert stops[0].wait(timeout=30)
+                digested.append(len(data))
+                self.real.update(data)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(reporting, "hashlib", type("hashlib", (), {"sha256": Digest}))
+        monkeypatch.setattr(reporting, "_HASH_SLICE", 1 << 20)
+        before = threading.active_count()
+        assert main(self._argv(phantom_dir, series, tmp_path / "x")) == 2
+        assert capsys.readouterr().err == \
+            "csfdyn: input error: frames contain non-finite values\n"
+        assert threading.active_count() == before
+        assert digested == [1 << 20] and len(blob) > 2 << 20
 
     @pytest.mark.parametrize("case, message", [
         ("bad-magic", "not a CSFDYN01 container"),

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import sys
+import threading
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -388,34 +391,51 @@ VENCS = [10.0, 1.1, 0.9]
 OFFSETS = [(0.0, 0.0), (0.4, 0.3)]
 
 
+#: worker counts each blocked case runs at: one, the two a 2-CPU machine
+#: gets, and more workers than blocks or cycles some cases have
+WORKERS = [1, 2, 3]
+
+
 class TestBlockedGeneration:
-    """Both routes equal their whole-cube references bit for bit."""
+    """Both routes equal their whole-cube references bit for bit, at any
+    worker count."""
 
     @pytest.mark.parametrize("offset_drift", OFFSETS)
     @pytest.mark.parametrize("venc", VENCS)
     @pytest.mark.parametrize("noise", NOISES)
     @pytest.mark.parametrize("size,n_frames", GRIDS)
-    def test_frames_match_reference(self, size, n_frames, noise, venc, offset_drift):
+    def test_frames_match_reference(self, monkeypatch, size, n_frames, noise, venc,
+                                    offset_drift):
         spec = blocked_spec(size, n_frames, noise, venc, offset_drift)
-        frames = generate(spec).series.frames
-        assert frames.shape == (n_frames, size, size)
-        assert np.array_equal(frames.view(np.uint32), frames_reference(spec).view(np.uint32))
+        want = frames_reference(spec).view(np.uint32)
+        for workers in WORKERS:
+            monkeypatch.setattr(phantom, "_cpus", lambda: workers)
+            frames = generate(spec).series.frames
+            assert frames.shape == (n_frames, size, size)
+            assert np.array_equal(frames.view(np.uint32), want), workers
 
     @pytest.mark.parametrize("offset_drift", OFFSETS)
     @pytest.mark.parametrize("venc", VENCS)
     @pytest.mark.parametrize("noise", NOISES)
     @pytest.mark.parametrize("size,n_frames", GRIDS)
-    def test_gated_matches_reference(self, size, n_frames, noise, venc, offset_drift):
+    def test_gated_matches_reference(self, monkeypatch, size, n_frames, noise, venc,
+                                     offset_drift):
         spec = blocked_spec(size, n_frames, noise, venc, offset_drift, SeriesKind.GATED_CONV)
-        frames = generate_gated(spec).frames
-        assert np.array_equal(frames.view(np.uint64), gated_reference(spec).view(np.uint64))
+        want = gated_reference(spec).view(np.uint64)
+        for workers in WORKERS:
+            monkeypatch.setattr(phantom, "_cpus", lambda: workers)
+            frames = generate_gated(spec).frames
+            assert np.array_equal(frames.view(np.uint64), want), workers
 
     @pytest.mark.parametrize("block_values", [1, 4096, 3 * 4096 + 5, 227 * 4096])
     def test_any_block_size_gives_the_same_frames(self, monkeypatch, block_values):
         spec = blocked_spec(64, 227, 0.8, 0.9, (0.4, 0.3))
         monkeypatch.setattr(phantom, "_BLOCK_VALUES", block_values)
-        frames = generate(spec).series.frames
-        assert np.array_equal(frames.view(np.uint32), frames_reference(spec).view(np.uint32))
+        want = frames_reference(spec).view(np.uint32)
+        for workers in WORKERS:
+            monkeypatch.setattr(phantom, "_cpus", lambda: workers)
+            frames = generate(spec).series.frames
+            assert np.array_equal(frames.view(np.uint32), want), workers
 
     @pytest.mark.parametrize("venc", [1.1, 0.9])
     def test_low_venc_phase_leaves_the_range_repeatedly(self, venc):
@@ -425,6 +445,66 @@ class TestBlockedGeneration:
         t = np.arange(227) * 88.0
         phase = phantom._phase(spec, t, truth.q(t))
         assert (np.abs(phase) >= np.pi).any(axis=(1, 2)).sum() > 30
+
+
+class TestWorkers:
+    """The streams the workers re-key, the CPU count they follow, and what
+    a failing worker leaves behind."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+    def test_streams_draw_what_rng_draws(self, seed):
+        ids = [0, 16, 17, (1 << 20) + 3, 2**63 - 2, 16]
+        for stream, rng in zip(ids, phantom._streams(seed, ids)):
+            ref = phantom._rng(seed, stream)
+            # 32-bit draws leave half a word buffered, which a re-key must drop
+            for draw in (lambda g: g.normal(0.0, 0.8, size=257),
+                         lambda g: g.integers(0, 1000, size=3, dtype=np.uint32),
+                         lambda g: g.normal(size=(4, 4))):
+                assert np.array_equal(draw(rng), draw(ref)), stream
+
+    def test_cpus_follows_the_affinity_set(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert phantom._cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert phantom._cpus() == (os.cpu_count() or 1)
+
+    def test_more_workers_than_cpus_with_frequent_switches(self, monkeypatch):
+        # eight workers share each stream iterator among tasks b, b + 8, ...:
+        # run at once, two tasks would raise "generator already executing"
+        # or draw each other's noise
+        spec = blocked_spec(16, 1500, 0.8, 0.9, (0.4, 0.3))
+        gated_spec = replace(spec, acquisition=replace(
+            spec.acquisition, series_kind=SeriesKind.GATED_CONV))
+        monkeypatch.setattr(phantom, "_BLOCK_VALUES", 16 * 16 * 3)
+        monkeypatch.setattr(phantom, "_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            frames = generate(spec).series.frames
+            gated = generate_gated(gated_spec).frames
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(frames.view(np.uint32), frames_reference(spec).view(np.uint32))
+        assert np.array_equal(gated.view(np.uint64), gated_reference(gated_spec).view(np.uint64))
+
+    @pytest.mark.parametrize("kind", [SeriesKind.CONTINUOUS_EPI, SeriesKind.GATED_CONV])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, kind):
+        spec = blocked_spec(24, 600, 0.02, 10.0, (0.0, 0.0), kind)
+        real_phase = phantom._phase
+
+        def failing(spec, t, q):
+            if t[0] > 20_000.0:
+                raise RuntimeError("worker failed")
+            return real_phase(spec, t, q)
+
+        monkeypatch.setattr(phantom, "_BLOCK_VALUES", 24 * 24 * 16)
+        monkeypatch.setattr(phantom, "_cpus", lambda: 3)
+        monkeypatch.setattr(phantom, "_phase", failing)
+        before = threading.active_count()
+        build = generate if kind is SeriesKind.CONTINUOUS_EPI else generate_gated
+        with pytest.raises(RuntimeError, match="worker failed"):
+            build(spec)
+        assert threading.active_count() == before
 
 
 class TestWrap:

@@ -2,6 +2,7 @@
 
 import hashlib
 import mmap
+import threading
 import tracemalloc
 
 import numpy as np
@@ -57,6 +58,33 @@ def test_sha256_of_a_buffer_is_the_digest_of_its_bytes(tmp_path):
     with open(p, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
         assert sha256_of(mapped) == sha256_of(p) == hashlib.sha256(blob).hexdigest()
     assert sha256_of(blob) == sha256_of(memoryview(blob)) == sha256_of(str(p))
+
+
+@pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_sha256_of_a_buffer_in_slices(monkeypatch, size):
+    monkeypatch.setattr(reporting, "_HASH_SLICE", 4096)
+    blob = np.random.default_rng(size).bytes(size)
+    assert sha256_of(blob, stop=threading.Event()) == hashlib.sha256(blob).hexdigest()
+
+
+def test_sha256_of_a_buffer_stops_between_slices(monkeypatch):
+    monkeypatch.setattr(reporting, "_HASH_SLICE", 4096)
+    stop, seen = threading.Event(), []
+    real = hashlib.sha256
+
+    class Digest:
+        def __init__(self):
+            self.real = real()
+
+        def update(self, data):
+            seen.append(len(data))
+            self.real.update(data)
+            stop.set()
+
+    monkeypatch.setattr(reporting, "hashlib", type("hashlib", (), {"sha256": Digest}))
+    assert sha256_of(bytes(5 * 4096), stop=stop) is None
+    assert seen == [4096]
+    assert sha256_of(b"x", stop=stop) is None and seen == [4096]
 
 
 def _curves():
