@@ -18,6 +18,9 @@ from .errors import DimensionMismatch, InvalidThreshold, NoCorrelatedRegion
 from .ingest import RoiLabel, RoiMask, VelocitySeries, ensure_same_grid
 from .velocity import PixelMoments, add_columns, pixel_sums
 
+#: ndimage structure for 8-connectivity, used by refine_roi and the pipeline's box test
+EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+
 
 @dataclass
 class FlowSamples:
@@ -135,7 +138,7 @@ def refine_roi(moments: PixelMoments, seed: RoiMask, threshold: float = 0.7) -> 
 
     # 8-connected components of the eligible pixels; keep those holding
     # an eligible seed pixel (label 0 is the ineligible background)
-    components, _ = ndimage.label(eligible, structure=np.ones((3, 3), dtype=bool))
+    components, _ = ndimage.label(eligible, structure=EIGHT_CONNECTED)
     kept = components[seed.pixels & eligible]
     if kept.size == 0:
         raise NoCorrelatedRegion("no pixel met the correlation threshold")

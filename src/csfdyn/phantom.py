@@ -22,9 +22,10 @@ All randomness comes from counter-based Philox streams keyed as
 independently and bit-identically: stream 1 cycle-length jitter,
 stream 2 belt noise, streams 16+k per-frame phase noise, streams
 2^20+k per-cycle noise of the gated reconstruction, streams 1000+k
-cohort parameter jitter. Since each frame and each cycle draws from its
-own stream, and the gated cycles are summed in cycle order, the bits do
-not depend on the worker count or the block size.
+cohort parameter jitter. Each frame and each cycle draws from its own
+stream, keyed by the task that builds it, and the gated cycles are
+summed in cycle order, so the bits do not depend on the worker count or
+the block size.
 """
 
 from __future__ import annotations
@@ -170,14 +171,16 @@ class PhantomSpec:
             raise InvalidSpec("breathing period must be positive and insp_fraction in (0,1)")
         if r.modulation_insp <= -1:
             raise InvalidSpec("modulation_insp must keep 1+m positive")
-        if r.belt_noise_sd < 0 or r.belt_interval <= 0 or r.pleth_interval <= 0:
-            raise InvalidSpec("belt noise sd must be >= 0 and sample intervals positive")
-        if a.venc <= 0 or a.frame_interval <= 0 or a.duration <= 0:
-            raise InvalidSpec("venc, frame_interval and duration must be positive")
-        if a.noise_sd_phase < 0 or a.drift_period <= 0:
-            raise InvalidSpec("noise sd must be >= 0 and drift period positive")
+        if a.venc <= 0 or a.duration <= 0:
+            raise InvalidSpec("venc and duration must be positive")
+        if r.belt_noise_sd < 0 or a.noise_sd_phase < 0 or a.drift_period <= 0:
+            raise InvalidSpec("noise sds must be >= 0 and drift period positive")
         if a.duration < 5 * c.rr_mean:
             raise InvalidSpec("duration must cover at least 5 cardiac cycles")
+        # so that generate() takes at least one frame and two samples of each trace
+        for section, name in ((a, "frame_interval"), (r, "belt_interval"), (r, "pleth_interval")):
+            if not 0 < getattr(section, name) <= a.duration:
+                raise InvalidSpec(f"{name} must be positive and at most duration")
         if not 0 <= self.seed < 2**63:
             raise InvalidSpec("seed must fit in 63 bits")
         _profile_weights(self)  # refuses a lumen that would carry no flow
@@ -396,10 +399,9 @@ def _in_order(build: Callable[[int], object], n_tasks: int, workers: int,
     """take(build(i)) for i = 0 .. n_tasks - 1, in that order, with each
     build(i) run on a pool of `workers` threads. Task i is submitted only
     after task i - workers has been taken, so at most `workers` results
-    are held at once, and tasks i, i + workers, i + 2 workers ... run one
-    after another: they may share state, such as one _streams iterator.
-    An exception from a task is raised here once the tasks in flight have
-    finished, and the pool's threads have ended on return either way."""
+    are held at once. An exception from a task is raised here once the
+    tasks in flight have finished, and the pool's threads have ended on
+    return either way."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for i in range(n_tasks):
@@ -539,25 +541,18 @@ def generate(spec: PhantomSpec) -> PhantomDataset:
     frames = np.empty((n_frames, spec.grid.height, spec.grid.width), dtype=np.float32)
     step = max(1, _BLOCK_VALUES // (spec.grid.height * spec.grid.width))
     starts = range(0, n_frames, step)
-    workers = _cpus()
-    # blocks b, b + workers, ... run one after another: one iterator of
-    # their frames' streams serves them all
-    stream_ids = range(16, 16 + n_frames)
-    streams = [_streams(spec.seed, (i for start in starts[j::workers]
-                                    for i in stream_ids[start : start + step]))
-               for j in range(workers)]
 
     def fill(b: int) -> None:
         blk = slice(starts[b], starts[b] + step)
         phase = _phase(spec, t[blk], q[blk])
         if a.noise_sd_phase > 0:
-            for frame, rng in zip(phase, streams[b % workers]):
+            for frame, rng in zip(phase, _streams(spec.seed, range(16, 16 + n_frames)[blk])):
                 frame += rng.normal(0.0, a.noise_sd_phase, size=frame.shape)
         frames[blk] = _wrap(phase)
         # float32 rounding can land exactly on +-pi: clip back inside
         np.clip(frames[blk], _PHASE32_LO, _PHASE32_HI, out=frames[blk])
 
-    _in_order(fill, len(starts), workers, lambda _: None)
+    _in_order(fill, len(starts), _cpus(), lambda _: None)
     header = _header(spec, n_frames, a.frame_interval, Encoding.PHASE_RADIANS)
 
     r = spec.resp
@@ -609,21 +604,16 @@ def generate_gated(spec: PhantomSpec) -> VelocitySeries:
         raise InvalidSpec("duration holds no complete cardiac cycle")
     q_card = truth.amplitude * waveform(PHASE_GRID, spec.cardiac.harmonics)
 
-    workers = _cpus()
-    # cycles k, k + workers, ... run one after another: one iterator of
-    # their streams serves them all
-    streams = [_streams(spec.seed, ((1 << 20) + k for k in range(j, n_cycles, workers)))
-               for j in range(workers)]
-
     def cycle(k: int) -> np.ndarray:
         t_kb = truth.onsets[k] + PHASE_GRID * truth.rr[k]
         phase = _phase(spec, t_kb, q_card * (1.0 + truth.modulation * truth.inspiration(t_kb)))
         if a.noise_sd_phase > 0:
-            phase += next(streams[k % workers]).normal(0.0, a.noise_sd_phase, size=phase.shape)
+            phase += _rng(spec.seed, (1 << 20) + k).normal(0.0, a.noise_sd_phase,
+                                                           size=phase.shape)
         return _wrap(phase) * (a.venc / np.pi)
 
     mean = np.zeros((GATED_FRAMES, spec.grid.height, spec.grid.width), dtype=np.float64)
-    _in_order(cycle, n_cycles, workers, lambda velocity: np.add(mean, velocity, out=mean))
+    _in_order(cycle, n_cycles, _cpus(), lambda velocity: np.add(mean, velocity, out=mean))
     mean /= n_cycles
     header = _header(spec, GATED_FRAMES, spec.cardiac.rr_mean / GATED_FRAMES,
                      Encoding.VELOCITY_CMPS)

@@ -28,6 +28,7 @@ from .ensemble import (
 )
 from .errors import CsfdynError, InputError, InvalidSpec, warn
 from .flow import (
+    EIGHT_CONNECTED,
     FlowSamples,
     extract_flow,  # noqa: F401 -- bench/spans.py looks it up in this module
     refine_roi,
@@ -80,7 +81,6 @@ GATES = ("flow", "plethysmo")
 UNITS = ("auto",) + tuple(u.value for u in VolumeUnit)  # auto: uL for AQUEDUCT, mL otherwise
 #: pixels the seed's bounding box is first padded by when refining
 _PAD = 4
-_EIGHT = np.ones((3, 3), dtype=bool)  # 8-connectivity, as refine_roi's
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def _grown_refinement(series: VelocitySeries, seed: RoiMask, threshold: float,
             max(cols.start - pad, 0) : cols.stop + pad] = True
         moments = _staged("velocity", pixel_moments, series, box, ref, anchor)
         roi = _staged("flow", refine_roi, moments, seed, threshold)
-        if not (ndimage.binary_dilation(roi.pixels, _EIGHT) & ~box).any():
+        if not (ndimage.binary_dilation(roi.pixels, EIGHT_CONNECTED) & ~box).any():
             return roi
         pad *= 2
 

@@ -95,6 +95,15 @@ class TestPhantom:
         assert rc == 2
         assert "duration" in capsys.readouterr().err
 
+    def test_belt_interval_over_duration_is_input_error(self, tmp_path, capsys):
+        # refused with the spec, before the truth or the output directory
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"resp": {"belt_interval": 1e6}}))
+        rc = main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec)])
+        assert rc == 2
+        assert "belt_interval" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_flowless_lumen_is_input_error(self, tmp_path, capsys):
         # every lumen pixel centre lies on the radius, where POISEUILLE
         # weights are 0: no series is written beside a truth it cannot hold

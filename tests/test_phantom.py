@@ -92,6 +92,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             PhantomSpec(acquisition=replace(AcquisitionSpec(), duration=3000.0))
 
+    @pytest.mark.parametrize("section, name", [("acquisition", "frame_interval"),
+                                               ("resp", "belt_interval"),
+                                               ("resp", "pleth_interval")])
+    def test_sampling_interval_within_duration(self, section, name):
+        # one interval over the duration would leave no frame, or a trace
+        # of one sample, for generate() to fail on after building the truth
+        def with_interval(interval):
+            spec = PhantomSpec()
+            return replace(spec, **{section: replace(getattr(spec, section),
+                                                     **{name: interval})})
+
+        duration = PhantomSpec().acquisition.duration
+        with pytest.raises(InvalidSpec, match=f"^{name} must be positive and at most duration"):
+            with_interval(np.nextafter(duration, math.inf))
+        ds = generate(with_interval(duration))
+        assert ds.series.header.n_frames >= 1
+        assert ds.belt.samples.size >= 2 and ds.plethysmo.samples.size >= 2
+
     def test_insp_fraction_bounds(self):
         with pytest.raises(InvalidSpec):
             PhantomSpec(resp=replace(RespSpec(), insp_fraction=0.0))
@@ -448,8 +466,9 @@ class TestBlockedGeneration:
 
 
 class TestWorkers:
-    """The streams the workers re-key, the CPU count they follow, and what
-    a failing worker leaves behind."""
+    """What _streams draws, the CPU count the workers follow, the order in
+    which their results are taken, and what a failing worker leaves
+    behind."""
 
     @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
     def test_streams_draw_what_rng_draws(self, seed):
@@ -469,9 +488,10 @@ class TestWorkers:
         assert phantom._cpus() == (os.cpu_count() or 1)
 
     def test_more_workers_than_cpus_with_frequent_switches(self, monkeypatch):
-        # eight workers share each stream iterator among tasks b, b + 8, ...:
-        # run at once, two tasks would raise "generator already executing"
-        # or draw each other's noise
+        # eight workers and a thread switch every microsecond: blocks and
+        # cycles finish out of order, yet _in_order must take them in order,
+        # so the gated mean is summed in cycle order, the same bits as the
+        # serial reference
         spec = blocked_spec(16, 1500, 0.8, 0.9, (0.4, 0.3))
         gated_spec = replace(spec, acquisition=replace(
             spec.acquisition, series_kind=SeriesKind.GATED_CONV))
