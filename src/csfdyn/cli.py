@@ -121,10 +121,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 def _read_json(path: str):
     """The JSON value in the file at path: InputError if the file cannot
     be read, InvalidSpec if it is not UTF-8 JSON or nests too deeply."""
+    return _read_json_bytes(path)[0]
+
+
+def _read_json_bytes(path: str) -> tuple[object, bytes]:
+    """As _read_json, with the bytes the value was parsed from."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(data.decode("utf-8")), data
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InvalidSpec(f"{path}: not valid JSON: {exc}") from exc
 
@@ -207,11 +214,13 @@ def cmd_process(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_subject_report(path: str, subject_id: str) -> dict:
+def _load_subject_report(path: str, subject_id: str) -> tuple[dict, str]:
+    """The subject report at path, checked, and the SHA-256 of the bytes
+    it was parsed from, so the digest recorded is of the report used."""
     if not Path(path).is_file():
         raise UnpairedSubject(f"subject {subject_id}: missing report {path}")
     try:
-        rep = _read_json(path)
+        rep, data = _read_json_bytes(path)
     except InputError as exc:
         raise UnpairedSubject(f"subject {subject_id}: {exc}") from exc
     if not isinstance(rep, dict) or rep.get("kind") != "subject" or "sv" not in rep:
@@ -230,7 +239,9 @@ def _load_subject_report(path: str, subject_id: str) -> dict:
         rep["sv_modulation"] = coerce(float | None, rep.get("sv_modulation"))
     except ValueError as exc:
         raise UnpairedSubject(f"subject {subject_id}: {path}: sv_modulation {exc}") from None
-    return rep
+    # reporting.sha256_of, like cmd_process's series hash: bench/spans.py
+    # sizes what cli.sha256_of digests as a path
+    return rep, reporting.sha256_of(data)
 
 
 def cmd_cohort(args: argparse.Namespace) -> int:
@@ -250,8 +261,8 @@ def cmd_cohort(args: argparse.Namespace) -> int:
             if not isinstance(entry[key], str):
                 raise UnpairedSubject(
                     f"subject {sid}: {key} must be a report path, got {entry[key]!r}")
-        conv = _load_subject_report(entry["conv"], sid)
-        epi = _load_subject_report(entry["epi"], sid)
+        conv, conv_sha256 = _load_subject_report(entry["conv"], sid)
+        epi, epi_sha256 = _load_subject_report(entry["epi"], sid)
         if conv["roi_label"] != epi["roi_label"]:
             raise UnpairedSubject(
                 f"subject {sid}: conv ROI {conv['roi_label']} != epi ROI {epi['roi_label']}"
@@ -267,8 +278,8 @@ def cmd_cohort(args: argparse.Namespace) -> int:
             "conv_sv": conv["sv"]["global"]["sv"],
             "epi_sv": epi["sv"]["global"]["sv"],
             "modulation": epi["sv_modulation"],
-            "conv_path": entry["conv"],
-            "epi_path": entry["epi"],
+            "conv": {"path": entry["conv"], "sha256": conv_sha256},
+            "epi": {"path": entry["epi"], "sha256": epi_sha256},
         })
     if len(rows) < 5:
         raise TooFewPairs(f"cohort comparison needs >= 5 paired subjects, got {len(rows)}")
@@ -321,10 +332,7 @@ def cmd_cohort(args: argparse.Namespace) -> int:
             f"continuous-route SV ({block['unit']})",
         )
 
-    inputs = [
-        {"id": r["id"], "conv": _hash_entry(r["conv_path"]), "epi": _hash_entry(r["epi_path"])}
-        for r in rows
-    ]
+    inputs = [{"id": r["id"], "conv": r["conv"], "epi": r["epi"]} for r in rows]
     write_json(outdir / "cohort.json", {
         "kind": "cohort",
         "version": __version__,
@@ -365,6 +373,11 @@ def _write_phantom_subject(spec: PhantomSpec, outdir: Path, gated: bool) -> None
 
 def cmd_phantom(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    # refused before any directory is made; --gated adds the GATED_CONV series
+    if spec.acquisition.series_kind is not SeriesKind.CONTINUOUS_EPI:
+        raise InvalidSpec("csfdyn phantom writes a CONTINUOUS_EPI series (and its "
+                          "GATED_CONV reconstruction with --gated); "
+                          f"series_kind {spec.acquisition.series_kind.value} is refused")
     outdir = Path(args.out)
     if args.cohort is not None:
         subjects = phantom_cohort(args.cohort, base=spec, seed=spec.seed)

@@ -29,8 +29,12 @@ WILCOXON_EXACT_MAX_N = 25
 
 #: largest n for which the exact Spearman p (a count over all n! pairings)
 #: is allowed; at this n, with no ties (the costliest input), the count takes
-#: about 0.5 s and 70 MB
+#: about 0.2 s and 41 MB
 SPEARMAN_EXACT_MAX_N = 14
+
+#: most count entries the exact Spearman count copies at once (128 KB of
+#: int32), so its temporaries stay small beside the two layers it holds
+_EXACT_BLOCK = 1 << 15
 
 
 class StatMethod(str, Enum):
@@ -135,8 +139,15 @@ def _spearman_exact_hits(da: np.ndarray, db: np.ndarray) -> int:
     each distinct db value are used so far (the set of used columns when
     db has no ties), and counts[state, s] is the number of ways to reach
     it with partial sum s. Each pairing adds one integer shift, as in
-    _wilcoxon_exact_cdf_counts (van de Wiel & Di Bucchianico 2001). Every
-    count is at most n!, so int64 holds it exactly for n <= 20.
+    _wilcoxon_exact_cdf_counts (van de Wiel & Di Bucchianico 2001).
+
+    Every count, and every product added into one, counts partial
+    pairings and so is at most n!. The counts are int32 when n! < 2^31
+    (n <= 12) and int64 above, exact either way up to n = 20. Only two
+    layers of states are held, and each transition copies at most
+    _EXACT_BLOCK entries at a time. With no ties (the costliest input)
+    the count took 2-4 ms and 0.88 MB of traced memory at n = 10, and
+    0.16-0.25 s and 41 MB at n = 14, on a shared 2-vCPU VM.
     """
     observed = abs(int(da @ db))
 
@@ -163,19 +174,26 @@ def _spearman_exact_hits(da: np.ndarray, db: np.ndarray) -> int:
     index[order] = np.arange(order.size) - starts[n_paired[order]]
 
     vmax = int(np.abs(values).max())
-    counts = np.ones((1, 1), dtype=np.int64)  # nothing paired, sum 0
+    dtype = np.int32 if math.factorial(da.size) < 2**31 else np.int64
+    counts = np.ones((1, 1), dtype=dtype)  # nothing paired, sum 0
     bound = 0  # counts[:, j] holds partial sum j - bound
     for k, row in enumerate(da.tolist()):
         layer = order[starts[k]:starts[k + 1]]
+        left = (sizes[:, None] - used[:, layer]).astype(dtype)
         wide = bound + abs(row) * vmax
-        nxt = np.zeros((starts[k + 2] - starts[k + 1], 2 * wide + 1), dtype=np.int64)
-        for g, v in enumerate(values.tolist()):
-            left = sizes[g] - used[g, layer]
-            free = left > 0
+        nxt = np.zeros((starts[k + 2] - starts[k + 1], 2 * wide + 1), dtype=dtype)
+        step = max(1, _EXACT_BLOCK // counts.shape[1])
+        for g, (v, size) in enumerate(zip(values.tolist(), sizes.tolist())):
+            free = np.flatnonzero(left[g])
+            to = index[layer[free] + strides[g]]
             lo = wide - bound + row * v
-            nxt[index[layer[free] + strides[g]], lo:lo + 2 * bound + 1] += (
-                counts[free] * left[free, None]
-            )
+            shifted = nxt[:, lo:lo + 2 * bound + 1]
+            for c in range(0, free.size, step):
+                rows = free[c:c + step]
+                part = counts[rows]
+                if size > 1:  # an untied value is added as it stands
+                    part *= left[g, rows, None]
+                shifted[to[c:c + step]] += part
         counts, bound = nxt, wide
     sums = np.abs(np.arange(-bound, bound + 1))
     return int(counts[0, sums >= observed].sum())

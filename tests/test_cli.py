@@ -104,6 +104,16 @@ class TestPhantom:
         assert "belt_interval" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("cohort", [[], ["--cohort", "2"]], ids=["one", "cohort"])
+    def test_gated_series_kind_refused_before_any_directory(self, tmp_path, capsys,
+                                                            cohort):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"acquisition": {"series_kind": "GATED_CONV"}}))
+        out = tmp_path / "x"
+        assert main(["phantom", "--out", str(out), "--spec", str(spec), *cohort]) == 2
+        assert "series_kind GATED_CONV is refused" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flowless_lumen_is_input_error(self, tmp_path, capsys):
         # every lumen pixel centre lies on the radius, where POISEUILLE
         # weights are 0: no series is written beside a truth it cannot hold
@@ -793,6 +803,36 @@ class TestCohort:
         assert main(["cohort", "--pairs", str(manifest), "--out", str(out), *flags]) == rc
         assert "SPINAL_CANAL" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_digest_is_of_the_parsed_bytes(self, tmp_path, monkeypatch):
+        # a report rewritten while the statistics run: the digest recorded
+        # is of the bytes whose SV was used
+        entries = []
+        for k in range(5):
+            for route, sv in (("conv", 100.0 + k), ("epi", 101.0 + 1.5 * k)):
+                (tmp_path / f"S{k}_{route}.json").write_text(json.dumps(
+                    {"kind": "subject", "roi_label": "AQUEDUCT", "unit": "uL",
+                     "sv": {"global": {"sv": sv}}}))
+            entries.append({"id": f"S{k}", "conv": str(tmp_path / f"S{k}_conv.json"),
+                            "epi": str(tmp_path / f"S{k}_epi.json")})
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"subjects": entries}))
+        report = tmp_path / "S2_epi.json"
+        parsed = report.read_bytes()
+        spearman = cli.spearman
+
+        def rewriting_spearman(*args, **kwargs):
+            report.write_text(json.dumps({"kind": "subject", "roi_label": "AQUEDUCT",
+                                          "unit": "uL", "sv": {"global": {"sv": 1.0}}}))
+            return spearman(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "spearman", rewriting_spearman)
+        assert main(["cohort", "--pairs", str(manifest), "--out", str(tmp_path / "o")]) == 0
+        assert report.read_bytes() != parsed
+        rep = json.loads((tmp_path / "o" / "cohort.json").read_text())
+        assert rep["per_roi"]["AQUEDUCT"]["epi_sv"][2] == 104.0
+        assert rep["inputs"][2]["epi"] == {"path": str(report),
+                                           "sha256": hashlib.sha256(parsed).hexdigest()}
 
     def test_out_that_is_a_file_is_input_error(self, cohort_out, tmp_path, capsys):
         blocker = tmp_path / "afile"

@@ -228,17 +228,45 @@ class TestSpearman:
         assert r.statistic == sign * 1.0
         assert r.p_value == 2 / math.factorial(n)
 
-    def test_exact_memory_at_the_limit(self, rng):
+    # hit counts of the int64 count, pinned across the switch to int32
+    # counts at n! < 2^31 (n <= 12)
+    @pytest.mark.parametrize("a, b, hits", [
+        (range(11), [4, 0, 9, 1, 8, 3, 2, 6, 5, 7, 10], 6526220),
+        ([2, 1, 2, 0, 0, 2, 0, 0, 2, 0, 1], [1, 1, 2, 1, 2, 2, 1, 1, 1, 0, 2], 12925440),
+        (range(12), [8, 1, 0, 9, 6, 3, 5, 4, 10, 7, 2, 11], 147766478),
+        ([2, 0, 2, 2, 3, 3, 1, 3, 3, 3, 3, 1], [0, 1, 0, 1, 0, 1, 0, 2, 1, 2, 1, 0], 55468800),
+        (range(13), [0, 5, 1, 12, 10, 8, 7, 4, 6, 3, 2, 9, 11], 2201127660),
+        ([0, 3, 2, 2, 3, 3, 0, 3, 3, 2, 0, 1, 1], [1, 0, 2, 2, 0, 0, 0, 1, 2, 2, 2, 2, 2],
+         1974067200),
+        (range(14), [6, 3, 7, 0, 2, 8, 5, 1, 12, 4, 10, 11, 13, 9], 2274646844),
+        ([3, 3, 0, 1, 0, 2, 1, 2, 0, 2, 0, 3, 3, 2], [0, 2, 0, 1, 0, 1, 1, 0, 0, 2, 2, 0, 2, 2],
+         38454912000),
+    ], ids=["11-untied", "11-tied", "12-untied", "12-tied", "13-untied", "13-tied",
+            "14-untied", "14-tied"])
+    def test_exact_counts_across_the_integer_width(self, a, b, hits):
+        r = spearman(pairs_from(a, b), exact=True)
+        assert r.p_value == hits / math.factorial(len(b))
+
+    @staticmethod
+    def exact_peak(n, rng):
         # no ties is the costliest input for the exact count
-        n = SPEARMAN_EXACT_MAX_N
         pairs = pairs_from(rng.normal(0, 1, n), rng.normal(0, 1, n))
         tracemalloc.start()
         try:
             spearman(pairs, exact=True)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100e6
+
+    def test_exact_memory_at_the_cohort_size(self, rng):
+        # n = 10, as in the cohort-exact benchmark: int32 counts and no
+        # product arrays peak at 0.88 MB (1.91 MB with int64 products)
+        assert self.exact_peak(10, rng) < 1.2e6
+
+    def test_exact_memory_at_the_limit(self, rng):
+        # 41 MB at peak, a quarter above it allowed (67 MB with whole
+        # per-group product arrays)
+        assert self.exact_peak(SPEARMAN_EXACT_MAX_N, rng) < 51e6
 
     def test_exact_refused_above_the_limit(self, rng):
         n = SPEARMAN_EXACT_MAX_N + 1
