@@ -13,7 +13,10 @@ timestamp by exactly that amount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -90,14 +93,29 @@ class CycleBoundaries:
         return int(self.onsets.size)
 
 
+#: the breathing labels in the order of their codes in the cycle tables
+RESP_LABELS = tuple(RespLabel)
+
+
+def _resp_codes(inspiration_fraction):
+    """Code (index into RESP_LABELS) of the breathing label of a cycle
+    spending each given fraction of its time in inspiration."""
+    return np.where(inspiration_fraction >= INSPIRATION_MIN_FRACTION, 0,
+                    np.where(inspiration_fraction <= EXPIRATION_MAX_FRACTION, 1, 2))
+
+
+def _label_code(label: RespLabel) -> int:
+    """Index of a cycle row's breathing label into RESP_LABELS."""
+    try:
+        return RESP_LABELS.index(label)
+    except ValueError:
+        raise ValueOutOfRange(f"resp_label must be a RespLabel, got {label!r}") from None
+
+
 def resp_label_for(inspiration_fraction: float) -> RespLabel:
     """Breathing label of a cycle that spends the given fraction of its
     time in inspiration."""
-    if inspiration_fraction >= INSPIRATION_MIN_FRACTION:
-        return RespLabel.INSPIRATION
-    if inspiration_fraction <= EXPIRATION_MAX_FRACTION:
-        return RespLabel.EXPIRATION
-    return RespLabel.MIXED
+    return RESP_LABELS[int(_resp_codes(inspiration_fraction))]
 
 
 @dataclass
@@ -160,6 +178,85 @@ class LabeledCycle:
         return int(self.t.size)
 
 
+@dataclass(eq=False)
+class CycleTable(Sequence[LabeledCycle]):
+    """Labeled cardiac cycles as columns with one value per cycle, over
+    the samples they cut.
+
+    Cycle k holds samples lo[k] <= i < hi[k] of t and q (the flow's own
+    arrays when label_cycles built the table). Indexing or iterating
+    builds a LabeledCycle row, whose t and q are views of the table's.
+    n_rr_rejected and n_empty count the intervals between onsets that
+    label_cycles dropped: those outside [min_rr, max_rr], and those
+    holding no flow sample.
+    """
+
+    t: np.ndarray
+    q: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    cycle_id: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    #: index into RESP_LABELS of each cycle's breathing label
+    label: np.ndarray
+    inspiration_fraction: np.ndarray
+    n_rr_rejected: int = 0
+    n_empty: int = 0
+
+    @classmethod
+    def of(cls, cycles: Sequence[LabeledCycle]) -> CycleTable:
+        """cycles as a table: a CycleTable itself, or a list of
+        LabeledCycle rows packed into one, their samples laid end to end."""
+        if isinstance(cycles, cls):
+            return cycles
+        if any(c.q.shape != c.t.shape for c in cycles):
+            raise ValueOutOfRange("a cycle needs one flow value per sample time")
+        n = np.array([c.n_samples for c in cycles], dtype=np.intp)
+        return cls(
+            t=np.concatenate([np.empty(0)] + [c.t for c in cycles]),
+            q=np.concatenate([np.empty(0)] + [c.q for c in cycles]),
+            lo=np.cumsum(n) - n,
+            hi=np.cumsum(n),
+            cycle_id=np.array([c.cycle_id for c in cycles], dtype=np.int64),
+            start=np.array([c.start for c in cycles], dtype=np.float64),
+            end=np.array([c.end for c in cycles], dtype=np.float64),
+            label=np.array([_label_code(c.resp_label) for c in cycles], dtype=np.int8),
+            inspiration_fraction=np.array([c.inspiration_fraction for c in cycles],
+                                          dtype=np.float64),
+        )
+
+    def take(self, rows: np.ndarray) -> CycleTable:
+        """The cycles at rows (indices or a mask), over the same samples."""
+        return replace(self, lo=self.lo[rows], hi=self.hi[rows], cycle_id=self.cycle_id[rows],
+                       start=self.start[rows], end=self.end[rows], label=self.label[rows],
+                       inspiration_fraction=self.inspiration_fraction[rows])
+
+    @property
+    def rr(self) -> np.ndarray:
+        return self.end - self.start
+
+    @property
+    def n_samples(self) -> np.ndarray:
+        return self.hi - self.lo
+
+    def __len__(self) -> int:
+        return self.cycle_id.size
+
+    def __getitem__(self, k: int) -> LabeledCycle:
+        k = range(len(self))[operator.index(k)]
+        lo, hi = int(self.lo[k]), int(self.hi[k])
+        return LabeledCycle(
+            cycle_id=int(self.cycle_id[k]),
+            start=float(self.start[k]),
+            end=float(self.end[k]),
+            t=self.t[lo:hi],
+            q=self.q[lo:hi],
+            resp_label=RESP_LABELS[self.label[k]],
+            inspiration_fraction=float(self.inspiration_fraction[k]),
+        )
+
+
 def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average with edge shrinkage.
 
@@ -177,9 +274,17 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
         return x.copy()
     half = min(w // 2, n)
     csum = np.concatenate([[0.0], np.cumsum(x)])
-    lo = np.maximum(np.arange(n) - half, 0)
-    hi = np.minimum(np.arange(n) + half + 1, n)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    out = np.empty(n)
+    # samples a <= i < b average the whole window csum[i + half + 1] - csum[i - half]
+    a, b = half, max(n - half, half)
+    np.subtract(csum[a + half + 1 : b + half + 1], csum[: b - a], out=out[a:b])
+    out[a:b] /= 2 * half + 1
+    # the others, near the edges, a window cut short by them
+    edge = np.r_[0:a, b:n]
+    lo = np.maximum(edge - half, 0)
+    hi = np.minimum(edge + half + 1, n)
+    out[edge] = (csum[hi] - csum[lo]) / (hi - lo)
+    return out
 
 
 def _smooth_for_peaks(x: np.ndarray, dt: float, max_rr: float) -> np.ndarray:
@@ -293,23 +398,117 @@ def detect_cycles_from_plethysmo(
 
 def _noise_floor(x: np.ndarray) -> float:
     """Robust white-noise sigma from first differences."""
-    d = np.abs(np.diff(x))
-    return float(np.median(d)) * 1.4826 / np.sqrt(2.0)
+    d = np.diff(x)
+    return float(np.median(np.abs(d, out=d), overwrite_input=True)) * 1.4826 / np.sqrt(2.0)
 
 
 def _merge_short_runs(labels: np.ndarray, min_samples: int) -> np.ndarray:
     """Flip label runs shorter than min_samples into a neighbor, shortest
-    first, until none remain."""
-    labels = labels.copy()
+    first and the leftmost of equal length first, until none remain or
+    one run is left.
+
+    A flipped run joins the runs on either side of it into one. The runs
+    form a linked list, and a heap keyed on (length, start) holds each
+    short run; an entry whose run has since grown or joined another is
+    stale and skipped, so the merge takes O(runs log runs).
+    """
+    start = [0] + (np.flatnonzero(np.diff(labels.view(np.int8))) + 1).tolist()
+    length = np.diff(start + [labels.size]).tolist()
+    value = labels[start].tolist()
+    runs = len(start)
+    prev, nxt = list(range(-1, runs - 1)), list(range(1, runs + 1))
+    heap = [(n, s, k) for k, (n, s) in enumerate(zip(length, start)) if n < min_samples]
+    heapq.heapify(heap)
+    alive = runs
+    while heap and alive > 1:
+        n, s, k = heapq.heappop(heap)
+        if length[k] != n or start[k] != s:
+            continue
+        # run k flips, joining its left and right neighbours; the joined
+        # run keeps the index of the leftmost of them
+        left, right = prev[k], nxt[k]
+        keep = k if left < 0 else left
+        last = k if right == runs else right
+        if left < 0:
+            value[k] = not value[k]
+        else:
+            length[left] += length[k]
+            length[k] = 0
+        if right < runs:
+            length[keep] += length[right]
+            length[right] = 0
+        alive -= (left >= 0) + (right < runs)
+        nxt[keep] = nxt[last]
+        if nxt[keep] < runs:
+            prev[nxt[keep]] = keep
+        if length[keep] < min_samples:
+            heapq.heappush(heap, (length[keep], start[keep], keep))
+    order, k = [], 0
+    while k < runs:
+        order.append(k)
+        k = nxt[k]
+    return np.repeat(np.array(value, dtype=bool)[order], np.array(length)[order])
+
+
+#: samples searched at once for the Schmitt trigger's next turn; the
+#: window doubles until it holds one
+_TURN_WINDOW = 64
+
+
+def _schmitt(s: np.ndarray, band: float) -> np.ndarray:
+    """Rising (True) and falling samples of s by the Schmitt trigger of
+    classify_resp.
+
+    Each state lasts until the signal retreats from its running extremum
+    by more than band, and the turn is dated to the extremum's first
+    sample. The running extremum is a maximum.accumulate (or
+    minimum.accumulate) over a window that doubles from _TURN_WINDOW
+    samples until it holds the turn, so the search costs time linear in
+    the samples it passes, and one handful of numpy calls per turn.
+    """
+    n = s.size
+    # until the signal first leaves the band its direction is unknown, so
+    # follow both running extremes; the later of the belt's two extremes
+    # lies a full range (> band) from the other, so classify_resp's
+    # signal always leaves it. One that never does ends falling.
+    w = _TURN_WINDOW
     while True:
-        change = np.flatnonzero(np.diff(labels.view(np.int8)))
-        starts = np.concatenate([[0], change + 1])
-        ends = np.concatenate([change + 1, [labels.size]])
-        lengths = ends - starts
-        if starts.size == 1 or lengths.min() >= min_samples:
-            return labels
-        k = int(np.argmin(lengths))
-        labels[starts[k] : ends[k]] = ~labels[starts[k]]
+        head = s[:w]
+        out = np.flatnonzero((head - np.minimum.accumulate(head) > band)
+                             | (np.maximum.accumulate(head) - head > band))
+        if out.size or w >= n:
+            break
+        w *= 2
+    i = int(out[0]) if out.size else n - 1
+    lo, hi = int(np.argmin(s[: i + 1])), int(np.argmax(s[: i + 1]))
+    rising = bool(s[i] - s[lo] > band)
+    seg = lo if rising else hi
+    labels = np.empty(n, dtype=bool)
+    labels[:seg] = not rising  # the tail of the opposite phase
+    # each window starts at the running extremum, so its running maximum
+    # (or minimum) starts there too; the samples from it up to p were
+    # searched already and hold no turn
+    ext, p, w = i, i + 1, _TURN_WINDOW
+    while p < n:
+        x = s[ext : p + w]
+        if rising:
+            turned = x - np.maximum.accumulate(x) < -band
+        else:
+            turned = np.minimum.accumulate(x) - x < -band
+        j = int(turned.argmax())
+        if not turned[j]:
+            ext += int(x.argmax() if rising else x.argmin())
+            p, w = p + w, 2 * w
+            continue
+        # retreated by more than the band: the turn was at the extremum,
+        # the first sample of the largest (or smallest) value before it
+        turn = ext + j
+        ext += int(x[:j].argmax() if rising else x[:j].argmin())
+        labels[seg:ext] = rising
+        seg, rising = ext, not rising
+        ext, p, w = turn, turn + 1, _TURN_WINDOW
+    labels[seg:] = rising
+    return labels
 
 
 def classify_resp(trace: PhysioTrace, smoothing_window: float = DEFAULT_SMOOTHING_MS,
@@ -342,51 +541,24 @@ def classify_resp(trace: PhysioTrace, smoothing_window: float = DEFAULT_SMOOTHIN
             f"belt range {rng:g} is below 10x the noise floor {noise:g}; "
             f"cannot separate breathing phases"
         )
-    band = hysteresis * rng
-
-    s = s.tolist()
-    # until the signal first leaves the band its direction is unknown, so
-    # follow both running extremes; the later of the belt's two extremes
-    # lies a full range (> band) from the other, so this loop always breaks
-    lo = hi = 0
-    for i, x in enumerate(s):
-        if x < s[lo]:
-            lo = i
-        elif x > s[hi]:
-            hi = i
-        if x - s[lo] > band or s[hi] - x > band:
-            break
-    rising = x - s[lo] > band
-    seg_start = lo if rising else hi
-    labels = np.zeros(len(s), dtype=bool)
-    labels[:seg_start] = not rising  # the tail of the opposite phase
-    ext, ext_idx = x, i
-    for i in range(i + 1, len(s)):
-        x = s[i]
-        travel = x - ext if rising else ext - x
-        if travel > 0:
-            ext, ext_idx = x, i
-        elif travel < -band:
-            # retreated by more than the band: the turn was at the extremum
-            labels[seg_start:ext_idx] = rising
-            seg_start, rising = ext_idx, not rising
-            ext, ext_idx = x, i
-    labels[seg_start:] = rising
-
+    labels = _schmitt(s, hysteresis * rng)
     labels = _merge_short_runs(labels, max(1, int(np.ceil(DEBOUNCE_MS / dt))))
     return RespPhases(t0=trace.t0, sample_interval=dt, inspiration=labels)
 
 
 def label_cycles(
     boundaries: CycleBoundaries, phases: RespPhases, flow: FlowSamples
-) -> list[LabeledCycle]:
+) -> CycleTable:
     """Cut the flow signal at the onsets and tag each cycle with its
-    breathing phase.
+    breathing phase, in one pass over all cycles.
 
-    inspiration_fraction is the fraction of the cycle's flow samples
-    falling on INSPIRATION-labeled physio samples; resp_label_for turns
-    it into the cycle's label. Intervals whose length falls outside
-    [min_rr, max_rr] (dropped beats, double triggers) are skipped.
+    Returns a CycleTable over the flow's own samples: cycle k holds the
+    samples with start <= t < end. inspiration_fraction is the fraction
+    of the cycle's flow samples falling on INSPIRATION-labeled physio
+    samples; resp_label_for's rule turns it into the cycle's label.
+    Intervals whose length falls outside [min_rr, max_rr] (dropped beats,
+    double triggers), and then those holding no flow sample, are skipped;
+    the table counts both. Cycle ids number the kept cycles from 0.
     """
     onsets = boundaries.onsets
     if not phases.covers(float(onsets[0]), float(onsets[-1])):
@@ -395,33 +567,32 @@ def label_cycles(
             f"[{onsets[0]:g}, {onsets[-1]:g}] ms"
         )
     t = flow.timestamps
-    # flow timestamps strictly increase, so cycle k holds samples
+    # flow timestamps strictly increase, so interval k holds samples
     # cut[k] <= i < cut[k + 1], exactly those with start <= t < end
     cut = np.searchsorted(t, onsets)
-    insp_all = phases.label_at(t)
-    cycles: list[LabeledCycle] = []
-    for start, end, lo, hi in zip(onsets[:-1], onsets[1:], cut[:-1], cut[1:]):
-        rr = end - start
-        if not boundaries.min_rr <= rr <= boundaries.max_rr:
-            continue
-        n_samp = int(hi - lo)
-        if n_samp == 0:
-            continue
-        # a cycle under ensemble.MIN_SAMPLES is warned about once, where
-        # process_subject drops it
-        if n_samp > 24:
-            warn(f"cycle at {start:.0f} ms holds {n_samp} samples; expected "
-                 f"roughly 8-12 for EPI-PC timing")
-        frac = float(insp_all[lo:hi].mean())
-        cycles.append(
-            LabeledCycle(
-                cycle_id=len(cycles),
-                start=float(start),
-                end=float(end),
-                t=t[lo:hi],
-                q=flow.q[lo:hi],
-                resp_label=resp_label_for(frac),
-                inspiration_fraction=frac,
-            )
-        )
-    return cycles
+    rr = onsets[1:] - onsets[:-1]
+    in_window = (boundaries.min_rr <= rr) & (rr <= boundaries.max_rr)
+    keep = in_window & (cut[1:] > cut[:-1])
+    lo, hi = cut[:-1][keep], cut[1:][keep]
+    start = onsets[:-1][keep]
+    # a cycle under ensemble.MIN_SAMPLES is warned about once, where
+    # process_subject drops it
+    for k in np.flatnonzero(hi - lo > 24).tolist():
+        warn(f"cycle at {start[k]:.0f} ms holds {hi[k] - lo[k]} samples; expected "
+             f"roughly 8-12 for EPI-PC timing")
+    # inspiration samples before each flow sample
+    insp = np.concatenate([[0], np.cumsum(phases.label_at(t))])
+    frac = (insp[hi] - insp[lo]) / (hi - lo)
+    return CycleTable(
+        t=t,
+        q=flow.q,
+        lo=lo,
+        hi=hi,
+        cycle_id=np.arange(lo.size),
+        start=start,
+        end=onsets[1:][keep],
+        label=_resp_codes(frac).astype(np.int8),
+        inspiration_fraction=frac,
+        n_rr_rejected=int(np.count_nonzero(~in_window)),
+        n_empty=int(np.count_nonzero(in_window & ~keep)),
+    )

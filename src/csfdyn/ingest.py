@@ -31,6 +31,7 @@ import math
 import mmap
 import numbers
 import os
+import re
 import struct
 import sys
 import warnings
@@ -516,12 +517,16 @@ def write_physio(trace: PhysioTrace, path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-#: characters loadtxt reads otherwise than float() and str.splitlines: the
-#: line breaks, besides "\n", that text read with universal newlines
-#: ("\r\n" and "\r" become "\n") can hold, at which loadtxt does not end
-#: a line, and the unit separator, which loadtxt skips beside a number
-#: and float() refuses
-_LOOP_ONLY = "\x0b\x0c\x1c\x1d\x1e\x1f"
+#: bytes loadtxt reads otherwise than float() and str.splitlines: the
+#: line breaks, besides "\n" and "\r", that text read with universal
+#: newlines ("\r\n" and "\r" become "\n") can hold, at which loadtxt
+#: does not end a line, and the unit separator, which loadtxt skips beside
+#: a number and float() refuses
+_LOOP_ONLY = b"\x0b\x0c\x1c\x1d\x1e\x1f"
+
+#: the header line: up to the first "\n" or "\r", as read with universal
+#: newlines
+_HEADER_LINE = re.compile(b"[^\r\n]*")
 
 
 def _loadtxt_rows(path) -> np.ndarray | None:
@@ -570,6 +575,20 @@ def _loop_rows(path, text: str) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(times, dtype=np.float64), np.asarray(amps)
 
 
+def _ascii_bytes(path) -> bytes:
+    """The bytes of the file at path, refused unless they are all ASCII."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    if not blob.isascii():
+        try:
+            blob.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise MalformedRow(f"{path}: non-ASCII content: {exc}") from exc
+    return blob
+
+
 def read_physio(path, kind: PhysioKind = PhysioKind.RESP_BELT) -> PhysioTrace:
     """Read a two-column physio CSV into a uniformly sampled trace.
 
@@ -580,31 +599,35 @@ def read_physio(path, kind: PhysioKind = PhysioKind.RESP_BELT) -> PhysioTrace:
     Rows below a valid header are parsed by np.loadtxt. A file it refuses
     or reads otherwise than the line-at-a-time parser could (see
     _loadtxt_rows) goes to that parser, so both accept the same files,
-    with the same values, and refuse the rest with the same errors.
+    with the same values, and refuse the rest with the same errors. The
+    header and the characters only that parser reads right are checked on
+    the file's bytes, which are let go before loadtxt reads the file and
+    decoded only for that parser.
     """
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(f"{path}: non-ASCII content: {exc}") from exc
+    blob = _ascii_bytes(path)
+    header = blob[: _HEADER_LINE.match(blob).end()]
     rows = None
-    end = text.find("\n")
-    header = text if end < 0 else text[:end]
-    if header.strip() == "t_ms,amplitude" and not any(c in text for c in _LOOP_ONLY):
+    if header.strip() == b"t_ms,amplitude" and not any(c in blob for c in _LOOP_ONLY):
+        del blob
         rows = _loadtxt_rows(path)
+        if rows is None:
+            blob = _ascii_bytes(path)
     if rows is None:
-        t_arr, amps = _loop_rows(path, text)
+        t_arr, amps = _loop_rows(path, blob.decode("ascii"))
     else:
         t_arr, amps = rows[:, 0], rows[:, 1].copy()
     gaps = np.diff(t_arr)
-    interval = float(np.median(gaps))
+    interval = float(np.median(gaps, overwrite_input=True))
     if interval <= 0:
         raise NonUniformSampling(f"{path}: timestamps not strictly increasing")
-    if np.any(np.abs(gaps - interval) > 0.01 * interval):
-        worst = int(np.argmax(np.abs(gaps - interval)))
+    # the gaps again, in order, as their deviations from the interval
+    np.subtract(t_arr[1:], t_arr[:-1], out=gaps)
+    gaps -= interval
+    np.abs(gaps, out=gaps)
+    worst = int(np.argmax(gaps))
+    if gaps[worst] > 0.01 * interval:
         raise NonUniformSampling(
-            f"{path}: gap at row {worst + 2} is {gaps[worst]:g} ms, "
+            f"{path}: gap at row {worst + 2} is {t_arr[worst + 1] - t_arr[worst]:g} ms, "
             f"median interval {interval:g} ms"
         )
     return PhysioTrace(

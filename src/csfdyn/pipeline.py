@@ -4,9 +4,11 @@ failure attributed to its pipeline stage.
 
 The velocity and flow stages read the series once per pass, a block of
 pixels at a time, and fold the blocks into per-pixel moments and
-per-frame sums (prepare_velocity). A job holds one block plus vectors
-with one value per frame or per pixel, however long the recording: no
-velocity map is built.
+per-frame sums (prepare_velocity). The gating and ensemble stages hold
+the cycles as tables of columns (CycleTable, CanonicalTable), and the
+belt as arrays. A job holds one block plus vectors with one value per
+frame, per pixel or per cycle, however long the recording: no velocity
+map is built.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .ensemble import (
     MIN_SAMPLES,
     PHASE_GRID,
     CanonicalCycle,
+    CanonicalTable,
     EnsembleCurves,
     build_ensembles,
     resample_cycle,  # noqa: F401 -- bench/spans.py looks it up in this module
@@ -41,7 +44,7 @@ from .gating import (
     DEFAULT_MIN_RR,
     DEFAULT_SMOOTHING_MS,
     CycleBoundaries,
-    LabeledCycle,
+    CycleTable,
     RespLabel,
     RespPhases,
     classify_resp,
@@ -114,7 +117,13 @@ class PipelineParams:
 
 @dataclass
 class SubjectResult:
-    """Everything cmd_process reports on one subject."""
+    """Everything cmd_process reports on one subject.
+
+    cycles is label_cycles' table, short cycles included (empty for a
+    gated series); canonical is the CanonicalTable build_ensembles
+    reduced: the resampled cycles of MIN_SAMPLES samples or more, or the
+    gated series' one cycle.
+    """
 
     params: PipelineParams
     roi_label: RoiLabel
@@ -123,8 +132,8 @@ class SubjectResult:
     flow: FlowSamples
     boundaries: CycleBoundaries | None
     phases: RespPhases | None
-    cycles: list[LabeledCycle]
-    canonical: list[CanonicalCycle]
+    cycles: CycleTable
+    canonical: CanonicalTable
     curves: EnsembleCurves
     sv_global: SvReport
     sv_insp: SvReport | None
@@ -242,14 +251,14 @@ def process_subject(
     flow, roi, offset = prepare_velocity(series, roi, static, params)
 
     boundaries = phases = None
-    cycles: list[LabeledCycle] = []
+    cycles = CycleTable.of([])
     n_skipped = 0
     notes = []
     if series.header.series_kind is SeriesKind.GATED_CONV:
         # already one reconstructed cycle: its 32 samples are adopted as
         # the global curve with no gating stage
         rr = series.header.n_frames * series.header.frame_interval
-        canonical = [CanonicalCycle(flow.q, 0, RespLabel.MIXED, float(rr))]
+        canonical = CanonicalTable.of([CanonicalCycle(flow.q, 0, RespLabel.MIXED, float(rr))])
         notes.append("gated series: cardiac gating already applied at acquisition")
     else:
         if belt is None:
@@ -270,15 +279,13 @@ def process_subject(
                          params.hysteresis)
         cycles = _staged("gating", label_cycles, boundaries, phases, flow)
 
-        usable = []
-        for cyc in cycles:
-            if cyc.n_samples < MIN_SAMPLES:
-                n_skipped += 1
-                warn(f"cycle at {cyc.start:.0f} ms dropped: {cyc.n_samples} samples "
-                     f"cannot support resampling")
-            else:
-                usable.append(cyc)
-        canonical = resample_cycles(usable, params.interp)
+        n = cycles.n_samples
+        short = n < MIN_SAMPLES
+        for k in np.flatnonzero(short).tolist():
+            warn(f"cycle at {cycles.start[k]:.0f} ms dropped: {n[k]} samples "
+                 f"cannot support resampling")
+        n_skipped = int(np.count_nonzero(short))
+        canonical = resample_cycles(cycles.take(~short), params.interp)
     curves = _staged("ensemble", build_ensembles, canonical)
 
     sv: dict[str, SvReport] = {}

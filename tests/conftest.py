@@ -67,6 +67,28 @@ def noiseless_poiseuille_dataset():
     return csfdyn.generate(spec)
 
 
+@pytest.fixture(scope="session")
+def long_dataset():
+    """16x16 aqueduct phantom, 600 s: 6818 frames, 15,001 belt samples,
+    about 525 cycles with 5% RR jitter."""
+    base = csfdyn.default_aqueduct_spec()
+    return csfdyn.generate(replace(
+        base,
+        grid=replace(base.grid, width=16, height=16),
+        lumen=replace(base.lumen, center_row=8.0, center_col=8.0),
+        cardiac=replace(base.cardiac, rr_jitter_sd=0.05 * base.cardiac.rr_mean),
+        acquisition=replace(base.acquisition, duration=600000.0),
+    ))
+
+
+@pytest.fixture(scope="session")
+def jittered_spinal_dataset():
+    """64x64 spinal phantom with 5% RR jitter and 8% inspiratory boost."""
+    base = csfdyn.default_spinal_spec(resp=replace(RespSpec(), modulation_insp=0.08))
+    return csfdyn.generate(replace(
+        base, seed=3, cardiac=replace(base.cardiac, rr_jitter_sd=0.05 * base.cardiac.rr_mean)))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

@@ -218,7 +218,7 @@ class TestResampleCycles:
             resample_cycles(good, mode="cubic")
 
     def test_empty_list(self):
-        assert resample_cycles([]) == []
+        assert len(resample_cycles([])) == 0
 
 
 class TestBuildEnsembles:

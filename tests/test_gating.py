@@ -34,6 +34,7 @@ from csfdyn.gating import (
     RR_CV_LIMIT,
     _find_beat_peaks,
     _merge_short_runs,
+    _schmitt,
     _smooth_for_peaks,
     resp_label_for,
 )
@@ -427,6 +428,140 @@ class TestMergeShortRuns:
         change = np.flatnonzero(np.diff(out.view(np.int8)))
         runs = np.diff(np.concatenate([[0], change + 1, [out.size]]))
         assert runs.min() >= 3
+
+
+def loop_moving_average(x, window):
+    """moving_average with every sample's window indexed from the
+    cumulative sum: the reference the sliced interior must reproduce."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    w = max(1, int(window))
+    if w % 2 == 0:
+        w += 1
+    if w == 1 or n == 1:
+        return x.copy()
+    half = min(w // 2, n)
+    csum = np.concatenate([[0.0], np.cumsum(x)])
+    lo = np.maximum(np.arange(n) - half, 0)
+    hi = np.minimum(np.arange(n) + half + 1, n)
+    return (csum[hi] - csum[lo]) / (hi - lo)
+
+
+def loop_schmitt(s, band):
+    """The Schmitt trigger of classify_resp a sample at a time over a
+    Python list: the reference the windowed search must reproduce."""
+    s = s.tolist()
+    lo = hi = 0
+    for i, x in enumerate(s):
+        if x < s[lo]:
+            lo = i
+        elif x > s[hi]:
+            hi = i
+        if x - s[lo] > band or s[hi] - x > band:
+            break
+    rising = x - s[lo] > band
+    seg_start = lo if rising else hi
+    labels = np.zeros(len(s), dtype=bool)
+    labels[:seg_start] = not rising
+    ext, ext_idx = x, i
+    for i in range(i + 1, len(s)):
+        x = s[i]
+        travel = x - ext if rising else ext - x
+        if travel > 0:
+            ext, ext_idx = x, i
+        elif travel < -band:
+            labels[seg_start:ext_idx] = rising
+            seg_start, rising = ext_idx, not rising
+            ext, ext_idx = x, i
+    labels[seg_start:] = rising
+    return labels
+
+
+def loop_merge_short_runs(labels, min_samples):
+    """_merge_short_runs recounting every run after each flip: the
+    reference the heap over linked runs must reproduce."""
+    labels = labels.copy()
+    while True:
+        change = np.flatnonzero(np.diff(labels.view(np.int8)))
+        starts = np.concatenate([[0], change + 1])
+        ends = np.concatenate([change + 1, [labels.size]])
+        lengths = ends - starts
+        if starts.size == 1 or lengths.min() >= min_samples:
+            return labels
+        k = int(np.argmin(lengths))
+        labels[starts[k] : ends[k]] = ~labels[starts[k]]
+
+
+def scan_signal(rng, n):
+    """One of four belt-like signals of n samples: a random walk, a noisy
+    sine, either quantized to a few levels (plateaus of tied samples), or
+    a constant."""
+    kind = int(rng.integers(5))
+    if kind == 4:
+        return np.full(n, rng.normal())
+    if kind % 2:
+        s = np.cumsum(rng.normal(0.0, 1.0, n))
+    else:
+        s = np.sin(2 * np.pi * np.arange(n) / rng.uniform(4, 200) + rng.uniform(0, 6.3))
+        s += rng.normal(0.0, rng.uniform(0.0, 0.6), n)
+    if kind >= 2:
+        s = np.round(s * rng.integers(1, 6)) / 3.0
+    return s
+
+
+SCAN_SIZES = list(range(1, 41)) + [15_001]
+
+
+class TestAgainstSampleLoops:
+    """moving_average, the Schmitt trigger and the short-run merge against
+    the per-sample and quadratic code they replaced, bit for bit, over a
+    seeded scan."""
+
+    @pytest.mark.parametrize("n", SCAN_SIZES)
+    def test_moving_average(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(0.0, 1.0, n)
+        windows = list(range(0, 2 * n + 4)) if n <= 40 else [0, 1, 2, 3, 4, 5, 12, 13, 501,
+                                                                 7500, 15_001, 30_001, 30_003]
+        for window in windows + [10**30]:
+            got = moving_average(x, window)
+            assert got.tobytes() == loop_moving_average(x, window).tobytes(), window
+
+    @pytest.mark.parametrize("n", SCAN_SIZES)
+    def test_schmitt(self, n):
+        rng = np.random.default_rng(100 + n)
+        for k in range(40 if n <= 40 else 8):
+            s = scan_signal(rng, n)
+            # every fifth band at least the whole range: the signal never
+            # leaves it, and ends falling
+            fraction = rng.uniform(1.0, 2.0) if k % 5 == 4 else rng.uniform(0.01, 0.5)
+            band = float(fraction) * float(s.max() - s.min())
+            np.testing.assert_array_equal(_schmitt(s, band), loop_schmitt(s, band))
+
+    @pytest.mark.parametrize("n", SCAN_SIZES)
+    def test_merge_short_runs(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(40 if n <= 40 else 4):
+            # runs of 1 to a random longest length
+            runs = rng.integers(1, int(rng.integers(2, 12)), size=n)
+            labels = (np.repeat(np.arange(n) % 2, runs)[:n] == 1) ^ bool(rng.integers(2))
+            for min_samples in (1, 2, 3, int(rng.integers(4, 40))):
+                got = _merge_short_runs(labels, min_samples)
+                np.testing.assert_array_equal(got, loop_merge_short_runs(labels, min_samples))
+
+    def test_noisy_belt_with_a_one_sample_window(self):
+        # 600 s of belt at 40 ms with 0.3 noise, smoothed over one sample:
+        # thousands of runs reach the merge
+        dt = 40.0
+        t = np.arange(15_001) * dt
+        rng = np.random.default_rng(7)
+        s = -np.cos(2 * np.pi * t / 4500.0) + rng.normal(0.0, 0.3, t.size)
+        belt = PhysioTrace(dt, 0.0, s, PhysioKind.RESP_BELT)
+        got = classify_resp(belt, smoothing_window=dt).inspiration
+        smooth = loop_moving_average(s, 1)
+        labels = loop_schmitt(smooth, 0.05 * float(smooth.max() - smooth.min()))
+        assert np.count_nonzero(np.diff(labels.view(np.int8))) > 3000
+        np.testing.assert_array_equal(got, loop_merge_short_runs(labels, 5))
 
 
 class TestLabelCycles:

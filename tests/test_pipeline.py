@@ -657,20 +657,6 @@ class TestPeakMemory:
 
     @pytest.fixture(scope="class")
     @staticmethod
-    def long():
-        # 16x16 pixels, 600 s: 6818 frames, 15,001 belt samples, about 525
-        # cycles with 5% RR jitter
-        base = csfdyn.default_aqueduct_spec()
-        return csfdyn.generate(replace(
-            base,
-            grid=replace(base.grid, width=16, height=16),
-            lumen=replace(base.lumen, center_row=8.0, center_col=8.0),
-            cardiac=replace(base.cardiac, rr_jitter_sd=0.05 * base.cardiac.rr_mean),
-            acquisition=replace(base.acquisition, duration=600000.0),
-        ))
-
-    @pytest.fixture(scope="class")
-    @staticmethod
     def noisy():
         # at 0.8 rad of phase noise nearly every pixel has a step beyond venc
         return wide_phantom(noise_sd_phase=0.8)
@@ -683,7 +669,8 @@ class TestPeakMemory:
                            static=wide.static, belt=wide.belt)
         assert size + peak < 1.5 * size, f"{peak / size:.2f}x the input on top of it"
 
-    def test_long_recording_peak_under_half_the_input(self, long, tmp_path):
+    def test_long_recording_peak_under_half_the_input(self, long_dataset, tmp_path):
+        long = long_dataset
         assert long.series.frames.shape == (6818, 16, 16)
         size = long.series.frames.nbytes
         path = tmp_path / "belt.csv"
@@ -694,7 +681,26 @@ class TestPeakMemory:
                            belt=long.belt)
         assert peak < 0.5 * size, f"process_subject: {peak / size:.2f}x the series"
 
-    def test_resample_peak_bounded_by_one_batch(self, long):
+    def test_long_recording_stage_peaks(self, long_dataset, tmp_path):
+        # each bound is the stage's peak plus a quarter: read_physio 0.56 MB
+        # (1.21 while the decoded text was held through loadtxt),
+        # classify_resp 0.25 MB (0.79 with a Python list of the belt) and
+        # process_subject 0.56 MB (1.03 with a row object per cycle)
+        long = long_dataset
+        path = tmp_path / "belt.csv"
+        csfdyn.write_physio(long.belt, path)
+        peak = peak_on_top(csfdyn.read_physio, path)
+        assert peak < 0.70e6, f"read_physio: {peak / 1e6:.2f} MB"
+        peak = peak_on_top(csfdyn.classify_resp, long.belt)
+        assert peak < 0.31e6, f"classify_resp: {peak / 1e6:.2f} MB"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            peak = peak_on_top(process_subject, long.series, long.lumen, static=long.static,
+                               belt=long.belt)
+        assert peak < 0.70e6, f"process_subject: {peak / 1e6:.2f} MB"
+
+    def test_resample_peak_bounded_by_one_batch(self, long_dataset):
+        long = long_dataset
         # about 525 cycles, more than half of them with 13 samples: one
         # dense slope system per sample count held 1.6 MB
         result = process_subject(long.series, long.lumen, static=long.static, belt=long.belt)
