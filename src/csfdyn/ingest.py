@@ -608,7 +608,7 @@ def read_physio(path, kind: PhysioKind = PhysioKind.RESP_BELT) -> PhysioTrace:
     header = blob[: _HEADER_LINE.match(blob).end()]
     rows = None
     if header.strip() == b"t_ms,amplitude" and not any(c in blob for c in _LOOP_ONLY):
-        del blob
+        del blob  # held through loadtxt: a cropped-long job's traced peak 0.72 -> 0.96 MB
         rows = _loadtxt_rows(path)
         if rows is None:
             blob = _ascii_bytes(path)

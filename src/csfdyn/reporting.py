@@ -215,7 +215,7 @@ def _esc(s: str) -> str:
     )
 
 
-def write_curves_svg(path, curves, title: str, unit_label: str = "mL/s") -> None:
+def write_curves_svg(path, curves, title: str) -> None:
     """Overlay plot of the ensemble curves with a dashed zero line:
     inspiration red, expiration blue, global mean gray."""
     stacked = [curves.global_mean]
@@ -226,7 +226,7 @@ def write_curves_svg(path, curves, title: str, unit_label: str = "mL/s") -> None
     lo = min(0.0, min(float(c.min()) for c in stacked))
     hi = max(0.0, max(float(c.max()) for c in stacked))
     pad = 0.08 * (hi - lo) if hi > lo else 1.0
-    canvas = SvgCanvas(title, "cardiac phase", f"flow ({unit_label})",
+    canvas = SvgCanvas(title, "cardiac phase", "flow (mL/s)",
                        (0.0, 1.0), (lo - pad, hi + pad))
     canvas.line((canvas.x0, 0.0), (canvas.x1, 0.0), "#888888", dash=True)
     entries = [("global", "#555555")]

@@ -782,6 +782,27 @@ class TestCohort:
         err = capsys.readouterr().err
         assert "S2" in err and hole in err
 
+    @pytest.mark.parametrize("key, value", [("roi_label", "AQUEDUCT/x"), ("unit", "furlongs")])
+    def test_report_with_unknown_enum_value_is_input_error(self, tmp_path, capsys, key, value):
+        # a ROI label names an output file, and the unit is written into
+        # cohort.json: either is refused before anything is made
+        entries = []
+        for k in range(6):
+            report = {"kind": "subject", "roi_label": "AQUEDUCT", "unit": "uL",
+                      "sv": {"global": {"sv": 100.0 + k}}}
+            if k == 2:
+                report[key] = value
+            path = tmp_path / f"S{k}.json"
+            path.write_text(json.dumps(report))
+            entries.append({"id": f"S{k}", "conv": str(path), "epi": str(path)})
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"subjects": entries}))
+        out = tmp_path / "out"
+        assert main(["cohort", "--pairs", str(manifest), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "subject S2:" in err and f"{key} must be one of" in err and value in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_spinal, flags, rc", [
         (2, [], 3),                      # too few pairs for Spearman
         (15, ["--spearman-exact"], 2),   # above the exact Spearman limit

@@ -31,6 +31,7 @@ from csfdyn.errors import (
     WrongKind,
 )
 from csfdyn.gating import (
+    _CHUNK,
     RR_CV_LIMIT,
     _find_beat_peaks,
     _merge_short_runs,
@@ -449,7 +450,7 @@ def loop_moving_average(x, window):
 
 def loop_schmitt(s, band):
     """The Schmitt trigger of classify_resp a sample at a time over a
-    Python list: the reference the windowed search must reproduce."""
+    Python list: the reference the chunked read must reproduce."""
     s = s.tolist()
     lo = hi = 0
     for i, x in enumerate(s):
@@ -512,10 +513,30 @@ def scan_signal(rng, n):
 SCAN_SIZES = list(range(1, 41)) + [15_001]
 
 
+def chunk_edge_signals(n):
+    """Signals of n samples, each with its band, whose first band exit or
+    whose turn (the extremum, or the sample that retreats from it) falls
+    on the first or last sample of a chunk the Schmitt trigger reads."""
+    i = np.arange(n, dtype=np.float64)
+    wobble = 0.2 * (i % 3 == 1)  # ties and steps inside the band
+    yield wobble, 0.5  # never leaves the band
+    for e in sorted({_CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, n - 1}):
+        if not 0 < e < n:
+            continue
+        for sign in (1.0, -1.0):
+            # first band exit at e
+            yield sign * np.where(i >= e, 1.0, wobble), 0.5
+            # turn at e - 1 (seen at e) and at e (seen at e + 1)
+            for peak in (e - 1, e):
+                yield sign * -np.abs(i - peak), 0.5
+            # a plateau of tied extremes e..e + 2, so the turn is dated e
+            yield sign * -np.maximum(np.abs(i - e - 1) - 1.0, 0.0), 0.5
+
+
 class TestAgainstSampleLoops:
     """moving_average, the Schmitt trigger and the short-run merge against
-    the per-sample and quadratic code they replaced, bit for bit, over a
-    seeded scan."""
+    per-sample and quadratic reference code, bit for bit, over a seeded
+    scan."""
 
     @pytest.mark.parametrize("n", SCAN_SIZES)
     def test_moving_average(self, n):
@@ -527,7 +548,7 @@ class TestAgainstSampleLoops:
             got = moving_average(x, window)
             assert got.tobytes() == loop_moving_average(x, window).tobytes(), window
 
-    @pytest.mark.parametrize("n", SCAN_SIZES)
+    @pytest.mark.parametrize("n", SCAN_SIZES + [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
     def test_schmitt(self, n):
         rng = np.random.default_rng(100 + n)
         for k in range(40 if n <= 40 else 8):
@@ -536,6 +557,8 @@ class TestAgainstSampleLoops:
             # leaves it, and ends falling
             fraction = rng.uniform(1.0, 2.0) if k % 5 == 4 else rng.uniform(0.01, 0.5)
             band = float(fraction) * float(s.max() - s.min())
+            np.testing.assert_array_equal(_schmitt(s, band), loop_schmitt(s, band))
+        for s, band in chunk_edge_signals(n):
             np.testing.assert_array_equal(_schmitt(s, band), loop_schmitt(s, band))
 
     @pytest.mark.parametrize("n", SCAN_SIZES)

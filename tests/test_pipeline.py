@@ -682,9 +682,12 @@ class TestPeakMemory:
         assert peak < 0.5 * size, f"process_subject: {peak / size:.2f}x the series"
 
     def test_long_recording_stage_peaks(self, long_dataset, tmp_path):
-        # each bound is the stage's peak plus a quarter: read_physio 0.56 MB
-        # (1.21 while the decoded text was held through loadtxt),
-        # classify_resp 0.25 MB (0.79 with a Python list of the belt) and
+        # each bound is the stage's peak when it was set plus a quarter:
+        # read_physio 0.56 MB (1.21 while the decoded text was held through
+        # loadtxt), classify_resp 0.25 MB (0.27 with the trigger holding one
+        # 4096-sample chunk of the belt as Python floats, 0.36 with
+        # np.median(np.abs(np.diff(x))) for the noise floor, 0.79 with a
+        # Python list of the whole belt) and
         # process_subject 0.56 MB (1.03 with a row object per cycle)
         long = long_dataset
         path = tmp_path / "belt.csv"
