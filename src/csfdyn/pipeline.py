@@ -168,15 +168,18 @@ def prepare_velocity(
     """Stages 1-2: encoding, unwrap, background offset, ROI refinement
     when refine_threshold is set, the ROI's flow, and the sign convention.
 
-    Each pass streams the input series (pixel_moments, pixel_sums) and
-    reads only the pixels it needs, wrapped pixels included, so its cost
-    follows the ROI, not the field of view:
+    Each pass streams the input series (pixel_moments, pixel_sums, the
+    static offset's mean fold) and reads only the pixels it needs, wrapped
+    pixels included, so its cost follows the ROI, not the field of view:
     - both masks are checked before any pass reads the series, the
       static mask first, so a mask that does not fit is refused before
-      any pass has run or warned;
+      any pass has run or warned; static_offset checks the anchor frame
+      before its own passes, some of which never unwrap;
     - the static offset and the StaticTissueWarning come from one
-      static_offset call (its docstring says which pixels it reads),
-      made before refinement;
+      static_offset call, made before refinement: full moments only for
+      the static pixels whose values span enough to warn, and plain means
+      for the rest of a bounded lattice of the mask (its docstring says
+      which pixels it reads);
     - refinement correlates the pixels of a box around the seed with the
       seed's mean velocity (_grown_refinement), and gets the whole grid's
       refined ROI to the bit;

@@ -15,23 +15,27 @@ convention). The streamed pass below gives their bits from either
 encoding: it converts phase x to float64(x) * venc/pi, correctly rounded
 as phase_to_velocity does, and scales velocity by exactly 1.0.
 
-The pipeline relies on that. One generator, ``_unwrapped``, reads the
+The pipeline relies on that. One reader, ``_converted``, reads the
 float32 input in chunks of frames (64 for moments) and yields them
-converted and unwrapped, a block of pixels at a time, in the series' own
-sign. It carries each pixel's wrap count from chunk to chunk, counts
-wraps only in the pixels that step beyond venc, and shifts only blocks
-that hold such a pixel or a carried count. ``pixel_moments`` folds the
-blocks into per-pixel moments, with no full-size array built: the static
-offset, the StaticTissueWarning and the refinement's correlation map come
-from those. ``pixel_sums`` folds them into per-frame sums over the pixels, the
-ROI's flow and the seed's reference time course. So the pipeline holds
-one block plus vectors with one value per frame or per pixel, and builds
-no velocity map. ``unwrap_temporal`` writes the blocks into velocity maps.
+converted, a block of pixels at a time, in the series' own sign. One
+generator, ``_unwrapped``, unwraps its blocks: it carries each pixel's
+wrap count from chunk to chunk, counts wraps only in the pixels that step
+beyond venc, and shifts only blocks that hold such a pixel or a carried
+count. ``pixel_moments`` folds the unwrapped blocks into per-pixel
+moments, with no full-size array built: the StaticTissueWarning and the
+refinement's correlation map come from those. ``pixel_sums`` folds them
+into per-frame sums over the pixels, the ROI's flow and the seed's
+reference time course. So the pipeline holds one block plus vectors with
+one value per frame or per pixel, and builds no velocity map.
+``unwrap_temporal`` writes the blocks into velocity maps.
 
 Each pass reads only the pixels it needs, so the pipeline's cost follows
-the ROI, not the field of view: static_offset reads a bounded lattice of
-the static mask plus the few static pixels that could warn, and
-refinement a box around the seed (pipeline.prepare_velocity).
+the ROI, not the field of view. static_offset splits the static mask by
+one min/max pass over the stored values: the few static pixels whose
+values span enough to step beyond venc or warn get full moments, and the
+other pixels of a bounded lattice of the mask only their means, folded
+from the converted blocks with the moments' own mean update. Refinement
+reads a box around the seed (pipeline.prepare_velocity).
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ _CHUNK = 64
 _BLOCK = 1024
 #: static pixels the lattice static[::k, ::k] of static_offset holds at least
 _LATTICE = 2048
+#: stored values in each of _spans' running minima and maxima
+_SPAN_VALUES = 1 << 14
 
 
 class StaticTissueWarning(UserWarning):
@@ -128,52 +134,71 @@ def _wrap_counts(d: np.ndarray, venc: float) -> np.ndarray:
     return k
 
 
+def _check_anchor(series: VelocitySeries, anchor: int) -> None:
+    """ValueOutOfRange unless anchor is one of the series' frames."""
+    n = series.header.n_frames
+    if not 0 <= anchor < n:
+        raise ValueOutOfRange(f"anchor frame {anchor} outside 0..{n - 1}")
+
+
+def _converted(series: VelocitySeries, idx: np.ndarray, chunk: int, stop: int):
+    """Yield (start, at, xb) per chunk of up to chunk frames from start,
+    before frame stop, and block of up to _BLOCK of the flat pixel indices
+    idx; at is the block's slice of idx.
+
+    xb holds the block's stored values in float64 cm/s, in one buffer that
+    the next block overwrites. numpy sums a lone column pairwise but two or
+    more columns frame by frame, so a pixel alone in its block fills two
+    columns, of which the first counts.
+    """
+    scale = _to_cmps(series.header)
+    x = np.empty((min(chunk, stop), max(min(idx.size, _BLOCK), 2)))
+    for start in range(0, stop, chunk):
+        frames = series.frames[start : min(start + chunk, stop)]
+        m = frames.shape[0]
+        frames = frames.reshape(m, -1)
+        for b in range(0, idx.size, _BLOCK):
+            cols = idx[b : b + _BLOCK]
+            at = slice(b, b + cols.size)
+            cols = np.resize(cols, max(cols.size, 2))
+            contiguous = cols[-1] - cols[0] == cols.size - 1
+            xb = x[:m, : cols.size]
+            # a gathered block is let go before the next one is gathered
+            np.multiply(frames[:, cols[0] : cols[-1] + 1] if contiguous else frames[:, cols],
+                        scale, out=xb, dtype=np.float64)
+            yield start, at, xb
+
+
 def _unwrapped(series: VelocitySeries, pixels: np.ndarray, anchor: int, chunk: int = _CHUNK):
     """Yield (start, at, xb, scratch, varies) per chunk of up to chunk
     frames from start and block of up to _BLOCK of the pixels that the
     boolean grid pixels selects; at is their slice in row-major order.
 
-    xb holds the block in float64 cm/s and the series' own sign, unwrapped
-    as unwrap_temporal describes (a lone pixel fills two columns, of which
-    the first counts); scratch has its shape. The caller may
+    xb holds the block as _converted reads it, unwrapped as
+    unwrap_temporal describes; scratch has its shape. The caller may
     overwrite both. varies tells whether each pixel's unwrapped velocity
     has changed so far. Each pixel's wraps since the anchor frame (counted
     first over frames 0..anchor) are carried from chunk to chunk.
     """
+    _check_anchor(series, anchor)
     n, venc = series.header.n_frames, series.header.venc
-    if not 0 <= anchor < n:
-        raise ValueOutOfRange(f"anchor frame {anchor} outside 0..{n - 1}")
-    scale = _to_cmps(series.header)
     idx = np.flatnonzero(pixels)
     # last: each pixel's last frame so far, converted; prev: the same,
     # unwrapped; wraps: its wraps since the anchor frame at that frame
     last, prev, wraps = (np.zeros(idx.size) for _ in range(3))
     varies = np.zeros(idx.size, dtype=bool)
-    x = np.empty((min(chunk, n), max(min(idx.size, _BLOCK), 2)))
-    tmp = np.empty_like(x)
+    tmp = np.empty((min(chunk, n), max(min(idx.size, _BLOCK), 2)))
 
     def blocks(stop: int):
-        """(start, at, xb, d, step) per block of pixels at and chunk of frames
-        from start, before stop: velocities, steps and largest |step|."""
-        for start in range(0, stop, chunk):
-            frames = series.frames[start : min(start + chunk, stop)]
-            m = frames.shape[0]
-            frames = frames.reshape(m, -1)
-            for b in range(0, idx.size, _BLOCK):
-                cols = idx[b : b + _BLOCK]
-                k = cols.size
-                at = slice(b, b + k)
-                # numpy sums a lone column pairwise but two or more columns frame
-                # by frame, so a pixel alone in its block is summed as two columns
-                cols = np.resize(cols, max(k, 2))
-                contiguous = cols[-1] - cols[0] == cols.size - 1
-                block = frames[:, cols[0] : cols[-1] + 1] if contiguous else frames[:, cols]
-                xb, d = x[:m, : cols.size], tmp[:m, : cols.size]
-                np.multiply(block, scale, out=xb, dtype=np.float64)
-                np.subtract(xb[1:], xb[:-1], out=d[1:])
-                np.subtract(xb[0], last[at] if start else xb[0], out=d[0])
-                last[at] = xb[-1, :k]
-                yield start, at, xb, d, np.maximum(d.max(axis=0), -d.min(axis=0))[:k]
+        """(start, at, xb, d, step) per block of _converted before stop:
+        velocities, steps and largest |step|."""
+        for start, at, xb in _converted(series, idx, chunk, stop):
+            k, (m, width) = at.stop - at.start, xb.shape
+            d = tmp[:m, :width]
+            np.subtract(xb[1:], xb[:-1], out=d[1:])
+            np.subtract(xb[0], last[at] if start else xb[0], out=d[0])
+            last[at] = xb[-1, :k]
+            yield start, at, xb, d, np.maximum(d.max(axis=0), -d.min(axis=0))[:k]
 
     # wraps before the anchor count against it, so the anchor frame keeps its value
     for _, at, _, d, step in blocks(anchor + 1) if anchor else ():
@@ -292,14 +317,41 @@ def pixel_moments(
         if cross is not None:
             np.multiply(xb, ref[start : start + m, None], out=tmp)
             cross[at] += tmp.sum(axis=0)[:k]
-        chunk_mean = xb.sum(axis=0) / m
+        chunk_mean, delta = _merge_mean(mean, at, start, xb)
         np.subtract(xb, chunk_mean, out=xb)
         np.square(xb, out=xb)
-        delta = chunk_mean[:k] - mean[at]
-        mean[at] += delta * (m / (start + m))
         m2[at] += xb.sum(axis=0)[:k] + delta * delta * (start * m / (start + m))
     m2[~varies] = 0.0
     return PixelMoments(pixels, series.header.n_frames, mean, m2, ref, cross)
+
+
+def _merge_mean(mean: np.ndarray, at: slice, start: int, xb: np.ndarray):
+    """Merge the means of the block xb, frames start.. of the pixels at,
+    into their running means over frames 0..start-1 (Chan, Golub & LeVeque
+    1983). Returns the block's own means, one per column of xb, and each
+    pixel's difference delta from its running mean before the merge."""
+    k, m = at.stop - at.start, xb.shape[0]
+    chunk_mean = xb.sum(axis=0) / m
+    delta = chunk_mean[:k] - mean[at]
+    mean[at] += delta * (m / (start + m))
+    return chunk_mean, delta
+
+
+def _quiet_means(series: VelocitySeries, pixels: np.ndarray) -> np.ndarray:
+    """Per-pixel means over time of the stored values in cm/s, not
+    unwrapped, for the pixels that the boolean grid pixels selects, in
+    row-major order.
+
+    For a pixel that never steps beyond venc, which the unwrap leaves as it
+    is, this is pixel_moments(series, pixels).mean to the bit: the same
+    64-frame chunks, blocks and merge (_converted, _merge_mean). It holds
+    one converted block, with no steps and no scratch block.
+    """
+    idx = np.flatnonzero(pixels)
+    mean = np.zeros(idx.size)
+    for start, at, xb in _converted(series, idx, _CHUNK, series.header.n_frames):
+        _merge_mean(mean, at, start, xb)
+    return mean
 
 
 def background_correct(series: VelocitySeries, static: RoiMask) -> tuple[VelocitySeries, float]:
@@ -331,52 +383,72 @@ def check_static_mask(static: RoiMask, header: SeriesHeader) -> None:
 def static_offset(series: VelocitySeries, static: RoiMask, anchor: int = 0) -> float:
     """The static-tissue offset in cm/s of the series' velocity maps at the
     anchor frame, over the STATIC_TISSUE mask static on the series' grid
-    (check_static_mask refuses any other before the series is read).
+    (check_static_mask refuses any other, and an anchor outside the
+    series' frames is refused with ValueOutOfRange, before the series is
+    read).
 
     The offset is the mean over all frames of the static pixels of the
-    lattice static[::k, ::k]: k is the largest power of two whose lattice
-    still holds _LATTICE static pixels, 1 (the whole mask) when no larger
-    power does, so the mask's spread is kept at a bounded cost.
+    lattice static[::k, ::k], the lattice's means taken in row-major
+    order: k is the largest power of two whose lattice still holds
+    _LATTICE static pixels, 1 (the whole mask) when no larger power does,
+    so the mask's spread is kept at a bounded cost.
 
     Warns with StaticTissueWarning when a static pixel's temporal standard
     deviation, sqrt(m2 / n), exceeds 10% of venc, which usually means the
     mask leaks into moving fluid; it quotes the worst pixel's SD.
-    Moments are read for the lattice and for every other static pixel whose
-    stored values span more than 0.2 venc. A pixel that spans at most that
-    never steps beyond venc, so the unwrap leaves it as it is, and its SD
-    is at most half its span (Popoviciu's inequality): it can neither warn
-    nor be the worst pixel. So the warning is the whole mask's. The spans
-    come from one per-frame min/max pass over the stored values (none when
-    the lattice is the whole mask), and pixels within a relative 1e-6 of
-    the bound go in, for rounding.
+
+    One min/max pass over the stored values (_spans) splits the mask. A
+    pixel is loud when its values span more than 0.2 venc, within a
+    relative 1e-6 for rounding. A quiet pixel never steps beyond venc, so
+    the unwrap leaves it as it is, and its SD is at most half its span
+    (Popoviciu's inequality): it can neither warn nor be the worst pixel.
+    So pixel_moments reads the loud pixels alone, on the lattice or off it,
+    and the warning is the whole mask's; the quiet lattice pixels need only
+    their means (_quiet_means), which equal their moment means to the bit.
     """
     check_static_mask(static, series.header)
+    _check_anchor(series, anchor)
     mask, venc = static.pixels, series.header.venc
     k = 1
     while np.count_nonzero(mask[:: 2 * k, :: 2 * k]) >= _LATTICE:
         k *= 2
     lattice = np.zeros_like(mask)
     lattice[::k, ::k] = mask[::k, ::k]
-    if np.array_equal(lattice, mask):
-        pixels = mask
-    else:
-        pixels = lattice | (mask & (_spans(series) > 0.2 * venc * (1.0 - 1e-6)))
-    del lattice  # only the pixel grid is held through the moment pass
-    moments = pixel_moments(series, pixels, anchor=anchor)
-    rows, cols = np.nonzero(pixels)
-    offset = float(moments.mean[(rows % k == 0) & (cols % k == 0)].mean())
-    worst_sd = float(np.sqrt(moments.m2.max() / moments.n_frames))
+    loud = mask & (_spans(series) > 0.2 * venc * (1.0 - 1e-6))
+    means = np.empty(np.count_nonzero(lattice))
+    means[~loud[lattice]] = _quiet_means(series, lattice & ~loud)
+    worst_sd = 0.0
+    if loud.any():
+        moments = pixel_moments(series, loud, anchor=anchor)
+        means[loud[lattice]] = moments.mean[lattice[loud]]
+        worst_sd = float(np.sqrt(moments.m2.max() / moments.n_frames))
     if worst_sd > 0.1 * venc:
         warn(f"static mask pixel varies by {worst_sd:.3g} cm/s over time "
              f"(> 10% of venc {venc:g}); offset may be biased", StaticTissueWarning)
-    return offset
+    return float(means.mean())
 
 
 def _spans(series: VelocitySeries) -> np.ndarray:
     """Each pixel's span, max - min over the frames of its stored values,
-    in cm/s."""
-    lo, hi = series.frames[0].copy(), series.frames[0].copy()
-    for frame in series.frames[1:]:
-        np.minimum(lo, frame, out=lo)
-        np.maximum(hi, frame, out=hi)
-    return (hi.astype(np.float64) - lo) * _to_cmps(series.header)
+    in cm/s.
+
+    The frames are folded elementwise into running minima and maxima of r
+    frames each, about _SPAN_VALUES values, so a small grid takes many
+    frames a step; the r rows are reduced once at the end. The blocks
+    after the first end on the last frame, so the first of them may take
+    frames already folded in, which leaves a minimum or maximum as it is.
+    """
+    n, h, w = series.frames.shape
+    r = min(n, max(1, _SPAN_VALUES // (h * w)))
+    lo, hi = series.frames[:r].copy(), series.frames[:r].copy()
+    for start in range(n % r or r, n, r):
+        frames = series.frames[start : start + r]
+        np.minimum(lo, frames, out=lo)
+        np.maximum(hi, frames, out=hi)
+    lo = lo.min(axis=0)
+    hi = hi.max(axis=0)
+    spans = hi.astype(np.float64)
+    del hi  # only the minima are held while the spans are taken
+    spans -= lo
+    spans *= _to_cmps(series.header)
+    return spans

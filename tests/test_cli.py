@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from csfdyn import VelocitySeries, cli, ingest, reporting
+from csfdyn import VelocitySeries, cli, ingest, reporting, velocity
 from csfdyn.cli import main
 
 
@@ -333,6 +333,29 @@ class TestProcess:
         ])
         assert rc == 2
         assert "gating" in capsys.readouterr().err
+
+    def test_anchor_past_the_series_is_velocity_input_error(self, phantom_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        # the static offset checks the anchor before any of its passes reads
+        # the series; the spies stand in for the passes and read nothing
+        passes = []
+        for name in ("_spans", "_quiet_means", "pixel_moments"):
+            monkeypatch.setattr(velocity, name,
+                                lambda *args, name=name, **kwargs: passes.append(name))
+        rc = main([
+            "process",
+            "--series", str(phantom_dir / "series.csfd"),
+            "--roi", str(phantom_dir / "lumen.pgm"),
+            "--static", str(phantom_dir / "static.pgm"),
+            "--belt", str(phantom_dir / "belt.csv"),
+            "--anchor", "100000",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "csfdyn: input error [velocity]: anchor frame 100000 outside 0..")
+        assert passes == []
+        assert not (tmp_path / "x").exists()
 
     def test_out_that_is_a_file_is_input_error(self, phantom_dir, tmp_path, capsys):
         blocker = tmp_path / "afile"

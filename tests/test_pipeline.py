@@ -25,6 +25,7 @@ from csfdyn.errors import (
     DivisionByZeroSv,
     InputError,
     InvalidSpec,
+    ValueOutOfRange,
     WrongKind,
 )
 from csfdyn.phantom import AcquisitionSpec, RespSpec
@@ -323,7 +324,8 @@ def spy_on_passes(monkeypatch):
                          (csfdyn.velocity, "pixel_moments"),
                          (csfdyn.flow, "pixel_sums"),
                          (csfdyn.velocity, "pixel_sums"),
-                         (csfdyn.velocity, "_spans")):
+                         (csfdyn.velocity, "_spans"),
+                         (csfdyn.velocity, "_quiet_means")):
         monkeypatch.setattr(module, name,
                             lambda *args, name=name, **kwargs: passes.append(name))
     return passes
@@ -340,9 +342,10 @@ def short_192(base, lumen=(96.0, 96.0), **acquisition):
     ))
 
 
-def spy_on_reads(monkeypatch):
+def spy_on_reads(monkeypatch, means=None):
     """The pixel masks of every pixel_moments pass the pipeline makes,
-    static_offset's included."""
+    static_offset's included; the masks of static_offset's mean folds go
+    to the list means when one is given."""
     reads = []
     moments = csfdyn.velocity.pixel_moments
 
@@ -352,6 +355,11 @@ def spy_on_reads(monkeypatch):
 
     for module in (csfdyn.pipeline, csfdyn.velocity):
         monkeypatch.setattr(module, "pixel_moments", spy)
+    if means is not None:
+        fold = csfdyn.velocity._quiet_means
+        monkeypatch.setattr(csfdyn.velocity, "_quiet_means",
+                            lambda series, pixels: means.append(pixels.copy())
+                            or fold(series, pixels))
     return reads
 
 
@@ -401,13 +409,30 @@ class TestBoxGrownRefinement:
             assert not reads[-1].all()
 
     def test_reads_follow_the_roi(self, centred, monkeypatch):
-        # the static lattice and the few static pixels whose values span
-        # 0.2 venc, then the seed's box: a fraction of the grid's 36,864
-        reads = spy_on_reads(monkeypatch)
-        prepare_velocity(centred.series, centred.lumen, centred.static,
+        # three static pixels flicker by 0.3 venc, one on the stride-4
+        # lattice and two off it. The mean fold reads the other lattice
+        # pixels, the moment pass the three, then the seed's padded box: a
+        # fraction of the grid's 36,864
+        static = centred.static.pixels
+        flicker = np.zeros_like(static)
+        flicker[[8, 9, 180], [8, 183, 10]] = True
+        assert (static & flicker).sum() == 3 and (flicker[::4, ::4]).sum() == 1
+        frames = centred.series.frames.copy()
+        frames[1, flicker] += np.float32(0.3 * np.pi)
+        series = VelocitySeries(centred.series.header, frames)
+        means = []
+        reads = spy_on_reads(monkeypatch, means)
+        prepare_velocity(series, centred.lumen, centred.static,
                          PipelineParams(refine_threshold=0.7))
+        lattice = np.zeros_like(static)
+        lattice[::4, ::4] = static[::4, ::4]
+        rows, cols = ndimage.find_objects(centred.lumen.pixels.astype(np.int8))[0]
+        box = np.zeros_like(static)
+        box[rows.start - 4 : rows.stop + 4, cols.start - 4 : cols.stop + 4] = True
+        assert len(means) == 1 and np.array_equal(means[0], lattice & ~flicker)
         assert len(reads) == 2
-        assert sum(np.count_nonzero(pixels) for pixels in reads) < 5000
+        assert np.array_equal(reads[0], flicker) and np.array_equal(reads[1], box)
+        assert sum(np.count_nonzero(pixels) for pixels in means + reads) < 5000
 
 
 class TestStaticLattice:
@@ -481,14 +506,15 @@ class TestRefusalOrder:
     is checked, and an ROI on another grid at the flow stage."""
 
     @staticmethod
-    def refused(series, roi, static, monkeypatch):
+    def refused(series, roi, static, monkeypatch, anchor=0):
         """prepare_velocity's error, after checking that no pass started
         and no warning fired."""
         passes = spy_on_passes(monkeypatch)
+        params = PipelineParams(refine_threshold=0.5, anchor=anchor)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(csfdyn.CsfdynError) as exc_info:
-                prepare_velocity(series, roi, static, PipelineParams(refine_threshold=0.5))
+                prepare_velocity(series, roi, static, params)
         assert passes == []
         assert caught == []
         return exc_info.value
@@ -511,6 +537,15 @@ class TestRefusalOrder:
         assert type(exc) is error
         assert exc.stage == "velocity"
         assert text in str(exc)
+
+    @pytest.mark.parametrize("anchor", [-1, 100000])
+    def test_anchor_refused_before_the_static_pass(self, default_dataset, anchor, monkeypatch):
+        # every static pixel is quiet, so the static offset needs no unwrap
+        exc = self.refused(default_dataset.series, default_dataset.lumen,
+                           default_dataset.static, monkeypatch, anchor)
+        assert type(exc) is ValueOutOfRange
+        assert exc.stage == "velocity"
+        assert f"anchor frame {anchor} outside 0..908" in str(exc)
 
     def test_roi_off_grid_refused_before_the_static_pass(self, default_dataset, monkeypatch):
         # one static pixel flickers by 1 rad, so the static pass would warn
@@ -726,6 +761,16 @@ class TestPeakMemory:
         assert csfdyn.velocity.pixel_moments(ds.series, ds.static.pixels).cross is None
         peak = peak_on_top(csfdyn.velocity.pixel_moments, ds.series, ds.static.pixels)
         assert peak < 4.5e6, f"pixel_moments: {peak / 1e6:.2f} MB"
+
+    def test_static_offset_on_a_192_grid(self):
+        # the wide-fov grid: the spans pass holds three frames and then the
+        # spans, and the mean fold over the quiet stride-4 lattice one 0.5 MB
+        # converted block and one gathered float32 block, with no moment
+        # pass (1.03 MB at peak; 1.76 MB when every lattice pixel went
+        # through the moment pass)
+        ds = short_192(csfdyn.default_aqueduct_spec())
+        peak = peak_on_top(csfdyn.velocity.static_offset, ds.series, ds.static)
+        assert peak < 1.3e6, f"static_offset: {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("params", [PipelineParams(), PipelineParams(refine_threshold=0.7)],
                              ids=["static", "refine"])

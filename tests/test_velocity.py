@@ -2,6 +2,7 @@
 background offset."""
 
 import warnings
+import zlib
 from dataclasses import replace
 from unittest import mock
 
@@ -457,9 +458,11 @@ class TestBackgroundCorrect:
 
 
 class TestStaticLattice:
-    """The offset's pixels: a lattice of the static mask with at least
-    _LATTICE pixels, and the static pixels whose values span more than
-    0.2 venc, which alone can be unwrapped or raise the warning."""
+    """The offset's pixels. The moment pass reads exactly the static pixels
+    whose values span more than 0.2 venc, on the lattice or off it: they
+    alone can be unwrapped or raise the warning. The mean fold reads
+    exactly the other pixels of a lattice of the static mask with at least
+    _LATTICE pixels."""
 
     @staticmethod
     def static(size):
@@ -470,15 +473,15 @@ class TestStaticLattice:
 
     @staticmethod
     def reads(monkeypatch):
-        """The pixel grids of every pixel_moments pass static_offset makes."""
-        reads = []
-        moments = velocity.pixel_moments
+        """The pixel grids of every moment pass and every mean fold that
+        static_offset makes."""
+        reads = {"moments": [], "means": []}
+        for key, name in (("moments", "pixel_moments"), ("means", "_quiet_means")):
+            def spy(series, pixels, *args, real=getattr(velocity, name), key=key, **kwargs):
+                reads[key].append(pixels.copy())
+                return real(series, pixels, *args, **kwargs)
 
-        def spy(series, pixels, *args, **kwargs):
-            reads.append(pixels)
-            return moments(series, pixels, *args, **kwargs)
-
-        monkeypatch.setattr(velocity, "pixel_moments", spy)
+            monkeypatch.setattr(velocity, name, spy)
         return reads
 
     @staticmethod
@@ -487,39 +490,219 @@ class TestStaticLattice:
                                           encoding=encoding),
                               np.zeros((n_frames, size, size), dtype=np.float32))
 
+    @staticmethod
+    def assert_reads(reads, moments, means):
+        """reads holds one moment pass of moments, none when it is None, and
+        one mean fold of means, each as exactly that pixel grid."""
+        assert len(reads["moments"]) == (moments is not None)
+        if moments is not None:
+            assert np.array_equal(reads["moments"][0], moments)
+        assert len(reads["means"]) == 1 and np.array_equal(reads["means"][0], means)
+
     def test_default_mask_is_its_own_lattice(self, monkeypatch):
-        static = self.static(64)
+        static = self.static(64).pixels
+        assert np.count_nonzero(static[::2, ::2]) < velocity._LATTICE
+        series = self.still(64)
+        # two static pixels, and one pixel off the mask, span 0.3 venc
+        loud = np.zeros_like(static)
+        rows, cols = np.nonzero(static)
+        loud[rows[[0, -1]], cols[[0, -1]]] = True
+        series.frames[1, loud] = 3.0
+        series.frames[1, 32, 32] = 3.0
+        assert not static[32, 32]
         reads = self.reads(monkeypatch)
-        # no min/max pass: the mask itself
-        monkeypatch.setattr(velocity, "_spans", None)
-        velocity.static_offset(self.still(64), static)
-        assert len(reads) == 1 and reads[0] is static.pixels
+        with pytest.warns(StaticTissueWarning):
+            velocity.static_offset(series, RoiMask(static, RoiLabel.STATIC_TISSUE))
+        self.assert_reads(reads, loud, static & ~loud)
 
     def test_192_grid_takes_every_fourth_row_and_column(self, monkeypatch):
         static = self.static(192).pixels
         reads = self.reads(monkeypatch)
-        # a still series: no pixel spans anything, so the lattice alone is read
+        # a still series: no pixel spans anything, so no moment pass is made
         velocity.static_offset(self.still(192), RoiMask(static, RoiLabel.STATIC_TISSUE))
         expected = np.zeros_like(static)
         expected[::4, ::4] = static[::4, ::4]
-        assert len(reads) == 1 and np.array_equal(reads[0], expected)
+        self.assert_reads(reads, None, expected)
         assert np.count_nonzero(expected) >= velocity._LATTICE
         assert np.count_nonzero(static[::8, ::8]) < velocity._LATTICE
 
     @pytest.mark.parametrize("encoding", list(Encoding))
     def test_pixels_spanning_a_fifth_of_venc_join(self, encoding, monkeypatch):
         # a 128x128 mask has a stride-2 lattice; (1, 1), (1, 3) and (3, 1)
-        # lie off it and span 0.2, 0.19 and 0.21 venc
+        # lie off it and span 0.2, 0.19 and 0.21 venc, and (0, 2), (2, 0)
+        # and (2, 2) lie on it and span 0.21, 0.19 and 0.2 venc
         venc = 5.0
         to_stored = np.pi / venc if encoding is Encoding.PHASE_RADIANS else 1.0
         series = self.still(128, venc, encoding, n_frames=3)
-        series.frames[1, 1, 1], series.frames[2, 1, 3], series.frames[1, 3, 1] = (
-            np.float32(f * venc * to_stored) for f in (0.2, 0.19, 0.21))
+        spans = {(1, 1): 0.2, (1, 3): 0.19, (3, 1): 0.21, (0, 2): 0.21, (2, 0): 0.19,
+                 (2, 2): 0.2}
+        for frame, ((row, col), f) in enumerate(spans.items()):
+            series.frames[1 + frame % 2, row, col] = np.float32(f * venc * to_stored)
         reads = self.reads(monkeypatch)
         velocity.static_offset(series, RoiMask(np.ones((128, 128), dtype=bool),
                                                RoiLabel.STATIC_TISSUE))
-        expected = np.zeros((128, 128), dtype=bool)
-        expected[::2, ::2] = True
-        assert np.count_nonzero(expected) == 64 * 64
-        expected[1, 1] = expected[3, 1] = True
-        assert len(reads) == 1 and np.array_equal(reads[0], expected)
+        lattice = np.zeros((128, 128), dtype=bool)
+        lattice[::2, ::2] = True
+        assert np.count_nonzero(lattice) == 64 * 64
+        loud = np.zeros_like(lattice)
+        loud[1, 1] = loud[3, 1] = loud[0, 2] = loud[2, 2] = True
+        self.assert_reads(reads, loud, lattice & ~loud)
+
+    @pytest.mark.parametrize("anchor", [-1, 5, 100000])
+    def test_anchor_refused_before_any_pass(self, anchor, monkeypatch):
+        # every pixel is quiet, so no pass would meet the anchor on its own
+        passes = []
+        for name in ("_spans", "_quiet_means", "pixel_moments", "_unwrapped", "_converted"):
+            monkeypatch.setattr(velocity, name,
+                                lambda *args, name=name, **kwargs: passes.append(name))
+        static = RoiMask(np.ones((64, 64), dtype=bool), RoiLabel.STATIC_TISSUE)
+        with pytest.raises(ValueOutOfRange, match=f"anchor frame {anchor} outside 0..4"):
+            velocity.static_offset(self.still(64, n_frames=5), static, anchor)
+        assert passes == []
+
+
+def whole_mask_rule(series, static, anchor):
+    """The offset and the warnings of static_offset from the moments of the
+    whole mask: the mean, in row-major order, of pixel_moments(series,
+    mask).mean over the lattice static[::k, ::k] with k the largest power
+    of two that keeps _LATTICE pixels, and a warning quoting the worst
+    pixel's temporal SD when it tops 10% of venc."""
+    mask, venc = static.pixels, series.header.venc
+    k = 1
+    while np.count_nonzero(mask[:: 2 * k, :: 2 * k]) >= velocity._LATTICE:
+        k *= 2
+    lattice = np.zeros_like(mask)
+    lattice[::k, ::k] = mask[::k, ::k]
+    moments = pixel_moments(series, mask, anchor=anchor)
+    worst_sd = np.sqrt(moments.m2.max() / moments.n_frames)
+    messages = [f"static mask pixel varies by {worst_sd:.3g} cm/s over time "
+                f"(> 10% of venc {venc:g}); offset may be biased"]
+    return float(moments.mean[lattice[mask]].mean()), messages if worst_sd > 0.1 * venc else []
+
+
+#: time courses of a static pixel, in units of venc around its own level:
+#: quiet ones span at most 0.2 venc, loud ones more
+QUIET = ("quiet", "constant", "edge-0.19")
+LOUD = ("loud", "loud-small", "wrapping", "edge-0.2", "edge-0.21")
+
+
+def scan_series(kinds, n_frames, encoding, seed):
+    """A float32 series at venc 5 whose pixels follow the time courses that
+    kinds (a grid of names from QUIET and LOUD) names, each around a level
+    of its own: "wrapping" steps beyond venc, "loud" has an SD above 10% of
+    venc, "loud-small" spans more than 0.2 venc with an SD below 10%, and
+    "edge-f" steps between two values f venc apart."""
+    venc, (h, w) = 5.0, kinds.shape
+    rng = np.random.default_rng(seed)
+    level = rng.uniform(-0.5, 0.5, (h, w))
+    v = np.empty((n_frames, h, w))
+    for r, c in np.ndindex(h, w):
+        kind = kinds[r, c]
+        if kind == "quiet":
+            course = level[r, c] + rng.uniform(-0.09, 0.09, n_frames)
+        elif kind == "constant":
+            course = np.full(n_frames, level[r, c])
+        elif kind == "loud":
+            course = 0.3 * level[r, c] + rng.uniform(-0.4, 0.4, n_frames)
+        elif kind == "loud-small":
+            course = level[r, c] + rng.uniform(-0.13, 0.13, n_frames)
+        elif kind == "wrapping":
+            course = rng.uniform(-0.95, 0.95, n_frames)
+        else:
+            f = float(kind.split("-")[1])
+            course = level[r, c] + f * (rng.random(n_frames) < 0.5)
+            course[:2] = level[r, c], level[r, c] + f
+        v[:, r, c] = course * venc
+    to_stored = np.pi / venc if encoding is Encoding.PHASE_RADIANS else 1.0
+    header = make_header(venc=venc, n_frames=n_frames, w=w, h=h, encoding=encoding)
+    return VelocitySeries(header, (v * to_stored).astype(np.float32))
+
+
+def scan_case(name, rng):
+    """(kinds, static mask, quiet lattice pixels, loud pixels) of one layout;
+    the pixel counts are None where the layout leaves them to chance."""
+    if name == "lone-quiet":
+        kinds = np.array([["quiet", "wrapping"], ["loud", "constant"]], dtype=object)
+        static = np.array([[True, False], [False, False]])
+        return kinds, static, 1, 0
+    if name == "lone-each":
+        kinds = np.array([["quiet", "wrapping"], ["loud", "constant"]], dtype=object)
+        static = np.array([[True, True], [False, False]])
+        return kinds, static, 1, 1
+    if name.startswith("blocks-"):
+        # 1023, 1024 or 1025 pixels in each pass: the last block is short,
+        # full, or a lone pixel
+        q, loud = (int(part) for part in name.split("-")[1:])
+        kinds = np.empty((48, 48), dtype=object)
+        order = rng.permutation(48 * 48)
+        kinds.flat[order[:q]] = rng.choice(QUIET, q)
+        kinds.flat[order[q : q + loud]] = rng.choice(LOUD, loud)
+        kinds.flat[order[q + loud :]] = rng.choice(QUIET + LOUD, order.size - q - loud)
+        static = np.zeros((48, 48), dtype=bool)
+        static.flat[order[: q + loud]] = True
+        return kinds, static, q, loud
+    # a 96x96 mask reads a stride-2 lattice; loud, wrapping and constant
+    # pixels fall on it and off it. "quiet-only" holds no loud pixel, and
+    # "no-warning" only loud pixels whose SD stays under 10% of venc
+    static = np.ones((96, 96), dtype=bool)
+    if name == "quiet-only":
+        return rng.choice(QUIET, (96, 96)), static, None, 0
+    if name == "no-warning":
+        return rng.choice(QUIET + ("loud-small",), (96, 96)), static, None, None
+    kinds = rng.choice(QUIET + LOUD, (96, 96), p=[0.5, 0.1, 0.05, 0.1, 0.1, 0.05, 0.05, 0.05])
+    return kinds, static, None, None
+
+
+@pytest.mark.parametrize("n_frames", [65, 130])
+@pytest.mark.parametrize("anchor", [0, 37])
+@pytest.mark.parametrize("encoding", list(Encoding))
+@pytest.mark.parametrize("name", ["lone-quiet", "lone-each", "blocks-1023-1025",
+                                  "blocks-1024-1024", "blocks-1025-1023", "lattice",
+                                  "quiet-only", "no-warning"])
+def test_static_offset_is_the_whole_mask_rule(name, encoding, anchor, n_frames, monkeypatch):
+    """static_offset gives, to the bit and with the same warning text, the
+    rule it had when the moment pass read the whole mask, over a seeded
+    scan of static time courses, block sizes, encodings, anchors and frame
+    counts that are not a multiple of the 64-frame chunk."""
+    rng = np.random.default_rng(zlib.crc32(f"{name} {encoding.value} {anchor} {n_frames}".encode()))
+    kinds, mask, n_quiet, n_loud = scan_case(name, rng)
+    series = scan_series(kinds, n_frames, encoding, int(rng.integers(2**32)))
+    static = RoiMask(mask, RoiLabel.STATIC_TISSUE)
+    reads = TestStaticLattice.reads(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        offset = velocity.static_offset(series, static, anchor)
+    messages = [str(w.message) for w in caught if issubclass(w.category, StaticTissueWarning)]
+    expected, theirs = whole_mask_rule(series, static, anchor)
+    assert np.float64(offset).tobytes() == np.float64(expected).tobytes()
+    assert messages == theirs
+    assert bool(messages) == (name not in ("lone-quiet", "quiet-only", "no-warning"))
+
+    (quiet,) = reads["means"]
+    loud = reads["moments"][0] if reads["moments"] else np.zeros_like(mask)
+    assert not (quiet & loud).any() and not (loud & ~mask).any()
+    assert n_quiet is None or np.count_nonzero(quiet) == n_quiet
+    assert n_loud is None or np.count_nonzero(loud) == n_loud
+    if name == "lattice":
+        lattice = np.zeros_like(mask)
+        lattice[::2, ::2] = True
+        assert (loud & lattice).any() and (loud & ~lattice).any()
+        wrapping = mask & (kinds == "wrapping")
+        assert (wrapping & lattice).any() and (wrapping & ~lattice).any()
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("size", [1, 16, 24, 128])
+@pytest.mark.parametrize("encoding", list(Encoding))
+def test_spans_are_max_minus_min_over_every_frame(encoding, size, n_frames):
+    """The span pass folds the frames in blocks of about 16k values: 64
+    frames of a 16x16 grid, 28 of 24x24 and one of 128x128. Each pixel's
+    extremes fall on frames spread over the series, so a block skipped or
+    cut short changes some span."""
+    rng = np.random.default_rng(size * 1000 + n_frames)
+    frames = rng.uniform(-3.0, 3.0, (n_frames, size, size)).astype(np.float32)
+    series = VelocitySeries(make_header(n_frames=n_frames, w=size, h=size, encoding=encoding),
+                            frames)
+    scale = 10.0 / np.pi if encoding is Encoding.PHASE_RADIANS else 1.0
+    expected = (frames.max(axis=0).astype(np.float64) - frames.min(axis=0)) * scale
+    assert velocity._spans(series).tobytes() == expected.tobytes()
