@@ -228,9 +228,62 @@ class TestSpearman:
         assert r.statistic == sign * 1.0
         assert r.p_value == 2 / math.factorial(n)
 
+    @staticmethod
+    def doubled_centred(x):
+        n = len(x)
+        return sorted({round(2 * r) - (n + 1) for r in rank_avg(x)})
+
+    @classmethod
+    def lattice_step(cls, x):
+        # gcd of the gaps between distinct doubled centred ranks: the step
+        # of the partial sums when x's values are the ones paired off
+        values = cls.doubled_centred(x)
+        return math.gcd(*(v - u for u, v in zip(values, values[1:])))
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_exact_on_the_step_two_lattice(self, n):
+        # no ties at even n: every doubled centred rank is odd
+        g = np.random.default_rng(n)
+        for _ in range(3):
+            a, b = g.normal(0, 1, n), g.normal(0, 1, n)
+            assert self.lattice_step(a) == self.lattice_step(b) == 2
+            assert spearman(pairs_from(a, b), exact=True).p_value == \
+                spearman_exact_oracle(a, b)
+
+    def test_exact_on_a_wider_tied_lattice(self):
+        # tie groups of 1, 3, 1, 3 and 3, 1, 3, 1: doubled centred ranks
+        # -7, -3, 1, 5 and -5, -1, 3, 7, four apart with no common factor
+        a = [3, 1, 1, 0, 2, 1, 3, 3]
+        b = [1, 0, 2, 2, 0, 3, 0, 2]
+        for x in (a, b):
+            assert self.lattice_step(x) >= 3
+            assert math.gcd(*self.doubled_centred(x)) == 1
+        for x, y in ((a, b), (b, a), (a, a[::-1])):
+            assert spearman(pairs_from(x, y), exact=True).p_value == \
+                spearman_exact_oracle(x, y)
+
+    @pytest.mark.parametrize("a, b", [
+        # no ties at odd n: every doubled centred rank is even
+        ([4, 0, 6, 2, 5, 1, 3], [1, 6, 3, 0, 2, 5, 4]),
+        # two tie groups of 3 on b: -3 and 3, a common factor 3 and step 6
+        ([4, 0, 5, 2, 1, 3], [1, 0, 1, 0, 0, 1]),
+    ], ids=["odd-untied", "two-groups-of-3"])
+    def test_exact_when_the_values_share_a_factor(self, a, b):
+        assert math.gcd(*self.doubled_centred(b)) > 1
+        assert spearman(pairs_from(a, b), exact=True).p_value == \
+            spearman_exact_oracle(a, b)
+
     # hit counts of the int64 count, pinned across the switch to int32
-    # counts at n! < 2^31 (n <= 12)
+    # counts at n! < 2^31 (n <= 12), and at n = 9 and 10, where untied
+    # doubled centred ranks are even and odd; each count also matches a
+    # listing of all n! pairings
     @pytest.mark.parametrize("a, b, hits", [
+        ([6, 7, 4, 1, 2, 5, 0, 3, 8], [8, 6, 5, 1, 7, 4, 2, 0, 3], 97826),
+        ([5, 1, 6, 7, 8, 4, 2, 0, 3], [0, 0, 0, 1, 0, 2, 2, 2, 2], 65664),
+        ([3, 2, 1, 2, 0, 2, 2, 2, 0], [2, 1, 1, 1, 0, 2, 2, 1, 2], 112320),
+        ([9, 1, 3, 2, 0, 5, 8, 4, 6, 7], [2, 8, 1, 6, 7, 0, 4, 9, 3, 5], 561818),
+        ([8, 6, 5, 1, 0, 7, 4, 9, 3, 2], [2, 2, 0, 2, 1, 1, 0, 1, 1, 0], 2374272),
+        ([0, 2, 1, 2, 3, 0, 1, 2, 2, 3], [1, 2, 1, 2, 2, 1, 2, 2, 2, 1], 846720),
         (range(11), [4, 0, 9, 1, 8, 3, 2, 6, 5, 7, 10], 6526220),
         ([2, 1, 2, 0, 0, 2, 0, 0, 2, 0, 1], [1, 1, 2, 1, 2, 2, 1, 1, 1, 0, 2], 12925440),
         (range(12), [8, 1, 0, 9, 6, 3, 5, 4, 10, 7, 2, 11], 147766478),
@@ -241,7 +294,8 @@ class TestSpearman:
         (range(14), [6, 3, 7, 0, 2, 8, 5, 1, 12, 4, 10, 11, 13, 9], 2274646844),
         ([3, 3, 0, 1, 0, 2, 1, 2, 0, 2, 0, 3, 3, 2], [0, 2, 0, 1, 0, 1, 1, 0, 0, 2, 2, 0, 2, 2],
          38454912000),
-    ], ids=["11-untied", "11-tied", "12-untied", "12-tied", "13-untied", "13-tied",
+    ], ids=["9-untied", "9-tied-b", "9-tied-both", "10-untied", "10-tied-b", "10-tied-both",
+            "11-untied", "11-tied", "12-untied", "12-tied", "13-untied", "13-tied",
             "14-untied", "14-tied"])
     def test_exact_counts_across_the_integer_width(self, a, b, hits):
         r = spearman(pairs_from(a, b), exact=True)
@@ -259,14 +313,16 @@ class TestSpearman:
             tracemalloc.stop()
 
     def test_exact_memory_at_the_cohort_size(self, rng):
-        # n = 10, as in the cohort-exact benchmark: int32 counts and no
-        # product arrays peak at 0.88 MB (1.91 MB with int64 products)
-        assert self.exact_peak(10, rng) < 1.2e6
+        # n = 10, as in the cohort-exact benchmark: int32 counts on the
+        # step-2 sum lattice peak at 0.50 MB (0.88 MB with a column for
+        # every integer sum, 1.91 MB with int64 products)
+        assert self.exact_peak(10, rng) < 0.7e6
 
     def test_exact_memory_at_the_limit(self, rng):
-        # 41 MB at peak, a quarter above it allowed (67 MB with whole
-        # per-group product arrays)
-        assert self.exact_peak(SPEARMAN_EXACT_MAX_N, rng) < 51e6
+        # 22 MB at peak on the step-2 sum lattice, a quarter above it
+        # allowed (41 MB with a column for every integer sum, 67 MB with
+        # whole per-group product arrays)
+        assert self.exact_peak(SPEARMAN_EXACT_MAX_N, rng) < 28e6
 
     def test_exact_refused_above_the_limit(self, rng):
         n = SPEARMAN_EXACT_MAX_N + 1
