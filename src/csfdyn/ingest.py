@@ -532,13 +532,18 @@ _HEADER_LINE = re.compile(b"[^\r\n]*")
 def _loadtxt_rows(path) -> np.ndarray | None:
     """The rows below the header line as numpy parses them, or None where
     they may differ from _loop_rows: loadtxt refused, or found other than
-    two columns, fewer than 2 rows or a non-finite value."""
+    two columns, fewer than 2 rows or a non-finite value.
+
+    The file is opened here, with universal newlines, and loadtxt reads
+    its lines one by one. Given a path, loadtxt would read it in chunks,
+    about 1 ms faster per 15,000 lines, but through numpy's datasource,
+    which imports gzip into every job that reads a trace."""
     with warnings.catch_warnings():
         # a file without rows is _loop_rows' to refuse
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2,
-                              encoding="ascii")
+            with open(path, encoding="ascii") as fh:
+                rows = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1, ndmin=2)
         except (ValueError, OSError):
             return None
     if rows.shape[0] < 2 or rows.shape[1] != 2 or not np.isfinite(rows).all():

@@ -6,9 +6,9 @@ The velocity and flow stages read the series once per pass, a block of
 pixels at a time, and fold the blocks into per-pixel moments and
 per-frame sums (prepare_velocity). The gating and ensemble stages hold
 the cycles as tables of columns (CycleTable, CanonicalTable), and the
-belt as arrays. A job holds one block plus vectors with one value per
-frame, per pixel or per cycle, however long the recording: no velocity
-map is built.
+belt as arrays. A job holds one 128 KB block plus vectors with one value
+per frame, per pixel or per cycle, however long the recording and however
+wide the field of view: no velocity map is built.
 """
 
 from __future__ import annotations
@@ -185,9 +185,9 @@ def prepare_velocity(
       refined ROI to the bit;
     - the seed's mean velocity and the flow are per-frame sums over the
       ROI, the offset taken off each velocity as it is added.
-    No velocity map is built: a job holds one block plus vectors with one
-    value per frame or per pixel. Returns the flow, the final ROI and the
-    offset.
+    No velocity map is built: a job holds one 128 KB block plus vectors
+    with one value per frame or per pixel. Returns the flow, the final ROI
+    and the offset.
 
     All of it runs in the series' own sign; the sign convention is applied
     here alone, at the end. flip_sign negates the flow and the offset, an

@@ -25,8 +25,11 @@ count. ``pixel_moments`` folds the unwrapped blocks into per-pixel
 moments, with no full-size array built: the StaticTissueWarning and the
 refinement's correlation map come from those. ``pixel_sums`` folds them
 into per-frame sums over the pixels, the ROI's flow and the seed's
-reference time course. So the pipeline holds one block plus vectors with
-one value per frame or per pixel, and builds no velocity map.
+reference time course. Every pass holds blocks of _BLOCK_VALUES float64
+values (128 KB): 64 frames of 256 pixels for moments and means, and for
+sums over few pixels more frames a step. So the pipeline holds one block
+plus vectors with one value per frame or per pixel, and builds no
+velocity map.
 ``unwrap_temporal`` writes the blocks into velocity maps.
 
 Each pass reads only the pixels it needs, so the pipeline's cost follows
@@ -57,13 +60,12 @@ from .ingest import (
 
 #: frames per step of _unwrapped when it feeds pixel_moments
 _CHUNK = 64
-#: pixels per step of _unwrapped: a float64 block of _CHUNK frames is
-#: 0.5 MB, and _unwrapped holds two (the block and its steps)
-_BLOCK = 1024
+#: values in each block a streamed pass holds: a float64 block of frames
+#: times pixels is 128 KB, and _unwrapped holds two (the block and its
+#: steps); _spans' running minima and maxima hold as many stored values
+_BLOCK_VALUES = 1 << 14
 #: static pixels the lattice static[::k, ::k] of static_offset holds at least
 _LATTICE = 2048
-#: stored values in each of _spans' running minima and maxima
-_SPAN_VALUES = 1 << 14
 
 
 class StaticTissueWarning(UserWarning):
@@ -143,8 +145,8 @@ def _check_anchor(series: VelocitySeries, anchor: int) -> None:
 
 def _converted(series: VelocitySeries, idx: np.ndarray, chunk: int, stop: int):
     """Yield (start, at, xb) per chunk of up to chunk frames from start,
-    before frame stop, and block of up to _BLOCK of the flat pixel indices
-    idx; at is the block's slice of idx.
+    before frame stop, and block of up to _BLOCK_VALUES // chunk of the
+    flat pixel indices idx; at is the block's slice of idx.
 
     xb holds the block's stored values in float64 cm/s, in one buffer that
     the next block overwrites. numpy sums a lone column pairwise but two or
@@ -152,13 +154,14 @@ def _converted(series: VelocitySeries, idx: np.ndarray, chunk: int, stop: int):
     columns, of which the first counts.
     """
     scale = _to_cmps(series.header)
-    x = np.empty((min(chunk, stop), max(min(idx.size, _BLOCK), 2)))
+    width = _BLOCK_VALUES // chunk
+    x = np.empty((min(chunk, stop), max(min(idx.size, width), 2)))
     for start in range(0, stop, chunk):
         frames = series.frames[start : min(start + chunk, stop)]
         m = frames.shape[0]
         frames = frames.reshape(m, -1)
-        for b in range(0, idx.size, _BLOCK):
-            cols = idx[b : b + _BLOCK]
+        for b in range(0, idx.size, width):
+            cols = idx[b : b + width]
             at = slice(b, b + cols.size)
             cols = np.resize(cols, max(cols.size, 2))
             contiguous = cols[-1] - cols[0] == cols.size - 1
@@ -171,8 +174,9 @@ def _converted(series: VelocitySeries, idx: np.ndarray, chunk: int, stop: int):
 
 def _unwrapped(series: VelocitySeries, pixels: np.ndarray, anchor: int, chunk: int = _CHUNK):
     """Yield (start, at, xb, scratch, varies) per chunk of up to chunk
-    frames from start and block of up to _BLOCK of the pixels that the
-    boolean grid pixels selects; at is their slice in row-major order.
+    frames from start and block of up to _BLOCK_VALUES // chunk of the
+    pixels that the boolean grid pixels selects; at is their slice in
+    row-major order.
 
     xb holds the block as _converted reads it, unwrapped as
     unwrap_temporal describes; scratch has its shape. The caller may
@@ -187,7 +191,7 @@ def _unwrapped(series: VelocitySeries, pixels: np.ndarray, anchor: int, chunk: i
     # unwrapped; wraps: its wraps since the anchor frame at that frame
     last, prev, wraps = (np.zeros(idx.size) for _ in range(3))
     varies = np.zeros(idx.size, dtype=bool)
-    tmp = np.empty((min(chunk, n), max(min(idx.size, _BLOCK), 2)))
+    tmp = np.empty((min(chunk, n), max(min(idx.size, _BLOCK_VALUES // chunk), 2)))
 
     def blocks(stop: int):
         """(start, at, xb, d, step) per block of _converted before stop:
@@ -230,8 +234,8 @@ def _unwrapped(series: VelocitySeries, pixels: np.ndarray, anchor: int, chunk: i
 def _chunk_for(n_pixels: int) -> int:
     """Frames per step of _unwrapped when its blocks are kept whole: where
     chunks split does not change the unwrap, so few pixels take more
-    frames a step, up to a quarter of a _CHUNK x _BLOCK block."""
-    return max(_CHUNK, _CHUNK * _BLOCK // (4 * max(n_pixels, 1)))
+    frames a step, as many as one block of _BLOCK_VALUES holds."""
+    return max(_CHUNK, _BLOCK_VALUES // max(n_pixels, 1))
 
 
 def add_columns(columns: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
@@ -397,14 +401,15 @@ def static_offset(series: VelocitySeries, static: RoiMask, anchor: int = 0) -> f
     deviation, sqrt(m2 / n), exceeds 10% of venc, which usually means the
     mask leaks into moving fluid; it quotes the worst pixel's SD.
 
-    One min/max pass over the stored values (_spans) splits the mask. A
-    pixel is loud when its values span more than 0.2 venc, within a
-    relative 1e-6 for rounding. A quiet pixel never steps beyond venc, so
-    the unwrap leaves it as it is, and its SD is at most half its span
-    (Popoviciu's inequality): it can neither warn nor be the worst pixel.
-    So pixel_moments reads the loud pixels alone, on the lattice or off it,
-    and the warning is the whole mask's; the quiet lattice pixels need only
-    their means (_quiet_means), which equal their moment means to the bit.
+    One min/max pass over the stored values (_spans), a band of rows at a
+    time, splits the mask. A pixel is loud when its values span more than
+    0.2 venc, within a relative 1e-6 for rounding. A quiet pixel never
+    steps beyond venc, so the unwrap leaves it as it is, and its SD is at
+    most half its span (Popoviciu's inequality): it can neither warn nor
+    be the worst pixel. So pixel_moments reads the loud pixels alone, on
+    the lattice or off it, and the warning is the whole mask's; the quiet
+    lattice pixels need only their means (_quiet_means), which equal their
+    moment means to the bit.
     """
     check_static_mask(static, series.header)
     _check_anchor(series, anchor)
@@ -414,7 +419,11 @@ def static_offset(series: VelocitySeries, static: RoiMask, anchor: int = 0) -> f
         k *= 2
     lattice = np.zeros_like(mask)
     lattice[::k, ::k] = mask[::k, ::k]
-    loud = mask & (_spans(series) > 0.2 * venc * (1.0 - 1e-6))
+    loud = np.empty_like(mask)
+    for rows, spans in _spans(series):
+        np.greater(spans, 0.2 * venc * (1.0 - 1e-6), out=loud[rows])
+    del spans  # the spans' buffer is let go before the means are read
+    loud &= mask
     means = np.empty(np.count_nonzero(lattice))
     means[~loud[lattice]] = _quiet_means(series, lattice & ~loud)
     worst_sd = 0.0
@@ -428,27 +437,41 @@ def static_offset(series: VelocitySeries, static: RoiMask, anchor: int = 0) -> f
     return float(means.mean())
 
 
-def _spans(series: VelocitySeries) -> np.ndarray:
-    """Each pixel's span, max - min over the frames of its stored values,
-    in cm/s.
+def _spans(series: VelocitySeries):
+    """Yield (rows, spans) per band of the grid's rows: spans holds each
+    pixel of the band its span, max - min over the frames of its stored
+    values, in float64 cm/s, in one buffer that the next band overwrites.
 
-    The frames are folded elementwise into running minima and maxima of r
-    frames each, about _SPAN_VALUES values, so a small grid takes many
-    frames a step; the r rows are reduced once at the end. The blocks
-    after the first end on the last frame, so the first of them may take
-    frames already folded in, which leaves a minimum or maximum as it is.
+    A band's frames are folded elementwise into running minima and maxima
+    of r frames each, of about _BLOCK_VALUES stored values, so a small grid
+    takes many frames a step; the r rows are then folded in place, halving
+    each time. The blocks after the first end on the last frame, so the
+    first of them may take frames already folded in, which leaves a
+    minimum or maximum as it is.
     """
     n, h, w = series.frames.shape
-    r = min(n, max(1, _SPAN_VALUES // (h * w)))
-    lo, hi = series.frames[:r].copy(), series.frames[:r].copy()
-    for start in range(n % r or r, n, r):
-        frames = series.frames[start : start + r]
-        np.minimum(lo, frames, out=lo)
-        np.maximum(hi, frames, out=hi)
-    lo = lo.min(axis=0)
-    hi = hi.max(axis=0)
-    spans = hi.astype(np.float64)
-    del hi  # only the minima are held while the spans are taken
-    spans -= lo
-    spans *= _to_cmps(series.header)
-    return spans
+    rows = max(1, min(h, _BLOCK_VALUES // w))
+    r = min(n, max(1, _BLOCK_VALUES // (rows * w)))
+    lo, hi = (np.empty((r, rows, w), dtype=series.frames.dtype) for _ in range(2))
+    spans = np.empty((rows, w))
+    scale = _to_cmps(series.header)
+    for top in range(0, h, rows):
+        frames = series.frames[:, top : top + rows]
+        k = frames.shape[1]
+        lo_k, hi_k = lo[:, :k], hi[:, :k]
+        np.copyto(lo_k, frames[:r])
+        np.copyto(hi_k, frames[:r])
+        for start in range(n % r or r, n, r):
+            np.minimum(lo_k, frames[start : start + r], out=lo_k)
+            np.maximum(hi_k, frames[start : start + r], out=hi_k)
+        m = r
+        while m > 1:
+            half = m // 2
+            np.minimum(lo_k[:half], lo_k[m - half : m], out=lo_k[:half])
+            np.maximum(hi_k[:half], hi_k[m - half : m], out=hi_k[:half])
+            m -= half
+        # copyto casts the maxima with no buffer; only the minima need one
+        np.copyto(spans[:k], hi_k[0])
+        spans[:k] -= lo_k[0]
+        spans[:k] *= scale
+        yield slice(top, top + k), spans[:k]

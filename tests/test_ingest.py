@@ -4,6 +4,9 @@ import errno
 import json
 import math
 import mmap
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, fields
 from typing import get_type_hints
@@ -512,6 +515,19 @@ class TestPhysioReaders:
 
         monkeypatch.setattr(ingest, "_loop_rows", refuse)
         assert outcome(read_physio, path) == expected
+
+    def test_reading_a_trace_imports_no_gzip(self, tmp_path):
+        # given a path, loadtxt opens it through numpy's datasource, which
+        # imports gzip (about 0.07 MB) into the job; a fresh interpreter
+        # shows what one read_physio call imports
+        path = tmp_path / "belt.csv"
+        path.write_text(PHYSIO_TEXTS["plain"], encoding="ascii")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ingest.__file__)))
+        code = (f"import sys; sys.path.insert(0, {src!r}); from csfdyn import read_physio; "
+                f"read_physio({str(path)!r}); print('gzip' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.split() == ["False"]
 
 
 # every dataclass built from outside input: file headers, phantom spec

@@ -232,8 +232,9 @@ def test_unwrap_of_crop_is_crop_of_unwrap(case):
 def moment_case(draw):
     """A series of 1, 2, 64, 65 or 129 frames whose pixels may or may not
     hold a step beyond venc, a pixel subset, a sign, an optional
-    reference time course, an anchor frame and a block size for
-    pixel_moments."""
+    reference time course, an anchor frame and a block budget: 64, 128 or
+    192 values give pixel_moments blocks of 1-3 pixels, 1 << 14 (the
+    default) blocks of every pixel."""
     n = draw(st.sampled_from([1, 2, 64, 65, 129]))
     h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     encoding = draw(st.sampled_from(list(Encoding)))
@@ -248,7 +249,7 @@ def moment_case(draw):
     ref = rng.normal(0.0, 1.0, n) if draw(st.booleans()) else None
     return (VelocitySeries(header, frames.astype(dtype)), rng.random((h, w)) < 0.5,
             draw(st.booleans()), ref, draw(st.integers(0, n - 1)),
-            draw(st.sampled_from([1, 2, 3, 4096])))
+            draw(st.sampled_from([64, 128, 192, 1 << 14])))
 
 
 @settings(deadline=None)
@@ -259,8 +260,8 @@ def test_moments_of_subset_are_subset_of_moments(case):
     they are the moments of the reference unwrap's output (the flipped one
     negated). So static_offset over the subset gives the offset, and the
     StaticTissueWarning, of the whole grid's moments."""
-    series, subset, flip_sign, ref, anchor, block = case
-    with mock.patch.object(velocity, "_BLOCK", block):
+    series, subset, flip_sign, ref, anchor, budget = case
+    with mock.patch.object(velocity, "_BLOCK_VALUES", budget):
         whole = pixel_moments(series, np.ones(subset.shape, dtype=bool), ref, anchor)
         part = pixel_moments(series, subset, ref, anchor)
     at = subset[whole.pixels]
@@ -272,7 +273,7 @@ def test_moments_of_subset_are_subset_of_moments(case):
     if subset.any():
         # the whole-mask oracle: on a grid this small the lattice is the mask
         static = RoiMask(subset, RoiLabel.STATIC_TISSUE)
-        with mock.patch.object(velocity, "_BLOCK", block), \
+        with mock.patch.object(velocity, "_BLOCK_VALUES", budget), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             offset = velocity.static_offset(series, static, anchor)
@@ -297,15 +298,15 @@ def test_moments_of_subset_are_subset_of_moments(case):
 def test_velocities_match_oracle(case, data):
     """The streamed velocities of any box of the grid, a view that need not
     be contiguous, equal the whole-array reference to the bit (the flipped
-    one negated); a _BLOCK of 1-3 pixels also splits the frames into chunks
-    of 64."""
-    series, _, flip_sign, _, anchor, block = case
+    one negated); a _BLOCK_VALUES budget of 64-192 values also splits the
+    frames into chunks of 64-192 and the pixels into blocks of 1-3."""
+    series, _, flip_sign, _, anchor, budget = case
     _, h, w = series.frames.shape
     r0, c0 = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
     r1, c1 = data.draw(st.integers(r0 + 1, h)), data.draw(st.integers(c0 + 1, w))
     box = VelocitySeries(replace(series.header, height=r1 - r0, width=c1 - c0),
                          series.frames[:, r0:r1, c0:c1])
-    with mock.patch.object(velocity, "_BLOCK", block):
+    with mock.patch.object(velocity, "_BLOCK_VALUES", budget):
         out = velocity_maps(box, anchor)
     assert out.header == replace(box.header, encoding=Encoding.VELOCITY_CMPS)
     expected = unwrap_oracle(box, flip_sign, anchor)
@@ -322,15 +323,15 @@ def test_streamed_flow_matches_velocity_maps(case, corrected):
     streamed blocks come, equal to the bit those of the velocity maps:
     extract_flow of velocity_maps() corrected by background_correct
     (static tissue: the other pixels, or all of them), and seed_reference
-    of velocity_maps(), however _BLOCK splits the ROI. With the sign drawn
+    of velocity_maps(), however _BLOCK_VALUES splits the ROI. With the sign drawn
     flipped the maps are negated first, and the streamed results, negated
     as prepare_velocity negates the flow (an exact zero kept positive),
     must give their bits."""
-    series, pixels, flip_sign, _, anchor, block = case
+    series, pixels, flip_sign, _, anchor, budget = case
     pixels[0, 0] = True  # an ROI is never empty
     roi = RoiMask(pixels, RoiLabel.AQUEDUCT)
     sign = -1.0 if flip_sign else 1.0
-    with mock.patch.object(velocity, "_BLOCK", block):
+    with mock.patch.object(velocity, "_BLOCK_VALUES", budget):
         vel = velocity_maps(series, anchor)
         vel = VelocitySeries(vel.header, sign * vel.frames)
         offset = None
@@ -350,11 +351,12 @@ def test_streamed_flow_matches_velocity_maps(case, corrected):
 
 @pytest.mark.parametrize("block", [2048, 300, 7])
 def test_streamed_flow_adds_pixels_in_turn(block):
-    """Over an ROI of about 800 pixels split into blocks, the streamed flow is
-    numpy's sum of the F-ordered gather of the corrected maps, to the bit:
-    pixel after pixel, not the pairwise row sum of a C-ordered block,
-    which differs in the last bits. The maps are negated, and so is the
-    flow, as prepare_velocity flips the sign."""
+    """Over an ROI of about 800 pixels, with a budget of block pixels of 64
+    frames (one block of all of them at 2048, blocks of 300 or 7 pixels
+    otherwise), the streamed flow is numpy's sum of the F-ordered gather
+    of the corrected maps, to the bit: pixel after pixel, not the pairwise
+    row sum of a C-ordered block, which differs in the last bits. The maps
+    are negated, and so is the flow, as prepare_velocity flips the sign."""
     rng = np.random.default_rng(5)
     header = make_header(venc=5.0, n_frames=130, w=40, h=40, encoding=Encoding.VELOCITY_CMPS)
     series = VelocitySeries(header, rng.uniform(-5.0, 5.0, (130, 40, 40)).astype(np.float32))
@@ -363,7 +365,7 @@ def test_streamed_flow_adds_pixels_in_turn(block):
     flipped = VelocitySeries(vel.header, -vel.frames)
     with pytest.warns(StaticTissueWarning):
         flipped, offset = background_correct(flipped, RoiMask(~pixels, RoiLabel.STATIC_TISSUE))
-    with mock.patch.object(velocity, "_BLOCK", block):
+    with mock.patch.object(velocity, "_BLOCK_VALUES", block * 64):
         flow = streamed_flow(series, RoiMask(pixels, RoiLabel.AQUEDUCT), 60, -offset)
     gather = flipped.frames[:, pixels]
     assert gather.flags.f_contiguous
@@ -695,14 +697,23 @@ def test_static_offset_is_the_whole_mask_rule(name, encoding, anchor, n_frames, 
 @pytest.mark.parametrize("size", [1, 16, 24, 128])
 @pytest.mark.parametrize("encoding", list(Encoding))
 def test_spans_are_max_minus_min_over_every_frame(encoding, size, n_frames):
-    """The span pass folds the frames in blocks of about 16k values: 64
-    frames of a 16x16 grid, 28 of 24x24 and one of 128x128. Each pixel's
-    extremes fall on frames spread over the series, so a block skipped or
-    cut short changes some span."""
+    """The span pass folds the frames of each band of rows in blocks of
+    about _BLOCK_VALUES values: at the default 16k, 64 frames of a 16x16
+    grid, 28 of 24x24 and one of 128x128, each grid one band; at 1000,
+    bands of 7 rows of 128 (the last of 2) and 3 frames of 16x16. Each
+    pixel's extremes fall on frames spread over the series, so a block
+    skipped or cut short changes some span, and the bands tile the grid's
+    rows in order."""
     rng = np.random.default_rng(size * 1000 + n_frames)
     frames = rng.uniform(-3.0, 3.0, (n_frames, size, size)).astype(np.float32)
     series = VelocitySeries(make_header(n_frames=n_frames, w=size, h=size, encoding=encoding),
                             frames)
     scale = 10.0 / np.pi if encoding is Encoding.PHASE_RADIANS else 1.0
     expected = (frames.max(axis=0).astype(np.float64) - frames.min(axis=0)) * scale
-    assert velocity._spans(series).tobytes() == expected.tobytes()
+    for budget in (1 << 14, 1000):
+        with mock.patch.object(velocity, "_BLOCK_VALUES", budget):
+            bands = [(rows, band.copy()) for rows, band in velocity._spans(series)]
+        tops = [rows.start for rows, _ in bands]
+        assert [0] + [rows.stop for rows, _ in bands] == tops + [size]
+        spans = np.concatenate([band for _, band in bands])
+        assert spans.tobytes() == expected.tobytes()
