@@ -290,16 +290,12 @@ def cmd_cohort(args: argparse.Namespace) -> int:
 
     by_roi: dict[str, list[dict]] = {}
     for row in rows:
-        by_roi.setdefault(row["roi"], []).append(row)
-
-    def stat_dict(res):
-        return {
-            "statistic": res.statistic,
-            "p_value": res.p_value,
-            "n": res.n,
-            "method": res.method.value,
-            "n_dropped": res.n_dropped,
-        }
+        group = by_roi.setdefault(row["roi"], [])
+        if group and row["unit"] != group[0]["unit"]:
+            raise UnpairedSubject(
+                f"subject {row['id']}: unit {row['unit']} != unit {group[0]['unit']} "
+                f"of subject {group[0]['id']} in ROI {row['roi']}")
+        group.append(row)
 
     # every ROI's statistics run before anything is written, so a refusal
     # leaves no partial output behind
@@ -314,10 +310,10 @@ def cmd_cohort(args: argparse.Namespace) -> int:
             "epi_sv": [r["epi_sv"] for r in group],
         }
         try:
-            block["spearman"] = stat_dict(spearman(pairs, exact=args.spearman_exact))
-            block["wilcoxon"] = stat_dict(wilcoxon_paired(pairs))
+            block["spearman"] = asdict(spearman(pairs, exact=args.spearman_exact))
+            block["wilcoxon"] = asdict(wilcoxon_paired(pairs))
             if args.paired_t:
-                block["paired_t"] = stat_dict(paired_t(pairs))
+                block["paired_t"] = asdict(paired_t(pairs))
         except CsfdynError as exc:
             raise type(exc)(f"ROI {roi}: {exc}") from exc
         mods = [r["modulation"] for r in group if r["modulation"] is not None]

@@ -251,26 +251,27 @@ def process_subject(
     """
     params = params or PipelineParams()
     unit = _resolve_unit(params, roi.label)
+    continuous = series.header.series_kind is not SeriesKind.GATED_CONV
+    # a missing trace is refused before the velocity stage reads the series
+    if continuous and belt is None:
+        raise InputError("a respiratory belt trace is required for continuous series",
+                         ).with_stage("gating")
+    if continuous and params.gate == "plethysmo" and plethysmo is None:
+        raise InputError("gate=plethysmo needs a plethysmograph trace").with_stage("gating")
     flow, roi, offset = prepare_velocity(series, roi, static, params)
 
     boundaries = phases = None
     cycles = CycleTable.of([])
     n_skipped = 0
     notes = []
-    if series.header.series_kind is SeriesKind.GATED_CONV:
+    if not continuous:
         # already one reconstructed cycle: its 32 samples are adopted as
         # the global curve with no gating stage
         rr = series.header.n_frames * series.header.frame_interval
         canonical = CanonicalTable.of([CanonicalCycle(flow.q, 0, RespLabel.MIXED, float(rr))])
         notes.append("gated series: cardiac gating already applied at acquisition")
     else:
-        if belt is None:
-            raise InputError("a respiratory belt trace is required for continuous series",
-                             ).with_stage("gating")
         if params.gate == "plethysmo":
-            if plethysmo is None:
-                raise InputError("gate=plethysmo needs a plethysmograph trace"
-                                 ).with_stage("gating")
             boundaries = _staged(
                 "gating", detect_cycles_from_plethysmo, plethysmo, params.min_rr, params.max_rr
             )

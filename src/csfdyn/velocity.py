@@ -23,11 +23,12 @@ wrap count from chunk to chunk, counts wraps only in the pixels that step
 beyond venc, and shifts only blocks that hold such a pixel or a carried
 count. ``pixel_moments`` folds the unwrapped blocks into per-pixel
 moments, with no full-size array built: the StaticTissueWarning and the
-refinement's correlation map come from those. ``pixel_sums`` folds them
-into per-frame sums over the pixels, the ROI's flow and the seed's
-reference time course. Every pass holds blocks of _BLOCK_VALUES float64
-values (128 KB): 64 frames of 256 pixels for moments and means, and for
-sums over few pixels more frames a step. So the pipeline holds one block
+refinement's correlation map come from those. It tells a pixel that holds
+still by comparing each block with the pixel's first unwrapped value.
+``pixel_sums`` folds the blocks into per-frame sums over the pixels, the
+ROI's flow and the seed's reference time course. Every pass holds blocks
+of _BLOCK_VALUES float64 values (128 KB): 64 frames of 256 pixels for
+moments and means, and for sums over few pixels more frames a step. So the pipeline holds one block
 plus vectors with one value per frame or per pixel, and builds no
 velocity map.
 ``unwrap_temporal`` writes the blocks into velocity maps.
@@ -122,7 +123,7 @@ def unwrap_temporal(series: VelocitySeries, anchor: int = 0) -> VelocitySeries:
     n, h, w = series.frames.shape
     out = np.empty((n, h * w))
     steps = _unwrapped(series, np.ones((h, w), dtype=bool), anchor, _chunk_for(h * w))
-    for start, at, xb, _, _ in steps:
+    for start, at, xb, _ in steps:
         out[start : start + xb.shape[0], at] = xb[:, : at.stop - at.start]
     return VelocitySeries(series.header, out.reshape(n, h, w))
 
@@ -148,10 +149,11 @@ def _converted(series: VelocitySeries, idx: np.ndarray, chunk: int, stop: int):
     before frame stop, and block of up to _BLOCK_VALUES // chunk of the
     flat pixel indices idx; at is the block's slice of idx.
 
-    xb holds the block's stored values in float64 cm/s, in one buffer that
-    the next block overwrites. numpy sums a lone column pairwise but two or
-    more columns frame by frame, so a pixel alone in its block fills two
-    columns, of which the first counts.
+    xb holds the block's stored values, gathered by their pixel indices,
+    in float64 cm/s, in one buffer that the next block overwrites. numpy
+    sums a lone column pairwise but two or more columns frame by frame, so
+    a pixel alone in its block fills two columns, of which the first
+    counts.
     """
     scale = _to_cmps(series.header)
     width = _BLOCK_VALUES // chunk
@@ -164,33 +166,28 @@ def _converted(series: VelocitySeries, idx: np.ndarray, chunk: int, stop: int):
             cols = idx[b : b + width]
             at = slice(b, b + cols.size)
             cols = np.resize(cols, max(cols.size, 2))
-            contiguous = cols[-1] - cols[0] == cols.size - 1
             xb = x[:m, : cols.size]
             # a gathered block is let go before the next one is gathered
-            np.multiply(frames[:, cols[0] : cols[-1] + 1] if contiguous else frames[:, cols],
-                        scale, out=xb, dtype=np.float64)
+            np.multiply(frames[:, cols], scale, out=xb, dtype=np.float64)
             yield start, at, xb
 
 
 def _unwrapped(series: VelocitySeries, pixels: np.ndarray, anchor: int, chunk: int = _CHUNK):
-    """Yield (start, at, xb, scratch, varies) per chunk of up to chunk
-    frames from start and block of up to _BLOCK_VALUES // chunk of the
-    pixels that the boolean grid pixels selects; at is their slice in
-    row-major order.
+    """Yield (start, at, xb, scratch) per chunk of up to chunk frames from
+    start and block of up to _BLOCK_VALUES // chunk of the pixels that the
+    boolean grid pixels selects; at is their slice in row-major order.
 
     xb holds the block as _converted reads it, unwrapped as
     unwrap_temporal describes; scratch has its shape. The caller may
-    overwrite both. varies tells whether each pixel's unwrapped velocity
-    has changed so far. Each pixel's wraps since the anchor frame (counted
+    overwrite both. Each pixel's wraps since the anchor frame (counted
     first over frames 0..anchor) are carried from chunk to chunk.
     """
     _check_anchor(series, anchor)
     n, venc = series.header.n_frames, series.header.venc
     idx = np.flatnonzero(pixels)
-    # last: each pixel's last frame so far, converted; prev: the same,
-    # unwrapped; wraps: its wraps since the anchor frame at that frame
-    last, prev, wraps = (np.zeros(idx.size) for _ in range(3))
-    varies = np.zeros(idx.size, dtype=bool)
+    # last: each pixel's last frame so far, converted; wraps: its wraps
+    # since the anchor frame at that frame
+    last, wraps = (np.zeros(idx.size) for _ in range(2))
     tmp = np.empty((min(chunk, n), max(min(idx.size, _BLOCK_VALUES // chunk), 2)))
 
     def blocks(stop: int):
@@ -211,10 +208,8 @@ def _unwrapped(series: VelocitySeries, pixels: np.ndarray, anchor: int, chunk: i
 
     for start, at, xb, d, step in blocks(n):
         k, carried = step.size, wraps[at]
-        touched = (step > venc) | (carried != 0.0)
-        varies[at] |= (step > 0.0) & ~touched
-        if touched.any():
-            jumps = np.flatnonzero(step > venc)
+        jumps = np.flatnonzero(step > venc)
+        if jumps.size or carried.any():
             # 2 venc off per wrap since the anchor: a fixed offset for wraps
             # carried in, a running one within the chunk
             cum = np.cumsum(_wrap_counts(d[:, jumps], venc), axis=0) + carried[jumps]
@@ -222,13 +217,7 @@ def _unwrapped(series: VelocitySeries, pixels: np.ndarray, anchor: int, chunk: i
             xb[:, :k] += -2.0 * venc * carried
             xb[:, jumps] = unwrapped
             carried[jumps] = cum[-1]
-            # a pixel may step raw and yet hold still once unwrapped; one not
-            # yet seen to vary has held one value until now
-            todo = np.flatnonzero(touched & ~varies[at])
-            held = prev[at][todo] if start else xb[0, todo]
-            varies[at.start + todo] = (xb[:, todo] != held).any(axis=0)
-        prev[at] = xb[-1, :k]
-        yield start, at, xb, d, varies
+        yield start, at, xb, d
 
 
 def _chunk_for(n_pixels: int) -> int:
@@ -271,7 +260,7 @@ def pixel_sums(
     """
     sums = np.zeros(series.header.n_frames)
     steps = _unwrapped(series, pixels, anchor, _chunk_for(np.count_nonzero(pixels)))
-    for start, at, xb, _, _ in steps:
+    for start, at, xb, _ in steps:
         block = xb[:, : at.stop - at.start]
         if offset is not None:
             block -= offset
@@ -309,15 +298,18 @@ def pixel_moments(
 
     One pass over the blocks of _unwrapped: each block's mean and centred
     sum of squares are merged into the running ones (Chan, Golub & LeVeque
-    1983). A pixel whose unwrapped velocity never changes gets m2 = 0
-    exactly. Every sum runs down one pixel's column in frame order, so a
+    1983). A pixel whose unwrapped velocity never leaves its value at the
+    first frame gets m2 = 0 exactly. Every sum runs down one pixel's column in frame order, so a
     pixel's moments do not depend on which other pixels are in the call.
     """
-    mean, m2 = (np.zeros(np.count_nonzero(pixels)) for _ in range(2))
+    mean, m2, first = (np.zeros(np.count_nonzero(pixels)) for _ in range(3))
     cross = None if ref is None else np.zeros(mean.size)
-    varies = np.zeros(mean.size, dtype=bool)  # stays when no pixel is selected
-    for start, at, xb, tmp, varies in _unwrapped(series, pixels, anchor):
+    varies = np.zeros(mean.size, dtype=bool)
+    for start, at, xb, tmp in _unwrapped(series, pixels, anchor):
         k, m = at.stop - at.start, xb.shape[0]
+        if not start:
+            first[at] = xb[0, :k]
+        varies[at] |= (xb[:, :k] != first[at]).any(axis=0)
         if cross is not None:
             np.multiply(xb, ref[start : start + m, None], out=tmp)
             cross[at] += tmp.sum(axis=0)[:k]
@@ -444,10 +436,9 @@ def _spans(series: VelocitySeries):
 
     A band's frames are folded elementwise into running minima and maxima
     of r frames each, of about _BLOCK_VALUES stored values, so a small grid
-    takes many frames a step; the r rows are then folded in place, halving
-    each time. The blocks after the first end on the last frame, so the
-    first of them may take frames already folded in, which leaves a
-    minimum or maximum as it is.
+    takes many frames a step; numpy then reduces the r of each. The blocks
+    after the first end on the last frame, so the first of them may take
+    frames already folded in, which leaves a minimum or maximum as it is.
     """
     n, h, w = series.frames.shape
     rows = max(1, min(h, _BLOCK_VALUES // w))
@@ -464,14 +455,7 @@ def _spans(series: VelocitySeries):
         for start in range(n % r or r, n, r):
             np.minimum(lo_k, frames[start : start + r], out=lo_k)
             np.maximum(hi_k, frames[start : start + r], out=hi_k)
-        m = r
-        while m > 1:
-            half = m // 2
-            np.minimum(lo_k[:half], lo_k[m - half : m], out=lo_k[:half])
-            np.maximum(hi_k[:half], hi_k[m - half : m], out=hi_k[:half])
-            m -= half
-        # copyto casts the maxima with no buffer; only the minima need one
-        np.copyto(spans[:k], hi_k[0])
-        spans[:k] -= lo_k[0]
+        np.copyto(spans[:k], hi_k.max(axis=0))
+        spans[:k] -= lo_k.min(axis=0)
         spans[:k] *= scale
         yield slice(top, top + k), spans[:k]

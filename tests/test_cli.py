@@ -848,6 +848,37 @@ class TestCohort:
         assert "SPINAL_CANAL" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mixed_units_within_a_roi_are_refused(self, tmp_path, capsys, monkeypatch):
+        # S0 reports in mL, the other AQUEDUCT subjects in uL; SPINAL_CANAL
+        # is in mL throughout, which is no refusal on its own
+        def write(k, roi, unit):
+            for route, sv in (("conv", 100.0 + k), ("epi", 101.0 + 1.5 * k)):
+                (tmp_path / f"S{k}_{route}.json").write_text(json.dumps(
+                    {"kind": "subject", "roi_label": roi, "unit": unit,
+                     "sv": {"global": {"sv": sv}}}))
+
+        rois = ["AQUEDUCT"] * 6 + ["SPINAL_CANAL"] * 5
+        for k, roi in enumerate(rois):
+            write(k, roi, "mL" if k == 0 or roi == "SPINAL_CANAL" else "uL")
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"subjects": [
+            {"id": f"S{k}", "conv": str(tmp_path / f"S{k}_conv.json"),
+             "epi": str(tmp_path / f"S{k}_epi.json")} for k in range(len(rois))]}))
+        ran = []
+        monkeypatch.setattr(cli, "spearman", lambda *args, **kwargs: ran.append(args))
+        out = tmp_path / "o"
+        assert main(["cohort", "--pairs", str(manifest), "--out", str(out)]) == 2
+        assert ("subject S1: unit uL != unit mL of subject S0 in ROI AQUEDUCT"
+                in capsys.readouterr().err)
+        assert ran == []
+        assert not out.exists()
+        monkeypatch.undo()
+        write(0, "AQUEDUCT", "uL")
+        assert main(["cohort", "--pairs", str(manifest), "--out", str(out)]) == 0
+        per_roi = json.loads((out / "cohort.json").read_text())["per_roi"]
+        assert {roi: block["unit"] for roi, block in per_roi.items()} == {
+            "AQUEDUCT": "uL", "SPINAL_CANAL": "mL"}
+
     def test_digest_is_of_the_parsed_bytes(self, tmp_path, monkeypatch):
         # a report rewritten while the statistics run: the digest recorded
         # is of the bytes whose SV was used

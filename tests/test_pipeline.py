@@ -503,7 +503,17 @@ class TestStaticLattice:
 class TestRefusalOrder:
     """Both masks are checked before any pass reads the series or warns: a
     bad static mask is refused at the velocity stage, before the ROI's grid
-    is checked, and an ROI on another grid at the flow stage."""
+    is checked, and an ROI on another grid at the flow stage. A missing
+    trace is refused at the gating stage before either."""
+
+    @staticmethod
+    def flickering(ds):
+        """ds's series with one static pixel flickering by 1 rad, so the
+        static pass warns."""
+        frames = ds.series.frames.copy()
+        row, col = np.argwhere(ds.static.pixels)[0]
+        frames[::2, row, col] += 1.0
+        return VelocitySeries(ds.series.header, frames)
 
     @staticmethod
     def refused(series, roi, static, monkeypatch, anchor=0):
@@ -548,12 +558,8 @@ class TestRefusalOrder:
         assert f"anchor frame {anchor} outside 0..908" in str(exc)
 
     def test_roi_off_grid_refused_before_the_static_pass(self, default_dataset, monkeypatch):
-        # one static pixel flickers by 1 rad, so the static pass would warn
         ds = default_dataset
-        frames = ds.series.frames.copy()
-        row, col = np.argwhere(ds.static.pixels)[0]
-        frames[::2, row, col] += 1.0
-        flicker = VelocitySeries(ds.series.header, frames)
+        flicker = self.flickering(ds)
         with pytest.warns(csfdyn.StaticTissueWarning):
             prepare_velocity(flicker, ds.lumen, ds.static, PipelineParams())
         roi = csfdyn.RoiMask(np.ones((4, 4), dtype=bool), RoiLabel.AQUEDUCT)
@@ -561,6 +567,26 @@ class TestRefusalOrder:
         assert type(exc) is DimensionMismatch
         assert exc.stage == "flow"
         assert "mask grid 4x4 does not match" in str(exc)
+
+    @pytest.mark.parametrize("gate, trace, text", [
+        ("flow", "plethysmo", "a respiratory belt trace is required for continuous series"),
+        ("plethysmo", "belt", "gate=plethysmo needs a plethysmograph trace"),
+    ], ids=["no-belt", "no-plethysmo"])
+    def test_missing_trace_refused_before_any_pass(self, default_dataset, gate, trace, text,
+                                                   monkeypatch):
+        ds = default_dataset
+        flicker = self.flickering(ds)
+        passes = spy_on_passes(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InputError) as exc_info:
+                process_subject(flicker, ds.lumen, PipelineParams(gate=gate), static=ds.static,
+                                **{trace: getattr(ds, trace)})
+        assert passes == []
+        assert caught == []
+        assert type(exc_info.value) is InputError
+        assert exc_info.value.stage == "gating"
+        assert str(exc_info.value) == text
 
 
 class TestSignConvention:

@@ -393,21 +393,43 @@ def test_constant_pixel_has_zero_m2():
 
 
 def test_pixel_varies_by_its_unwrapped_steps():
-    # -7.7 is 2.3 wrapped once at venc 5, and -7.7 + 10 gives 2.3 to the
-    # bit. The first pixel steps raw but not once unwrapped, and 2.3 summed
-    # over a chunk does not divide back to 2.3 exactly. The second holds
-    # 2.3 unwrapped through the first chunk of 64 frames and steps to 5.0
-    # only across the chunk boundary, where its raw step is within venc.
-    header = make_header(venc=5.0, n_frames=200, w=2, h=1, encoding=Encoding.VELOCITY_CMPS)
-    frames = np.full((200, 1, 2), -7.7)
-    frames[::2, 0, 0] = 2.3
-    frames[0, 0, 1] = 2.3
-    frames[64:, 0, 1] = -5.0
-    moments = pixel_moments(VelocitySeries(header, frames), np.ones((1, 2), dtype=bool))
-    v = np.where(np.arange(200) < 64, 2.3, 5.0)
-    assert moments.m2[0] == 0.0
-    assert moments.m2[1] == pytest.approx(((v - v.mean()) ** 2).sum(), rel=1e-12)
-    assert moments.mean.tolist() == pytest.approx([2.3, v.mean()], rel=1e-15)
+    # Velocities at venc 5, one column per pixel. Stored as velocity: -7.7
+    # is 2.3 wrapped once, and -7.7 + 10 gives 2.3 to the bit (2.3 - 10
+    # gives -7.7), so the first pixel steps raw but holds still once
+    # unwrapped, at any anchor. The second holds one value unwrapped
+    # through the first chunk of 64 frames and steps only across the chunk
+    # boundary, where its raw step is within venc. Phase lies in [-pi, pi),
+    # so there a pixel that steps raw also varies: the first alternates
+    # 4.5 and -4.5 (4.5 and 5.5 unwrapped), and the second wraps across the
+    # boundary. In both, the third holds 1.0 through its first chunk and
+    # steps to 3.0, within venc, inside a later chunk, and the fourth never
+    # changes: 0.1 summed over a chunk does not divide back to 0.1 exactly.
+    n, venc = 200, 5.0
+    frame = np.arange(n)
+    for encoding, still in ((Encoding.VELOCITY_CMPS, [0, 3]), (Encoding.PHASE_RADIANS, [3])):
+        v = np.empty((n, 1, 4))
+        if encoding is Encoding.VELOCITY_CMPS:
+            v[:, 0, 0] = np.where(frame % 2, -7.7, 2.3)
+            v[:, 0, 1] = np.where(frame < 64, -7.7, -5.0)
+            v[0, 0, 1] = 2.3
+        else:
+            v[:, 0, 0] = np.where(frame % 2, -4.5, 4.5)
+            v[:, 0, 1] = np.where(frame < 64, 4.0, -4.0)
+        v[:, 0, 2] = np.where(frame < 100, 1.0, 3.0)
+        v[:, 0, 3] = 0.1
+        if encoding is Encoding.PHASE_RADIANS:
+            v = (v * (np.pi / venc)).astype(np.float32)
+        series = VelocitySeries(make_header(venc=venc, n_frames=n, w=4, h=1,
+                                            encoding=encoding), v)
+        for anchor in (0, 63, 64, 150):
+            moments = pixel_moments(series, np.ones((1, 4), dtype=bool), anchor=anchor)
+            oracle = unwrap_oracle(series, anchor=anchor)[:, 0]
+            held = (oracle == oracle[0]).all(axis=0)
+            assert np.flatnonzero(held).tolist() == still
+            assert moments.m2[held].tolist() == [0.0] * len(still)
+            m2 = ((oracle - oracle.mean(axis=0)) ** 2).sum(axis=0)
+            assert moments.m2[~held] == pytest.approx(m2[~held], rel=1e-12)
+            assert moments.mean == pytest.approx(oracle.mean(axis=0), rel=1e-14)
 
 
 class TestBackgroundCorrect:
