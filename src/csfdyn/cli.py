@@ -290,12 +290,14 @@ def cmd_cohort(args: argparse.Namespace) -> int:
 
     by_roi: dict[str, list[dict]] = {}
     for row in rows:
-        group = by_roi.setdefault(row["roi"], [])
-        if group and row["unit"] != group[0]["unit"]:
-            raise UnpairedSubject(
-                f"subject {row['id']}: unit {row['unit']} != unit {group[0]['unit']} "
-                f"of subject {group[0]['id']} in ROI {row['roi']}")
-        group.append(row)
+        by_roi.setdefault(row["roi"], []).append(row)
+    for roi, group in by_roi.items():
+        by_unit: dict[str, list[str]] = {}
+        for r in group:
+            by_unit.setdefault(r["unit"], []).append(r["id"])
+        if len(by_unit) > 1:
+            raise UnpairedSubject(f"ROI {roi} mixes units: " + "; ".join(
+                f"{', '.join(ids)} in {unit}" for unit, ids in by_unit.items()))
 
     # every ROI's statistics run before anything is written, so a refusal
     # leaves no partial output behind

@@ -868,7 +868,7 @@ class TestCohort:
         monkeypatch.setattr(cli, "spearman", lambda *args, **kwargs: ran.append(args))
         out = tmp_path / "o"
         assert main(["cohort", "--pairs", str(manifest), "--out", str(out)]) == 2
-        assert ("subject S1: unit uL != unit mL of subject S0 in ROI AQUEDUCT"
+        assert ("ROI AQUEDUCT mixes units: S0 in mL; S1, S2, S3, S4, S5 in uL"
                 in capsys.readouterr().err)
         assert ran == []
         assert not out.exists()

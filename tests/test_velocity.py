@@ -1,6 +1,7 @@
 """Phase-to-velocity mapping, temporal unwrapping, per-pixel moments,
 background offset."""
 
+import math
 import warnings
 import zlib
 from dataclasses import replace
@@ -404,6 +405,9 @@ def test_pixel_varies_by_its_unwrapped_steps():
     # boundary. In both, the third holds 1.0 through its first chunk and
     # steps to 3.0, within venc, inside a later chunk, and the fourth never
     # changes: 0.1 summed over a chunk does not divide back to 0.1 exactly.
+    # Means are checked against the exact mean of the oracle's values,
+    # rounded once, which for the velocity-stored pixels at anchor 0 is 2.3
+    # and the mean of 64 frames of 2.3 and 136 of 5.0.
     n, venc = 200, 5.0
     frame = np.arange(n)
     for encoding, still in ((Encoding.VELOCITY_CMPS, [0, 3]), (Encoding.PHASE_RADIANS, [3])):
@@ -429,7 +433,8 @@ def test_pixel_varies_by_its_unwrapped_steps():
             assert moments.m2[held].tolist() == [0.0] * len(still)
             m2 = ((oracle - oracle.mean(axis=0)) ** 2).sum(axis=0)
             assert moments.m2[~held] == pytest.approx(m2[~held], rel=1e-12)
-            assert moments.mean == pytest.approx(oracle.mean(axis=0), rel=1e-14)
+            mean = [math.fsum(column) / n for column in oracle.T]
+            assert moments.mean == pytest.approx(mean, rel=1e-15)
 
 
 class TestBackgroundCorrect:
