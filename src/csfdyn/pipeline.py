@@ -6,7 +6,9 @@ The velocity and flow stages read the series once per pass, a block of
 pixels at a time, and fold the blocks into per-pixel moments and
 per-frame sums (prepare_velocity). The gating and ensemble stages hold
 the cycles as tables of columns (CycleTable, CanonicalTable), and the
-belt as arrays. A job holds one 128 KB block plus vectors with one value
+belt as arrays. A velocity pass holds a block of at most 128 KB with its
+gathered float32 copy and, when it unwraps, a scratch block of its steps
+(velocity._BLOCK_VALUES); the job holds those plus vectors with one value
 per frame, per pixel or per cycle, however long the recording and however
 wide the field of view: no velocity map is built.
 """
@@ -185,9 +187,10 @@ def prepare_velocity(
       refined ROI to the bit;
     - the seed's mean velocity and the flow are per-frame sums over the
       ROI, the offset taken off each velocity as it is added.
-    No velocity map is built: a job holds one 128 KB block plus vectors
-    with one value per frame or per pixel. Returns the flow, the final ROI
-    and the offset.
+    No velocity map is built: a pass holds a block of at most 128 KB, its
+    gathered float32 copy and, when it unwraps, a scratch block of its
+    steps, plus vectors with one value per frame or per pixel. Returns the
+    flow, the final ROI and the offset.
 
     All of it runs in the series' own sign; the sign convention is applied
     here alone, at the end. flip_sign negates the flow and the offset, an

@@ -26,20 +26,25 @@ moments, with no full-size array built: the StaticTissueWarning and the
 refinement's correlation map come from those. It tells a pixel that holds
 still by comparing each block with the pixel's first unwrapped value.
 ``pixel_sums`` folds the blocks into per-frame sums over the pixels, the
-ROI's flow and the seed's reference time course. Every pass holds blocks
-of _BLOCK_VALUES float64 values (128 KB): 64 frames of 256 pixels for
-moments and means, and for sums over few pixels more frames a step. So the pipeline holds one block
-plus vectors with one value per frame or per pixel, and builds no
-velocity map.
-``unwrap_temporal`` writes the blocks into velocity maps.
+ROI's flow and the seed's reference time course. A block holds up to
+_BLOCK_VALUES float64 values (128 KB): 64 frames of 256 pixels for
+moments, and for sums over few pixels more frames a step. Each block is
+converted in place from a gathered float32 copy of its stored values, and
+_unwrapped keeps a scratch block of the block's steps beside it. So a
+pass holds its block, the block's gathered copy and its steps, plus
+vectors with one value per frame or per pixel, and builds no velocity
+map. ``unwrap_temporal`` writes the blocks into velocity maps.
 
 Each pass reads only the pixels it needs, so the pipeline's cost follows
 the ROI, not the field of view. static_offset splits the static mask by
-one min/max pass over the stored values: the few static pixels whose
-values span enough to step beyond venc or warn get full moments, and the
-other pixels of a bounded lattice of the mask only their means, folded
-from the converted blocks with the moments' own mean update. Refinement
-reads a box around the seed (pipeline.prepare_velocity).
+one min/max pass over the stored values, a row at a time from a band's
+running float32 extremes (_spans): the few static pixels whose values
+span enough to step beyond venc or warn get full moments, and the other
+pixels of a bounded lattice of the mask only their means. Those are
+folded with the moments' own mean update from the lattice's strided view,
+a block of whole lattice rows at a time, converted in place with no
+gathered copy (_lattice_means). Refinement reads a box around the seed
+(pipeline.prepare_velocity).
 """
 
 from __future__ import annotations
@@ -62,8 +67,9 @@ from .ingest import (
 #: frames per step of _unwrapped when it feeds pixel_moments
 _CHUNK = 64
 #: values in each block a streamed pass holds: a float64 block of frames
-#: times pixels is 128 KB, and _unwrapped holds two (the block and its
-#: steps); _spans' running minima and maxima hold as many stored values
+#: times pixels is 128 KB. _unwrapped holds two (the block and its steps)
+#: and the block's gathered float32 copy, _lattice_means one block, and
+#: _spans' running float32 minima and maxima as many stored values each
 _BLOCK_VALUES = 1 << 14
 #: static pixels the lattice static[::k, ::k] of static_offset holds at least
 _LATTICE = 2048
@@ -167,8 +173,10 @@ def _converted(series: VelocitySeries, idx: np.ndarray, chunk: int, stop: int):
             at = slice(b, b + cols.size)
             cols = np.resize(cols, max(cols.size, 2))
             xb = x[:m, : cols.size]
-            # a gathered block is let go before the next one is gathered
-            np.multiply(frames[:, cols], scale, out=xb, dtype=np.float64)
+            # converted in place: a gathered block is let go before the
+            # next one is gathered, and no cast buffer is made
+            np.copyto(xb, frames[:, cols])
+            xb *= scale
             yield start, at, xb
 
 
@@ -333,21 +341,36 @@ def _merge_mean(mean: np.ndarray, at: slice, start: int, xb: np.ndarray):
     return chunk_mean, delta
 
 
-def _quiet_means(series: VelocitySeries, pixels: np.ndarray) -> np.ndarray:
+def _lattice_means(series: VelocitySeries, rows: slice, cols: slice) -> np.ndarray:
     """Per-pixel means over time of the stored values in cm/s, not
-    unwrapped, for the pixels that the boolean grid pixels selects, in
-    row-major order.
+    unwrapped, of every pixel of the lattice frames[:, rows, cols], as a
+    grid of the lattice's shape.
 
     For a pixel that never steps beyond venc, which the unwrap leaves as it
     is, this is pixel_moments(series, pixels).mean to the bit: the same
-    64-frame chunks, blocks and merge (_converted, _merge_mean). It holds
-    one converted block, with no steps and no scratch block.
+    64-frame chunks, summed down each pixel's column in frame order and
+    merged by _merge_mean. The strided view is read a block of whole
+    lattice rows at a time, at most _BLOCK_VALUES values or one row, and
+    converted in place in one float64 buffer: no gather and no cast
+    buffer. A block of one pixel fills two columns, as in _converted.
     """
-    idx = np.flatnonzero(pixels)
-    mean = np.zeros(idx.size)
-    for start, at, xb in _converted(series, idx, _CHUNK, series.header.n_frames):
-        _merge_mean(mean, at, start, xb)
-    return mean
+    lattice = series.frames[:, rows, cols]
+    n, h, w = lattice.shape
+    chunk = min(n, _CHUNK)
+    band = max(1, min(h, _BLOCK_VALUES // (chunk * w)))
+    mean = np.zeros(h * w)
+    x = np.empty(chunk * max(band * w, 2))
+    scale = _to_cmps(series.header)
+    for start in range(0, n, _CHUNK):
+        for top in range(0, h, band):
+            block = lattice[start : start + _CHUNK, top : top + band]
+            m, b = block.shape[:2]
+            width = w if b * w > 1 else 2
+            xb = x[: m * b * width].reshape(m, b, width)
+            np.copyto(xb, block)
+            xb *= scale
+            _merge_mean(mean, slice(top * w, (top + b) * w), start, xb.reshape(m, b * width))
+    return mean.reshape(h, w)
 
 
 def background_correct(series: VelocitySeries, static: RoiMask) -> tuple[VelocitySeries, float]:
@@ -393,15 +416,17 @@ def static_offset(series: VelocitySeries, static: RoiMask, anchor: int = 0) -> f
     deviation, sqrt(m2 / n), exceeds 10% of venc, which usually means the
     mask leaks into moving fluid; it quotes the worst pixel's SD.
 
-    One min/max pass over the stored values (_spans), a band of rows at a
-    time, splits the mask. A pixel is loud when its values span more than
-    0.2 venc, within a relative 1e-6 for rounding. A quiet pixel never
-    steps beyond venc, so the unwrap leaves it as it is, and its SD is at
-    most half its span (Popoviciu's inequality): it can neither warn nor
-    be the worst pixel. So pixel_moments reads the loud pixels alone, on
-    the lattice or off it, and the warning is the whole mask's; the quiet
-    lattice pixels need only their means (_quiet_means), which equal their
-    moment means to the bit.
+    One min/max pass over the stored values (_spans), a row at a time,
+    splits the mask. A pixel is loud when its values span more than 0.2
+    venc, within a relative 1e-6 for rounding. A quiet pixel never steps
+    beyond venc, so the unwrap leaves it as it is, and its SD is at most
+    half its span (Popoviciu's inequality): it can neither warn nor be the
+    worst pixel. So pixel_moments reads the loud pixels alone, on the
+    lattice or off it, and the warning is the whole mask's. The quiet
+    lattice pixels need only their means: _lattice_means folds the lattice
+    over the rows and columns that hold its static pixels, and its means
+    of the quiet ones equal their moment means to the bit; the loud and
+    off-mask points it folds are dropped.
     """
     check_static_mask(static, series.header)
     _check_anchor(series, anchor)
@@ -409,19 +434,19 @@ def static_offset(series: VelocitySeries, static: RoiMask, anchor: int = 0) -> f
     k = 1
     while np.count_nonzero(mask[:: 2 * k, :: 2 * k]) >= _LATTICE:
         k *= 2
-    lattice = np.zeros_like(mask)
-    lattice[::k, ::k] = mask[::k, ::k]
+    rows, cols = (np.flatnonzero(mask[::k, ::k].any(axis=axis)) * k for axis in (1, 0))
+    lattice = slice(rows[0], rows[-1] + 1, k), slice(cols[0], cols[-1] + 1, k)
     loud = np.empty_like(mask)
-    for rows, spans in _spans(series):
-        np.greater(spans, 0.2 * venc * (1.0 - 1e-6), out=loud[rows])
-    del spans  # the spans' buffer is let go before the means are read
+    for row, spans in _spans(series):
+        np.greater(spans, 0.2 * venc * (1.0 - 1e-6), out=loud[row])
     loud &= mask
-    means = np.empty(np.count_nonzero(lattice))
-    means[~loud[lattice]] = _quiet_means(series, lattice & ~loud)
+    means = _lattice_means(series, *lattice)[mask[lattice]]
     worst_sd = 0.0
     if loud.any():
         moments = pixel_moments(series, loud, anchor=anchor)
-        means[loud[lattice]] = moments.mean[lattice[loud]]
+        on_lattice = np.zeros_like(mask)
+        on_lattice[lattice] = True
+        means[loud[lattice][mask[lattice]]] = moments.mean[on_lattice[loud]]
         worst_sd = float(np.sqrt(moments.m2.max() / moments.n_frames))
     if worst_sd > 0.1 * venc:
         warn(f"static mask pixel varies by {worst_sd:.3g} cm/s over time "
@@ -430,21 +455,22 @@ def static_offset(series: VelocitySeries, static: RoiMask, anchor: int = 0) -> f
 
 
 def _spans(series: VelocitySeries):
-    """Yield (rows, spans) per band of the grid's rows: spans holds each
-    pixel of the band its span, max - min over the frames of its stored
-    values, in float64 cm/s, in one buffer that the next band overwrites.
+    """Yield (row, spans) per row of the grid, in order: spans holds each
+    pixel of the row its span, max - min over the frames of its stored
+    values, in float64 cm/s, in one buffer that the next row overwrites.
 
-    A band's frames are folded elementwise into running minima and maxima
-    of r frames each, of about _BLOCK_VALUES stored values, so a small grid
-    takes many frames a step; numpy then reduces the r of each. The blocks
-    after the first end on the last frame, so the first of them may take
-    frames already folded in, which leaves a minimum or maximum as it is.
+    A band of rows' frames are folded elementwise into running minima and
+    maxima of r frames each, of about _BLOCK_VALUES stored values, so a
+    small grid takes many frames a step; numpy then reduces the r of each,
+    a row at a time. The blocks after the first end on the last frame, so
+    the first of them may take frames already folded in, which leaves a
+    minimum or maximum as it is.
     """
     n, h, w = series.frames.shape
     rows = max(1, min(h, _BLOCK_VALUES // w))
     r = min(n, max(1, _BLOCK_VALUES // (rows * w)))
     lo, hi = (np.empty((r, rows, w), dtype=series.frames.dtype) for _ in range(2))
-    spans = np.empty((rows, w))
+    spans = np.empty(w)
     scale = _to_cmps(series.header)
     for top in range(0, h, rows):
         frames = series.frames[:, top : top + rows]
@@ -455,7 +481,8 @@ def _spans(series: VelocitySeries):
         for start in range(n % r or r, n, r):
             np.minimum(lo_k, frames[start : start + r], out=lo_k)
             np.maximum(hi_k, frames[start : start + r], out=hi_k)
-        np.copyto(spans[:k], hi_k.max(axis=0))
-        spans[:k] -= lo_k.min(axis=0)
-        spans[:k] *= scale
-        yield slice(top, top + k), spans[:k]
+        for row in range(k):
+            np.copyto(spans, hi_k[:, row].max(axis=0))
+            spans -= lo_k[:, row].min(axis=0)
+            spans *= scale
+            yield top + row, spans

@@ -339,7 +339,7 @@ class TestProcess:
         # the static offset checks the anchor before any of its passes reads
         # the series; the spies stand in for the passes and read nothing
         passes = []
-        for name in ("_spans", "_quiet_means", "pixel_moments"):
+        for name in ("_spans", "_lattice_means", "pixel_moments"):
             monkeypatch.setattr(velocity, name,
                                 lambda *args, name=name, **kwargs: passes.append(name))
         rc = main([

@@ -325,7 +325,7 @@ def spy_on_passes(monkeypatch):
                          (csfdyn.flow, "pixel_sums"),
                          (csfdyn.velocity, "pixel_sums"),
                          (csfdyn.velocity, "_spans"),
-                         (csfdyn.velocity, "_quiet_means")):
+                         (csfdyn.velocity, "_lattice_means")):
         monkeypatch.setattr(module, name,
                             lambda *args, name=name, **kwargs: passes.append(name))
     return passes
@@ -342,24 +342,33 @@ def short_192(base, lumen=(96.0, 96.0), **acquisition):
     ))
 
 
-def spy_on_reads(monkeypatch, means=None):
+def spy_on_reads(monkeypatch, means=None, quiet=None):
     """The pixel masks of every pixel_moments pass the pipeline makes,
-    static_offset's included; the masks of static_offset's mean folds go
-    to the list means when one is given."""
+    static_offset's included; the grids that static_offset's mean folds
+    read, every pixel of their lattice, go to the list means when one is
+    given. When the grid quiet is given too, each fold returns NaN for the
+    pixels it reads outside quiet, so an offset that took any of those
+    means is NaN."""
     reads = []
-    moments = csfdyn.velocity.pixel_moments
+    moments, fold = csfdyn.velocity.pixel_moments, csfdyn.velocity._lattice_means
 
     def spy(series, pixels, *args, **kwargs):
         reads.append(pixels.copy())
         return moments(series, pixels, *args, **kwargs)
 
+    def spy_fold(series, rows, cols):
+        grid = np.zeros(series.frames.shape[1:], dtype=bool)
+        grid[rows, cols] = True
+        means.append(grid)
+        lattice = fold(series, rows, cols)
+        if quiet is not None:
+            lattice[~quiet[rows, cols]] = np.nan
+        return lattice
+
     for module in (csfdyn.pipeline, csfdyn.velocity):
         monkeypatch.setattr(module, "pixel_moments", spy)
     if means is not None:
-        fold = csfdyn.velocity._quiet_means
-        monkeypatch.setattr(csfdyn.velocity, "_quiet_means",
-                            lambda series, pixels: means.append(pixels.copy())
-                            or fold(series, pixels))
+        monkeypatch.setattr(csfdyn.velocity, "_lattice_means", spy_fold)
     return reads
 
 
@@ -410,9 +419,10 @@ class TestBoxGrownRefinement:
 
     def test_reads_follow_the_roi(self, centred, monkeypatch):
         # three static pixels flicker by 0.3 venc, one on the stride-4
-        # lattice and two off it. The mean fold reads the other lattice
-        # pixels, the moment pass the three, then the seed's padded box: a
-        # fraction of the grid's 36,864
+        # lattice and two off it. The mean fold reads the stride-4 lattice
+        # and the offset takes its means of the other static lattice
+        # pixels, the moment pass reads the three, then the seed's padded
+        # box: a fraction of the grid's 36,864
         static = centred.static.pixels
         flicker = np.zeros_like(static)
         flicker[[8, 9, 180], [8, 183, 10]] = True
@@ -420,16 +430,18 @@ class TestBoxGrownRefinement:
         frames = centred.series.frames.copy()
         frames[1, flicker] += np.float32(0.3 * np.pi)
         series = VelocitySeries(centred.series.header, frames)
+        expected = csfdyn.velocity.static_offset(series, centred.static)
         means = []
-        reads = spy_on_reads(monkeypatch, means)
-        prepare_velocity(series, centred.lumen, centred.static,
-                         PipelineParams(refine_threshold=0.7))
+        reads = spy_on_reads(monkeypatch, means, quiet=static & ~flicker)
+        _, _, offset = prepare_velocity(series, centred.lumen, centred.static,
+                                        PipelineParams(refine_threshold=0.7))
         lattice = np.zeros_like(static)
-        lattice[::4, ::4] = static[::4, ::4]
+        lattice[::4, ::4] = True
         rows, cols = ndimage.find_objects(centred.lumen.pixels.astype(np.int8))[0]
         box = np.zeros_like(static)
         box[rows.start - 4 : rows.stop + 4, cols.start - 4 : cols.stop + 4] = True
-        assert len(means) == 1 and np.array_equal(means[0], lattice & ~flicker)
+        assert len(means) == 1 and np.array_equal(means[0], lattice)
+        assert np.float64(offset).tobytes() == np.float64(expected).tobytes()
         assert len(reads) == 2
         assert np.array_equal(reads[0], flicker) and np.array_equal(reads[1], box)
         assert sum(np.count_nonzero(pixels) for pixels in means + reads) < 5000
@@ -705,11 +717,12 @@ def peak_on_top(fn, *args, **kwargs):
 
 class TestPeakMemory:
     """The velocity and flow stages stream the input, unwrapping as they
-    go, and fold each 128 KB block into per-pixel moments and per-frame
-    sums; the ensemble stage resamples cycles in fixed batches. So a job
-    holds one block plus vectors with one value per frame, pixel or
-    cycle: what process_subject allocates stays under half the input
-    series, however many pixels wrap and however long the recording."""
+    go, and fold each block of at most 128 KB into per-pixel moments and
+    per-frame sums; the ensemble stage resamples cycles in fixed batches.
+    So a job holds a pass's blocks plus vectors with one value per frame,
+    pixel or cycle: what process_subject allocates stays under half the
+    input series, however many pixels wrap and however long the
+    recording."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -791,16 +804,29 @@ class TestPeakMemory:
         assert peak < 2.85e6, f"pixel_moments: {peak / 1e6:.2f} MB"
 
     def test_static_offset_on_a_192_grid(self):
-        # the wide-fov grid: the spans pass holds one band of running minima
-        # and maxima and its spans, and the mean fold over the quiet
-        # stride-4 lattice one 128 KB converted block and one gathered
-        # float32 block, with no moment pass. The bound is the peak plus a
-        # quarter: 0.50 MB (1.03 MB with 0.5 MB blocks and the whole grid's
-        # spans, 1.76 MB when every lattice pixel went through the moment
-        # pass)
+        # the wide-fov grid: the span pass holds one band's running float32
+        # minima and maxima (64 KB each) and one float64 row of spans, then
+        # the mean fold over the stride-4 lattice one float64 block of 5
+        # lattice rows, converted in place from the strided view, with no
+        # moment pass. The bound is the peak plus a quarter: 0.19 MB (0.50
+        # MB with a float64 band of spans and a gathered float32 copy of
+        # each lattice block, 1.03 MB with 0.5 MB blocks and the whole
+        # grid's spans, 1.76 MB when every lattice pixel went through the
+        # moment pass)
         ds = short_192(csfdyn.default_aqueduct_spec())
         peak = peak_on_top(csfdyn.velocity.static_offset, ds.series, ds.static)
-        assert peak < 0.62e6, f"static_offset: {peak / 1e6:.2f} MB"
+        assert peak < 0.235e6, f"static_offset: {peak / 1e6:.2f} MB"
+
+    def test_streamed_flow_on_a_192_grid(self):
+        # the ROI's flow on the same series: its 90 frames are one chunk,
+        # so the pass holds one float64 block of the ROI's 29 pixels,
+        # converted in place, the block's steps and its gathered float32
+        # copy. The bound is the peak plus a quarter: 0.069 MB (0.079 MB
+        # while each block was converted through a cast buffer)
+        ds = short_192(csfdyn.default_aqueduct_spec())
+        offset = csfdyn.velocity.static_offset(ds.series, ds.static)
+        peak = peak_on_top(csfdyn.flow.streamed_flow, ds.series, ds.lumen, 0, offset)
+        assert peak < 0.086e6, f"streamed_flow: {peak / 1e6:.3f} MB"
 
     @pytest.mark.parametrize("params", [PipelineParams(), PipelineParams(refine_threshold=0.7)],
                              ids=["static", "refine"])

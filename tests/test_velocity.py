@@ -490,8 +490,9 @@ class TestStaticLattice:
     """The offset's pixels. The moment pass reads exactly the static pixels
     whose values span more than 0.2 venc, on the lattice or off it: they
     alone can be unwrapped or raise the warning. The mean fold reads
-    exactly the other pixels of a lattice of the static mask with at least
-    _LATTICE pixels."""
+    exactly the lattice static[::k, ::k] of at least _LATTICE static
+    pixels, over the lattice rows and columns that hold one, and the
+    offset takes its means of the other, quiet, static pixels alone."""
 
     @staticmethod
     def static(size):
@@ -501,16 +502,28 @@ class TestStaticLattice:
             lumen=replace(base.lumen, center_row=size / 2, center_col=size / 2)))
 
     @staticmethod
-    def reads(monkeypatch):
+    def reads(monkeypatch, quiet=None):
         """The pixel grids of every moment pass and every mean fold that
-        static_offset makes."""
+        static_offset makes, a fold's grid holding every pixel it reads.
+        When the grid quiet is given, each fold returns NaN for the pixels
+        it reads outside quiet, so an offset that took any of those means
+        is NaN."""
         reads = {"moments": [], "means": []}
-        for key, name in (("moments", "pixel_moments"), ("means", "_quiet_means")):
-            def spy(series, pixels, *args, real=getattr(velocity, name), key=key, **kwargs):
-                reads[key].append(pixels.copy())
-                return real(series, pixels, *args, **kwargs)
+        moments, fold = velocity.pixel_moments, velocity._lattice_means
 
-            monkeypatch.setattr(velocity, name, spy)
+        def spy_moments(series, pixels, *args, **kwargs):
+            reads["moments"].append(pixels.copy())
+            return moments(series, pixels, *args, **kwargs)
+
+        def spy_fold(series, rows, cols):
+            reads["means"].append(TestStaticLattice.lattice(series.frames.shape[1:], rows, cols))
+            means = fold(series, rows, cols)
+            if quiet is not None:
+                means[~quiet[rows, cols]] = np.nan
+            return means
+
+        monkeypatch.setattr(velocity, "pixel_moments", spy_moments)
+        monkeypatch.setattr(velocity, "_lattice_means", spy_fold)
         return reads
 
     @staticmethod
@@ -518,6 +531,13 @@ class TestStaticLattice:
         return VelocitySeries(make_header(venc=venc, n_frames=n_frames, w=size, h=size,
                                           encoding=encoding),
                               np.zeros((n_frames, size, size), dtype=np.float32))
+
+    @staticmethod
+    def lattice(shape, rows, cols):
+        """The grid of shape holding the lattice [rows, cols]."""
+        grid = np.zeros(shape, dtype=bool)
+        grid[rows, cols] = True
+        return grid
 
     @staticmethod
     def assert_reads(reads, moments, means):
@@ -531,6 +551,8 @@ class TestStaticLattice:
     def test_default_mask_is_its_own_lattice(self, monkeypatch):
         static = self.static(64).pixels
         assert np.count_nonzero(static[::2, ::2]) < velocity._LATTICE
+        # the mask's corners: its lattice rows and columns are the grid's
+        assert static[0, 0] and static[-1, -1]
         series = self.still(64)
         # two static pixels, and one pixel off the mask, span 0.3 venc
         loud = np.zeros_like(static)
@@ -539,20 +561,21 @@ class TestStaticLattice:
         series.frames[1, loud] = 3.0
         series.frames[1, 32, 32] = 3.0
         assert not static[32, 32]
-        reads = self.reads(monkeypatch)
+        reads = self.reads(monkeypatch, quiet=static & ~loud)
         with pytest.warns(StaticTissueWarning):
-            velocity.static_offset(series, RoiMask(static, RoiLabel.STATIC_TISSUE))
-        self.assert_reads(reads, loud, static & ~loud)
+            offset = velocity.static_offset(series, RoiMask(static, RoiLabel.STATIC_TISSUE))
+        self.assert_reads(reads, loud, np.ones_like(static))
+        # the two loud pixels' means, 1.5 each, from their moments
+        assert offset == 3.0 / np.count_nonzero(static)
 
     def test_192_grid_takes_every_fourth_row_and_column(self, monkeypatch):
         static = self.static(192).pixels
-        reads = self.reads(monkeypatch)
+        reads = self.reads(monkeypatch, quiet=static)
         # a still series: no pixel spans anything, so no moment pass is made
-        velocity.static_offset(self.still(192), RoiMask(static, RoiLabel.STATIC_TISSUE))
-        expected = np.zeros_like(static)
-        expected[::4, ::4] = static[::4, ::4]
-        self.assert_reads(reads, None, expected)
-        assert np.count_nonzero(expected) >= velocity._LATTICE
+        offset = velocity.static_offset(self.still(192), RoiMask(static, RoiLabel.STATIC_TISSUE))
+        self.assert_reads(reads, None, self.lattice(static.shape, np.s_[::4], np.s_[::4]))
+        assert offset == 0.0
+        assert np.count_nonzero(static[::4, ::4]) >= velocity._LATTICE
         assert np.count_nonzero(static[::8, ::8]) < velocity._LATTICE
 
     @pytest.mark.parametrize("encoding", list(Encoding))
@@ -567,21 +590,53 @@ class TestStaticLattice:
                  (2, 2): 0.2}
         for frame, ((row, col), f) in enumerate(spans.items()):
             series.frames[1 + frame % 2, row, col] = np.float32(f * venc * to_stored)
-        reads = self.reads(monkeypatch)
-        velocity.static_offset(series, RoiMask(np.ones((128, 128), dtype=bool),
-                                               RoiLabel.STATIC_TISSUE))
-        lattice = np.zeros((128, 128), dtype=bool)
-        lattice[::2, ::2] = True
-        assert np.count_nonzero(lattice) == 64 * 64
-        loud = np.zeros_like(lattice)
+        loud = np.zeros((128, 128), dtype=bool)
         loud[1, 1] = loud[3, 1] = loud[0, 2] = loud[2, 2] = True
-        self.assert_reads(reads, loud, lattice & ~loud)
+        static = RoiMask(np.ones((128, 128), dtype=bool), RoiLabel.STATIC_TISSUE)
+        expected, _ = whole_mask_rule(series, static, 0)
+        reads = self.reads(monkeypatch, quiet=~loud)
+        offset = velocity.static_offset(series, static)
+        lattice = self.lattice((128, 128), np.s_[::2], np.s_[::2])
+        assert np.count_nonzero(lattice) == 64 * 64
+        self.assert_reads(reads, loud, lattice)
+        assert np.float64(offset).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    @pytest.mark.parametrize("size, top, left, bottom, right, ring, k", [
+        (64, 10, 20, 31, 51, 4, 1), (192, 31, 51, 191, 181, 20, 2), (192, 1, 3, 150, 4, 1, 1),
+    ], ids=["ring", "stride-2-ring", "column"])
+    def test_fold_reads_the_lattice_rows_and_columns_of_the_mask(
+            self, encoding, size, top, left, bottom, right, ring, k, monkeypatch):
+        """A ring of static pixels, ring wide, away from the grid's edges:
+        the fold reads the lattice's rows and columns from the first that
+        holds a static pixel to the last, the ring's hole included, and
+        the offset takes only the quiet static pixels' means from it."""
+        static = np.zeros((size, size), dtype=bool)
+        static[top:bottom, left:right] = True
+        static[top + ring : bottom - ring, left + ring : right - ring] = False
+        rng = np.random.default_rng(size + top)
+        kinds = rng.choice(QUIET + LOUD, (size, size),
+                           p=[0.7, 0.1, 0.05, 0.05, 0.03, 0.02, 0.03, 0.02])
+        series = scan_series(kinds, 70, encoding, size * top)
+        mask = RoiMask(static, RoiLabel.STATIC_TISSUE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected, _ = whole_mask_rule(series, mask, 0)
+            reads = self.reads(monkeypatch, quiet=static & ~np.isin(kinds, LOUD))
+            offset = velocity.static_offset(series, mask)
+        rows = np.s_[top + -top % k : bottom : k]
+        cols = np.s_[left + -left % k : right : k]
+        assert np.count_nonzero(static[:: 2 * k, :: 2 * k]) < velocity._LATTICE
+        assert k == 1 or np.count_nonzero(static[::k, ::k]) >= velocity._LATTICE
+        self.assert_reads(reads, static & np.isin(kinds, LOUD),
+                          self.lattice(static.shape, rows, cols))
+        assert np.float64(offset).tobytes() == np.float64(expected).tobytes()
 
     @pytest.mark.parametrize("anchor", [-1, 5, 100000])
     def test_anchor_refused_before_any_pass(self, anchor, monkeypatch):
         # every pixel is quiet, so no pass would meet the anchor on its own
         passes = []
-        for name in ("_spans", "_quiet_means", "pixel_moments", "_unwrapped", "_converted"):
+        for name in ("_spans", "_lattice_means", "pixel_moments", "_unwrapped", "_converted"):
             monkeypatch.setattr(velocity, name,
                                 lambda *args, name=name, **kwargs: passes.append(name))
         static = RoiMask(np.ones((64, 64), dtype=bool), RoiLabel.STATIC_TISSUE)
@@ -692,32 +747,40 @@ def test_static_offset_is_the_whole_mask_rule(name, encoding, anchor, n_frames, 
     """static_offset gives, to the bit and with the same warning text, the
     rule it had when the moment pass read the whole mask, over a seeded
     scan of static time courses, block sizes, encodings, anchors and frame
-    counts that are not a multiple of the 64-frame chunk."""
+    counts that are not a multiple of the 64-frame chunk. It does so at
+    the default _BLOCK_VALUES and at budgets that cut the mean fold's
+    lattices of 48 rows of 48 into blocks of 5 rows and a last of 3, and
+    into single rows."""
     rng = np.random.default_rng(zlib.crc32(f"{name} {encoding.value} {anchor} {n_frames}".encode()))
     kinds, mask, n_quiet, n_loud = scan_case(name, rng)
     series = scan_series(kinds, n_frames, encoding, int(rng.integers(2**32)))
     static = RoiMask(mask, RoiLabel.STATIC_TISSUE)
-    reads = TestStaticLattice.reads(monkeypatch)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        offset = velocity.static_offset(series, static, anchor)
-    messages = [str(w.message) for w in caught if issubclass(w.category, StaticTissueWarning)]
     expected, theirs = whole_mask_rule(series, static, anchor)
-    assert np.float64(offset).tobytes() == np.float64(expected).tobytes()
-    assert messages == theirs
-    assert bool(messages) == (name not in ("lone-quiet", "quiet-only", "no-warning"))
+    assert bool(theirs) == (name not in ("lone-quiet", "quiet-only", "no-warning"))
+    loud = mask & np.isin(kinds, LOUD)
+    for budget in (velocity._BLOCK_VALUES, 5 * 64 * 48, 64 * 48 - 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(velocity, "_BLOCK_VALUES", budget)
+            reads = TestStaticLattice.reads(patch, quiet=mask & ~loud)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                offset = velocity.static_offset(series, static, anchor)
+        messages = [str(w.message) for w in caught if issubclass(w.category, StaticTissueWarning)]
+        assert np.float64(offset).tobytes() == np.float64(expected).tobytes()
+        assert messages == theirs
 
-    (quiet,) = reads["means"]
-    loud = reads["moments"][0] if reads["moments"] else np.zeros_like(mask)
-    assert not (quiet & loud).any() and not (loud & ~mask).any()
-    assert n_quiet is None or np.count_nonzero(quiet) == n_quiet
-    assert n_loud is None or np.count_nonzero(loud) == n_loud
-    if name == "lattice":
-        lattice = np.zeros_like(mask)
-        lattice[::2, ::2] = True
-        assert (loud & lattice).any() and (loud & ~lattice).any()
-        wrapping = mask & (kinds == "wrapping")
-        assert (wrapping & lattice).any() and (wrapping & ~lattice).any()
+        (lattice,) = reads["means"]
+        assert len(reads["moments"]) == loud.any()
+        assert not loud.any() or np.array_equal(reads["moments"][0], loud)
+        assert n_quiet is None or np.count_nonzero(lattice & mask & ~loud) == n_quiet
+        assert n_loud is None or np.count_nonzero(loud) == n_loud
+        if name == "lattice":
+            stride_2 = np.zeros_like(mask)
+            stride_2[::2, ::2] = True
+            assert np.array_equal(lattice, stride_2)
+            assert (loud & lattice).any() and (loud & ~lattice).any()
+            wrapping = mask & (kinds == "wrapping")
+            assert (wrapping & lattice).any() and (wrapping & ~lattice).any()
 
 
 @pytest.mark.parametrize("n_frames", [1, 2, 63, 64, 65, 130])
@@ -729,8 +792,8 @@ def test_spans_are_max_minus_min_over_every_frame(encoding, size, n_frames):
     grid, 28 of 24x24 and one of 128x128, each grid one band; at 1000,
     bands of 7 rows of 128 (the last of 2) and 3 frames of 16x16. Each
     pixel's extremes fall on frames spread over the series, so a block
-    skipped or cut short changes some span, and the bands tile the grid's
-    rows in order."""
+    skipped or cut short changes some span, and the spans come a row at a
+    time, every row of the grid once, in order."""
     rng = np.random.default_rng(size * 1000 + n_frames)
     frames = rng.uniform(-3.0, 3.0, (n_frames, size, size)).astype(np.float32)
     series = VelocitySeries(make_header(n_frames=n_frames, w=size, h=size, encoding=encoding),
@@ -739,8 +802,7 @@ def test_spans_are_max_minus_min_over_every_frame(encoding, size, n_frames):
     expected = (frames.max(axis=0).astype(np.float64) - frames.min(axis=0)) * scale
     for budget in (1 << 14, 1000):
         with mock.patch.object(velocity, "_BLOCK_VALUES", budget):
-            bands = [(rows, band.copy()) for rows, band in velocity._spans(series)]
-        tops = [rows.start for rows, _ in bands]
-        assert [0] + [rows.stop for rows, _ in bands] == tops + [size]
-        spans = np.concatenate([band for _, band in bands])
-        assert spans.tobytes() == expected.tobytes()
+            rows = [(row, spans.copy()) for row, spans in velocity._spans(series)]
+        assert [row for row, _ in rows] == list(range(size))
+        spans = np.stack([spans for _, spans in rows])
+        assert spans.dtype == np.float64 and spans.tobytes() == expected.tobytes()
