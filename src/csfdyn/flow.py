@@ -118,7 +118,9 @@ def refine_roi(moments: PixelMoments, seed: RoiMask, threshold: float = 0.7) -> 
     or above the threshold that are 8-connected to qualifying seed pixels
     form the refined mask. Constant-in-time pixels (m2 = 0) have no
     defined correlation and never qualify, which is what keeps static
-    background out even at threshold 0.
+    background out even at threshold 0. The components are labelled
+    within the bounding box of the moments' pixels, the only pixels that
+    can qualify, and the kept ones written into a mask of the grid.
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidThreshold(f"correlation threshold must be in [0, 1], got {threshold}")
@@ -133,13 +135,19 @@ def refine_roi(moments: PixelMoments, seed: RoiMask, threshold: float = 0.7) -> 
 
     corr = np.full(moments.m2.shape, -2.0)
     np.divide(moments.cross, ref_norm * np.sqrt(moments.m2), out=corr, where=moments.m2 > 0.0)
-    eligible = np.zeros(seed.pixels.shape, dtype=bool)
-    eligible[moments.pixels] = corr >= threshold
+    rows, cols = (np.flatnonzero(moments.pixels.any(axis=axis)) for axis in (1, 0))
+    if rows.size == 0:
+        raise NoCorrelatedRegion("no pixel met the correlation threshold")
+    box = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+    eligible = np.zeros(moments.pixels[box].shape, dtype=bool)
+    eligible[moments.pixels[box]] = corr >= threshold
 
     # 8-connected components of the eligible pixels; keep those holding
     # an eligible seed pixel (label 0 is the ineligible background)
     components, _ = ndimage.label(eligible, structure=EIGHT_CONNECTED)
-    kept = components[seed.pixels & eligible]
+    kept = components[seed.pixels[box] & eligible]
     if kept.size == 0:
         raise NoCorrelatedRegion("no pixel met the correlation threshold")
-    return RoiMask(pixels=np.isin(components, kept), label=seed.label)
+    pixels = np.zeros_like(seed.pixels)
+    pixels[box] = np.isin(components, kept)
+    return RoiMask(pixels=pixels, label=seed.label)

@@ -264,7 +264,7 @@ class RoiMask:
 
     @property
     def n_pixels(self) -> int:
-        return int(self.pixels.sum())
+        return int(np.count_nonzero(self.pixels))
 
 
 @dataclass

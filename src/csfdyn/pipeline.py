@@ -6,10 +6,12 @@ The velocity and flow stages read the series once per pass, a block of
 pixels at a time, and fold the blocks into per-pixel moments and
 per-frame sums (prepare_velocity). The gating and ensemble stages hold
 the cycles as tables of columns (CycleTable, CanonicalTable), and the
-belt as arrays. A velocity pass holds a block of at most 128 KB with its
-gathered float32 copy and, when it unwraps, a scratch block of its steps
-(velocity._BLOCK_VALUES); the job holds those plus vectors with one value
-per frame, per pixel or per cycle, however long the recording and however
+belt as arrays. A velocity pass holds one contiguous float64 block of at
+most 128 KB (velocity._BLOCK_VALUES), the block's gathered float32 copy
+while it is converted and, only in a pass where a pixel spans more than
+venc, a transient block of its steps; refinement labels only the box its
+moments cover. The job holds those plus vectors with one value per
+frame, per pixel or per cycle, however long the recording and however
 wide the field of view: no velocity map is built.
 """
 
@@ -187,8 +189,9 @@ def prepare_velocity(
       refined ROI to the bit;
     - the seed's mean velocity and the flow are per-frame sums over the
       ROI, the offset taken off each velocity as it is added.
-    No velocity map is built: a pass holds a block of at most 128 KB, its
-    gathered float32 copy and, when it unwraps, a scratch block of its
+    No velocity map is built: a pass holds one contiguous block of at most
+    128 KB, its gathered float32 copy while it is converted and, only in
+    a pass where a pixel spans more than venc, a transient block of its
     steps, plus vectors with one value per frame or per pixel. Returns the
     flow, the final ROI and the offset.
 

@@ -21,7 +21,10 @@ converted, a block of pixels at a time, in the series' own sign. One
 generator, ``_unwrapped``, unwraps its blocks: it carries each pixel's
 wrap count from chunk to chunk, counts wraps only in the pixels that step
 beyond venc, and shifts only blocks that hold such a pixel or a carried
-count. ``pixel_moments`` folds the unwrapped blocks into per-pixel
+count. A column can step beyond venc only if its values, with the pixel's
+frame before the block, span more than venc, so a block takes its steps
+only when it holds such a column, and a pass stops screening once one has
+(_jumps). ``pixel_moments`` folds the unwrapped blocks into per-pixel
 moments, with no full-size array built: the StaticTissueWarning and the
 refinement's correlation map come from those. It tells a pixel that holds
 still by comparing each block with the pixel's first unwrapped value.
@@ -29,11 +32,12 @@ still by comparing each block with the pixel's first unwrapped value.
 ROI's flow and the seed's reference time course. A block holds up to
 _BLOCK_VALUES float64 values (128 KB): 64 frames of 256 pixels for
 moments, and for sums over few pixels more frames a step. Each block is
-converted in place from a gathered float32 copy of its stored values, and
-_unwrapped keeps a scratch block of the block's steps beside it. So a
-pass holds its block, the block's gathered copy and its steps, plus
-vectors with one value per frame or per pixel, and builds no velocity
-map. ``unwrap_temporal`` writes the blocks into velocity maps.
+C-contiguous, at the head of one flat buffer, and converted in place from
+a transient gathered float32 copy of its stored values. So a pass holds
+its block, the block's gathered copy while it is converted and, only in a
+pass where a column spans more than venc, a transient block of steps,
+plus vectors with one value per frame or per pixel, and builds no
+velocity map. ``unwrap_temporal`` writes the blocks into velocity maps.
 
 Each pass reads only the pixels it needs, so the pipeline's cost follows
 the ROI, not the field of view. static_offset splits the static mask by
@@ -67,10 +71,14 @@ from .ingest import (
 #: frames per step of _unwrapped when it feeds pixel_moments
 _CHUNK = 64
 #: values in each block a streamed pass holds: a float64 block of frames
-#: times pixels is 128 KB. _unwrapped holds two (the block and its steps)
-#: and the block's gathered float32 copy, _lattice_means one block, and
-#: _spans' running float32 minima and maxima as many stored values each
+#: times pixels is 128 KB. _unwrapped holds one, the block's gathered
+#: float32 copy while it is converted and, only once a column spans more
+#: than venc, a transient block of its steps; _lattice_means holds one
+#: block, and _spans' running float32 minima and maxima as many stored
+#: values each
 _BLOCK_VALUES = 1 << 14
+#: frames per slab of pixel_moments' fold of the block's products with ref
+_SLAB = 8
 #: static pixels the lattice static[::k, ::k] of static_offset holds at least
 _LATTICE = 2048
 
@@ -129,7 +137,7 @@ def unwrap_temporal(series: VelocitySeries, anchor: int = 0) -> VelocitySeries:
     n, h, w = series.frames.shape
     out = np.empty((n, h * w))
     steps = _unwrapped(series, np.ones((h, w), dtype=bool), anchor, _chunk_for(h * w))
-    for start, at, xb, _ in steps:
+    for start, at, xb in steps:
         out[start : start + xb.shape[0], at] = xb[:, : at.stop - at.start]
     return VelocitySeries(series.header, out.reshape(n, h, w))
 
@@ -156,14 +164,15 @@ def _converted(series: VelocitySeries, idx: np.ndarray, chunk: int, stop: int):
     flat pixel indices idx; at is the block's slice of idx.
 
     xb holds the block's stored values, gathered by their pixel indices,
-    in float64 cm/s, in one buffer that the next block overwrites. numpy
-    sums a lone column pairwise but two or more columns frame by frame, so
-    a pixel alone in its block fills two columns, of which the first
-    counts.
+    in float64 cm/s: a C-contiguous block at the head of one flat buffer
+    that the next block overwrites, so numpy's in-place ufuncs on it never
+    copy a strided operand whole. numpy sums a lone column pairwise but two
+    or more columns frame by frame, so a pixel alone in its block fills two
+    columns, of which the first counts.
     """
     scale = _to_cmps(series.header)
     width = _BLOCK_VALUES // chunk
-    x = np.empty((min(chunk, stop), max(min(idx.size, width), 2)))
+    x = np.empty(min(chunk, stop) * max(min(idx.size, width), 2))
     for start in range(0, stop, chunk):
         frames = series.frames[start : min(start + chunk, stop)]
         m = frames.shape[0]
@@ -172,7 +181,7 @@ def _converted(series: VelocitySeries, idx: np.ndarray, chunk: int, stop: int):
             cols = idx[b : b + width]
             at = slice(b, b + cols.size)
             cols = np.resize(cols, max(cols.size, 2))
-            xb = x[:m, : cols.size]
+            xb = x[: m * cols.size].reshape(m, cols.size)
             # converted in place: a gathered block is let go before the
             # next one is gathered, and no cast buffer is made
             np.copyto(xb, frames[:, cols])
@@ -180,15 +189,47 @@ def _converted(series: VelocitySeries, idx: np.ndarray, chunk: int, stop: int):
             yield start, at, xb
 
 
+def _jumps(xb: np.ndarray, k: int, prior: np.ndarray | None, venc: float, screen: bool):
+    """The columns among the first k of the block xb that step beyond venc
+    from frame to frame, prior holding each pixel's frame before the block
+    (None at the series' first frame), and _wrap_counts of their steps;
+    counts is None when screen is set and no column can step beyond venc.
+
+    A column steps beyond venc only if its values and prior span more than
+    venc: a step is at most the span, and rounding is monotone, so the
+    screen is exact. A block that the screen does not pass takes its
+    steps, one transient block of them.
+    """
+    if screen:
+        hi, lo = xb.max(axis=0)[:k], xb.min(axis=0)[:k]
+        if prior is not None:
+            np.maximum(hi, prior, out=hi)
+            np.minimum(lo, prior, out=lo)
+        hi -= lo
+        wide = np.flatnonzero(hi > venc)
+        if not wide.size:
+            return wide, None
+    d = np.empty_like(xb)
+    np.subtract(xb[1:], xb[:-1], out=d[1:])
+    np.subtract(xb[0], xb[0] if prior is None else prior, out=d[0])
+    jumps = np.flatnonzero(np.maximum(d.max(axis=0), -d.min(axis=0))[:k] > venc)
+    return jumps, _wrap_counts(d[:, jumps], venc)
+
+
 def _unwrapped(series: VelocitySeries, pixels: np.ndarray, anchor: int, chunk: int = _CHUNK):
-    """Yield (start, at, xb, scratch) per chunk of up to chunk frames from
-    start and block of up to _BLOCK_VALUES // chunk of the pixels that the
-    boolean grid pixels selects; at is their slice in row-major order.
+    """Yield (start, at, xb) per chunk of up to chunk frames from start and
+    block of up to _BLOCK_VALUES // chunk of the pixels that the boolean
+    grid pixels selects; at is their slice in row-major order.
 
     xb holds the block as _converted reads it, unwrapped as
-    unwrap_temporal describes; scratch has its shape. The caller may
-    overwrite both. Each pixel's wraps since the anchor frame (counted
-    first over frames 0..anchor) are carried from chunk to chunk.
+    unwrap_temporal describes; the caller may overwrite it. Each pixel's
+    wraps since the anchor frame (counted first over frames 0..anchor) are
+    carried from chunk to chunk. Only the columns that step beyond venc
+    (_jumps) are counted, and a block is shifted only where it holds such
+    a column or a carried count. Blocks are screened for a column that
+    spans more than venc until one holds such a column; from then on every
+    block takes its steps, so a series whose pixels wrap pays for no
+    screen that it would fail.
     """
     _check_anchor(series, anchor)
     n, venc = series.header.n_frames, series.header.venc
@@ -196,36 +237,39 @@ def _unwrapped(series: VelocitySeries, pixels: np.ndarray, anchor: int, chunk: i
     # last: each pixel's last frame so far, converted; wraps: its wraps
     # since the anchor frame at that frame
     last, wraps = (np.zeros(idx.size) for _ in range(2))
-    tmp = np.empty((min(chunk, n), max(min(idx.size, _BLOCK_VALUES // chunk), 2)))
+    screen = True
 
     def blocks(stop: int):
-        """(start, at, xb, d, step) per block of _converted before stop:
-        velocities, steps and largest |step|."""
+        """(start, at, xb, jumps, counts) per block of _converted before
+        stop: velocities, and the columns that step beyond venc with their
+        wraps at each step (_jumps)."""
+        nonlocal screen
         for start, at, xb in _converted(series, idx, chunk, stop):
-            k, (m, width) = at.stop - at.start, xb.shape
-            d = tmp[:m, :width]
-            np.subtract(xb[1:], xb[:-1], out=d[1:])
-            np.subtract(xb[0], last[at] if start else xb[0], out=d[0])
+            k = at.stop - at.start
+            jumps, counts = _jumps(xb, k, last[at] if start else None, venc, screen)
+            screen = counts is None
             last[at] = xb[-1, :k]
-            yield start, at, xb, d, np.maximum(d.max(axis=0), -d.min(axis=0))[:k]
+            yield start, at, xb, jumps, counts
 
     # wraps before the anchor count against it, so the anchor frame keeps its value
-    for _, at, _, d, step in blocks(anchor + 1) if anchor else ():
-        jumps = np.flatnonzero(step > venc)
-        wraps[at.start + jumps] -= _wrap_counts(d[:, jumps], venc).sum(axis=0)
+    for _, at, _, jumps, counts in blocks(anchor + 1) if anchor else ():
+        if jumps.size:
+            wraps[at.start + jumps] -= counts.sum(axis=0)
 
-    for start, at, xb, d, step in blocks(n):
-        k, carried = step.size, wraps[at]
-        jumps = np.flatnonzero(step > venc)
-        if jumps.size or carried.any():
-            # 2 venc off per wrap since the anchor: a fixed offset for wraps
-            # carried in, a running one within the chunk
-            cum = np.cumsum(_wrap_counts(d[:, jumps], venc), axis=0) + carried[jumps]
+    for start, at, xb, jumps, counts in blocks(n):
+        k, carried = at.stop - at.start, wraps[at]
+        # 2 venc off per wrap since the anchor: a fixed offset for wraps
+        # carried in, a running one within the chunk
+        if jumps.size:
+            cum = np.cumsum(counts, axis=0, out=counts)
+            cum += carried[jumps]
             unwrapped = xb[:, jumps] + -2.0 * venc * cum
+        if carried.any():
             xb[:, :k] += -2.0 * venc * carried
+        if jumps.size:
             xb[:, jumps] = unwrapped
             carried[jumps] = cum[-1]
-        yield start, at, xb, d
+        yield start, at, xb
 
 
 def _chunk_for(n_pixels: int) -> int:
@@ -268,7 +312,7 @@ def pixel_sums(
     """
     sums = np.zeros(series.header.n_frames)
     steps = _unwrapped(series, pixels, anchor, _chunk_for(np.count_nonzero(pixels)))
-    for start, at, xb, _ in steps:
+    for start, at, xb in steps:
         block = xb[:, : at.stop - at.start]
         if offset is not None:
             block -= offset
@@ -306,27 +350,47 @@ def pixel_moments(
 
     One pass over the blocks of _unwrapped: each block's mean and centred
     sum of squares are merged into the running ones (Chan, Golub & LeVeque
-    1983). A pixel whose unwrapped velocity never leaves its value at the
-    first frame gets m2 = 0 exactly. Every sum runs down one pixel's column in frame order, so a
-    pixel's moments do not depend on which other pixels are in the call.
+    1983), and its products with ref are folded into cross a slab of
+    frames at a time (_weighted_sums), so the pass holds its block and no
+    second one. A pixel whose unwrapped velocity never leaves its value at
+    the first frame gets m2 = 0 exactly. Every sum runs down one pixel's
+    column in frame order, so a pixel's moments do not depend on which
+    other pixels are in the call.
     """
     mean, m2, first = (np.zeros(np.count_nonzero(pixels)) for _ in range(3))
     cross = None if ref is None else np.zeros(mean.size)
     varies = np.zeros(mean.size, dtype=bool)
-    for start, at, xb, tmp in _unwrapped(series, pixels, anchor):
+    for start, at, xb in _unwrapped(series, pixels, anchor):
         k, m = at.stop - at.start, xb.shape[0]
         if not start:
             first[at] = xb[0, :k]
         varies[at] |= (xb[:, :k] != first[at]).any(axis=0)
         if cross is not None:
-            np.multiply(xb, ref[start : start + m, None], out=tmp)
-            cross[at] += tmp.sum(axis=0)[:k]
+            cross[at] += _weighted_sums(xb, ref[start : start + m])[:k]
         chunk_mean, delta = _merge_mean(mean, at, start, xb)
         np.subtract(xb, chunk_mean, out=xb)
         np.square(xb, out=xb)
         m2[at] += xb.sum(axis=0)[:k] + delta * delta * (start * m / (start + m))
     m2[~varies] = 0.0
     return PixelMoments(pixels, series.header.n_frames, mean, m2, ref, cross)
+
+
+def _weighted_sums(xb: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-column sums over the frames of the block xb times weights, one
+    per frame: the bits of (xb * weights[:, None]).sum(axis=0), which adds
+    the rows of a C-ordered block in turn. The products are folded a slab
+    of _SLAB frames at a time into a buffer of _SLAB + 1 rows whose row 0
+    holds the running sums, so no block of products is made."""
+    m, w = xb.shape
+    slab = np.empty((_SLAB + 1, w))
+    sums = slab[0]
+    np.multiply(xb[0], weights[0], out=sums)
+    for j in range(1, m, _SLAB):
+        stop = min(j + _SLAB, m)
+        rows = slab[: 1 + stop - j]
+        np.multiply(xb[j:stop], weights[j:stop, None], out=rows[1:])
+        np.add.reduce(rows, axis=0, out=sums)
+    return sums
 
 
 def _merge_mean(mean: np.ndarray, at: slice, start: int, xb: np.ndarray):

@@ -16,7 +16,7 @@ from csfdyn import (
     extract_flow,
     refine_roi,
 )
-from csfdyn.errors import DimensionMismatch, InvalidThreshold
+from csfdyn.errors import DimensionMismatch, InvalidThreshold, NoCorrelatedRegion
 from csfdyn.flow import seed_reference
 from csfdyn.pipeline import prepare_velocity
 from csfdyn.velocity import pixel_moments
@@ -151,6 +151,27 @@ class TestRefineRoi:
         parts, _ = ndimage.label(r >= 0.7, structure=np.ones((3, 3), dtype=bool))
         expected = np.isin(parts, parts[seed.pixels & (r >= 0.7)])
         assert np.array_equal(refined(f, seed).pixels, expected)
+
+    def test_only_the_pixels_of_the_moments_can_join(self):
+        """Moments of part of the grid: the ROI is the whole grid's rule
+        with only their pixels eligible, wherever in their bounding box
+        those lie, and moments of no pixel are refused."""
+        f = self.build()
+        seed = roi(9, 9, 4, 4)
+        ref = seed_reference(f, seed)
+        whole = pixel_moments(f, np.ones((9, 9), dtype=bool), ref=ref)
+        r = (whole.cross / (np.sqrt((ref**2).sum()) * np.sqrt(whole.m2))).reshape(9, 9)
+        part = np.zeros((9, 9), dtype=bool)
+        part[3:6, 3:6] = True
+        part[4, 5] = False
+        part[0, 8] = True
+        parts, _ = ndimage.label((r >= 0.7) & part, structure=np.ones((3, 3), dtype=bool))
+        expected = np.isin(parts, parts[seed.pixels & (r >= 0.7)])
+        out = refine_roi(pixel_moments(f, part, ref=ref), seed)
+        assert np.array_equal(out.pixels, expected)
+        assert np.flatnonzero(out.pixels).tolist() == [30, 40, 49]
+        with pytest.raises(NoCorrelatedRegion):
+            refine_roi(pixel_moments(f, np.zeros((9, 9), dtype=bool), ref=ref), seed)
 
     def test_moments_of_another_grid_are_refused(self):
         f = self.build()

@@ -717,9 +717,12 @@ def peak_on_top(fn, *args, **kwargs):
 
 class TestPeakMemory:
     """The velocity and flow stages stream the input, unwrapping as they
-    go, and fold each block of at most 128 KB into per-pixel moments and
-    per-frame sums; the ensemble stage resamples cycles in fixed batches.
-    So a job holds a pass's blocks plus vectors with one value per frame,
+    go, and fold each contiguous float64 block of at most 128 KB into
+    per-pixel moments and per-frame sums. Beside its block a pass holds
+    the block's transient float32 gather and, only in a pass where a pixel
+    spans more than venc, a transient block of steps; refinement labels
+    the box its moments cover. The ensemble stage resamples cycles in fixed batches.
+    So a job holds a pass's block plus vectors with one value per frame,
     pixel or cycle: what process_subject allocates stays under half the
     input series, however many pixels wrap and however long the
     recording."""
@@ -819,14 +822,52 @@ class TestPeakMemory:
 
     def test_streamed_flow_on_a_192_grid(self):
         # the ROI's flow on the same series: its 90 frames are one chunk,
-        # so the pass holds one float64 block of the ROI's 29 pixels,
-        # converted in place, the block's steps and its gathered float32
-        # copy. The bound is the peak plus a quarter: 0.069 MB (0.079 MB
+        # so the pass holds one contiguous float64 block of the ROI's 29
+        # pixels, converted in place, and the block's transient float32
+        # gather; none of its pixels spans venc, so it takes no steps. The
+        # bound is the peak plus a quarter: 0.039 MB (0.069 MB while the
+        # ROI's pixel count cast the whole grid's mask to int64, 0.079 MB
         # while each block was converted through a cast buffer)
         ds = short_192(csfdyn.default_aqueduct_spec())
         offset = csfdyn.velocity.static_offset(ds.series, ds.static)
         peak = peak_on_top(csfdyn.flow.streamed_flow, ds.series, ds.lumen, 0, offset)
-        assert peak < 0.086e6, f"streamed_flow: {peak / 1e6:.3f} MB"
+        assert peak < 0.049e6, f"streamed_flow: {peak / 1e6:.3f} MB"
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def box_case():
+        """The series of short_192, a 25x25 box around its lumen, and the
+        lumen's reference time course."""
+        ds = short_192(csfdyn.default_aqueduct_spec())
+        box = np.zeros_like(ds.lumen.pixels)
+        box[84:109, 84:109] = True
+        assert (ds.lumen.pixels <= box).all()
+        ref = csfdyn.flow.streamed_seed_reference(ds.series, ds.lumen)
+        return ds, box, ref
+
+    def test_box_moments_on_a_192_grid(self, box_case):
+        # refinement's moment pass over the box's 625 pixels: one contiguous
+        # float64 block of 64 frames of 256 pixels (131 KB) and, one at a
+        # time, its transient float32 gather and the temporaries numpy makes
+        # for a ufunc on the block (83 KB for the comparison with each
+        # pixel's first value); the block's products with the reference
+        # are folded 8 frames at a time. The bound is the peak plus a
+        # quarter: 0.26 MB (0.48 MB with a second block of steps, used as
+        # scratch for the products, and a strided view of a wider buffer
+        # as the block)
+        ds, box, ref = box_case
+        peak = peak_on_top(csfdyn.velocity.pixel_moments, ds.series, box, ref)
+        assert peak < 0.325e6, f"pixel_moments: {peak / 1e6:.3f} MB"
+
+    def test_refine_roi_on_a_192_grid(self, box_case):
+        # refine_roi labels the components within the box its moments
+        # cover and writes the kept ones into a grid-size mask. The bound
+        # is the peak plus a quarter: 0.053 MB (0.34 MB when the whole
+        # 192x192 grid was labelled in int32)
+        ds, box, ref = box_case
+        moments = csfdyn.velocity.pixel_moments(ds.series, box, ref)
+        peak = peak_on_top(csfdyn.flow.refine_roi, moments, ds.lumen, 0.7)
+        assert peak < 0.067e6, f"refine_roi: {peak / 1e6:.3f} MB"
 
     @pytest.mark.parametrize("params", [PipelineParams(), PipelineParams(refine_threshold=0.7)],
                              ids=["static", "refine"])

@@ -42,6 +42,14 @@ def make_header(venc=10.0, n_frames=5, w=8, h=6, encoding=Encoding.PHASE_RADIANS
     )
 
 
+def converted(series):
+    """The series' stored values in float64 cm/s."""
+    v = series.frames.astype(np.float64)
+    if series.header.encoding is Encoding.PHASE_RADIANS:
+        v *= series.header.venc / np.pi
+    return v
+
+
 def unwrap_oracle(series, flip_sign=False, anchor=0):
     """Reference velocities of series: converted to float64 cm/s, negated
     when flip_sign is set, and unwrapped over the whole array at once, 2 venc
@@ -49,13 +57,10 @@ def unwrap_oracle(series, flip_sign=False, anchor=0):
 
     The streamed core never flips: negated, the flipped reference must give
     its bits, which is what lets the pipeline apply the sign at the end."""
-    header = series.header
-    v = series.frames.astype(np.float64)
-    if header.encoding is Encoding.PHASE_RADIANS:
-        v *= header.venc / np.pi
+    v = converted(series)
     if flip_sign:
         v = -v
-    venc, out = header.venc, v.copy()
+    venc, out = series.header.venc, v.copy()
     wrapped = (np.abs(np.diff(v, axis=0)) > venc).any(axis=0)
     if wrapped.any():
         w = v[:, wrapped]
@@ -435,6 +440,119 @@ def test_pixel_varies_by_its_unwrapped_steps():
             assert moments.m2[~held] == pytest.approx(m2[~held], rel=1e-12)
             mean = [math.fsum(column) / n for column in oracle.T]
             assert moments.mean == pytest.approx(mean, rel=1e-15)
+
+
+@pytest.mark.parametrize("encoding", list(Encoding))
+def test_a_step_of_venc_is_left_and_a_ulp_above_is_unwrapped(encoding):
+    # One step per pixel, at the chunk boundary (frame 64) or inside the
+    # first chunk (frame 10): converted, exactly venc in the first and
+    # third pixel and a ulp above venc in the second and fourth. The
+    # stored value after the step converts to venc exactly; the one before
+    # it is 0, or minus a ulp of venc. Each pixel is read in a pass of its
+    # own, in 64-frame chunks, so every block is screened: the block after
+    # the boundary holds one value, and only the pixel's frame before it
+    # shows the step.
+    n, venc = 130, 5.0
+    after = venc
+    if encoding is Encoding.PHASE_RADIANS:
+        after = np.nextafter(math.pi, 0.0)
+        while after * (venc / np.pi) != venc:
+            after = np.nextafter(after, 0.0)
+    before = -np.spacing(venc) / (venc / np.pi if encoding is Encoding.PHASE_RADIANS else 1.0)
+    frames = np.zeros((n, 1, 4))
+    frames[64:, 0, :2] = frames[10:, 0, 2:] = after
+    frames[:64, 0, 1] = frames[:10, 0, 3] = before
+    series = VelocitySeries(make_header(venc=venc, n_frames=n, w=4, h=1, encoding=encoding),
+                            frames)
+    v = converted(series)[:, 0]
+    up = np.nextafter(venc, np.inf)
+    assert np.diff(v, axis=0).max(axis=0).tolist() == [venc, up, venc, up]
+    oracle = unwrap_oracle(series)
+    assert (oracle[:, 0, ::2] == v[:, ::2]).all()
+    assert (oracle[:, 0, 1::2] != v[:, 1::2]).any(axis=0).all()
+    assert velocity_maps(series).frames.tobytes() == oracle.tobytes()
+    for column in range(4):
+        pixel = np.zeros((1, 4), dtype=bool)
+        pixel[0, column] = True
+        with mock.patch.object(velocity, "_BLOCK_VALUES", 64):
+            sums = velocity.pixel_sums(series, pixel)
+        assert sums.tobytes() == velocity.add_columns(oracle[:, 0, pixel[0]]).tobytes()
+        mean = math.fsum(oracle[:, 0, column]) / n
+        assert pixel_moments(series, pixel).mean[0] == pytest.approx(mean, rel=1e-15)
+
+
+@pytest.mark.parametrize("budget", [64, 1 << 14], ids=["one-pixel-blocks", "one-block"])
+@pytest.mark.parametrize("anchor", [0, 150])
+@pytest.mark.parametrize("encoding", list(Encoding))
+def test_wraps_are_carried_into_chunks_that_do_not_step(encoding, anchor, budget):
+    # The first pixel steps from 4 to -4 at frame 30, beyond venc 5, and
+    # holds -4 after: in its later 64-frame chunks no column steps beyond
+    # venc, but they keep the wrap carried in (+10 cm/s at anchor 0, and
+    # -10 cm/s before frame 30 at anchor 150). The second pixel never
+    # wraps, so the first chunk's block holds a pixel that does not. At a
+    # budget of 64 values every pass reads 64-frame chunks of one pixel.
+    n, venc = 200, 5.0
+    v = np.zeros((n, 1, 2))
+    v[:30, 0, 0], v[30:, 0, 0] = 4.0, -4.0
+    v[:, 0, 1] = np.linspace(-2.0, 2.0, n)
+    if encoding is Encoding.PHASE_RADIANS:
+        v *= np.pi / venc
+    series = VelocitySeries(make_header(venc=venc, n_frames=n, w=2, h=1, encoding=encoding),
+                            v.astype(np.float32))
+    oracle = unwrap_oracle(series, anchor=anchor)
+    pixels = np.ones((1, 2), dtype=bool)
+    shift = -10.0 if anchor else 10.0
+    wrapped = slice(0, 30) if anchor else slice(30, n)
+    assert np.array_equal(oracle[wrapped, 0, 0], converted(series)[wrapped, 0, 0] + shift)
+    with mock.patch.object(velocity, "_BLOCK_VALUES", budget):
+        maps = velocity_maps(series, anchor)
+        sums = velocity.pixel_sums(series, pixels, anchor)
+        moments = pixel_moments(series, pixels, anchor=anchor)
+    assert maps.frames.tobytes() == oracle.tobytes()
+    assert sums.tobytes() == velocity.add_columns(oracle[:, 0]).tobytes()
+    mean = [math.fsum(column) / n for column in oracle[:, 0].T]
+    assert moments.mean == pytest.approx(mean, rel=1e-15)
+    m2 = ((oracle[:, 0] - oracle[:, 0].mean(axis=0)) ** 2).sum(axis=0)
+    assert moments.m2 == pytest.approx(m2, rel=1e-12)
+
+
+def chunked_cross(v, ref):
+    """cross of the values v (frames, pixels) with ref: per 64-frame chunk,
+    (block * ref[:, None]).sum(axis=0) of the chunk as one C-ordered block
+    of at least two columns, which numpy sums frame by frame, added to the
+    running sums chunk after chunk."""
+    cross = np.zeros(v.shape[1])
+    for start in range(0, v.shape[0], 64):
+        block = np.ascontiguousarray(v[start : start + 64])
+        if block.shape[1] == 1:
+            block = np.repeat(block, 2, axis=1)
+        cross += (block * ref[start : start + 64, None]).sum(axis=0)[: v.shape[1]]
+    return cross
+
+
+@pytest.mark.parametrize("width,budget", [(1, 1 << 14), (5, 3 * 64)],
+                         ids=["one-pixel", "partial-last-block"])
+def test_cross_is_summed_frame_by_frame_per_chunk(width, budget):
+    # 150 frames: two whole 64-frame chunks and a partial one of 22, whose
+    # last slab holds fewer frames than the others; five pixels in blocks
+    # of 3 leave a last block of 2. Some pixels wrap, so cross is of the
+    # unwrapped values.
+    n, venc = 150, 5.0
+    rng = np.random.default_rng(11)
+    frames = rng.uniform(-venc, venc, (n, 1, width))
+    frames[:, 0, 1::2] *= 0.3
+    series = VelocitySeries(make_header(venc=venc, n_frames=n, w=width, h=1,
+                                        encoding=Encoding.VELOCITY_CMPS), frames)
+    ref = rng.normal(0.0, 1.0, n)
+    with mock.patch.object(velocity, "_BLOCK_VALUES", budget):
+        moments = pixel_moments(series, np.ones((1, width), dtype=bool), ref)
+    oracle = unwrap_oracle(series)[:, 0]
+    assert not np.array_equal(oracle, converted(series)[:, 0])
+    assert moments.cross.tobytes() == chunked_cross(oracle, ref).tobytes()
+    # the order matters: numpy's pairwise sum of each column differs
+    pairwise = sum((oracle[s : s + 64] * ref[s : s + 64, None]).T.copy().sum(axis=1)
+                   for s in range(0, n, 64))
+    assert not np.array_equal(pairwise, moments.cross)
 
 
 class TestBackgroundCorrect:
